@@ -19,7 +19,6 @@ from .adapters import (
     LoraAdapter,
     MergeScale,
     ModelMeta,
-    combine,
     forward_conv,
     forward_linear,
     init_adapter,
@@ -64,7 +63,6 @@ __all__ = [
     "ModelMeta",
     "NumericalError",
     "ShapeError",
-    "combine",
     "forward_conv",
     "forward_linear",
     "init_adapter",

@@ -1,25 +1,27 @@
 """Factored weight-update adapters for linear and conv2d layers.
 
-Three decompositions of a weight delta are supported, each optionally in a
-Tucker-core form on conv layers:
+All three families compose one factor block B. A block is stored whole, or
+at rank r as up @ down; on conv layers the product takes down unrolled to
+(r, in*k*k), or, in the Tucker form, a small (r, r, k, k) core carries the
+kernel axes between channel factors on both sides. The families are:
 
-* lora: delta = up @ down, rank bounded by the inner extent r.
-* loha: delta = (up1 @ down1) * (up2 @ down2), an elementwise product of two
-  rank-r branches whose result can reach rank r^2.
-* lokr: delta = kron(c, right), with the right block either stored whole or
-  itself factored as up @ down.
+* lora = B: delta = up @ down, rank bounded by the inner extent r.
+* loha = B1 * B2: delta = (up1 @ down1) * (up2 @ down2), an elementwise
+  product of two rank-r branches whose result can reach rank r^2.
+* lokr = C (x) B: delta = kron(c, right), with the right block either
+  stored whole (w2) or itself a rank-r block.
 
-Conv kernels (out, in, k, k) are handled by unrolling to (out, in*k*k); the
-Tucker form instead keeps a small (r, r, k, k) core contracted with channel
-factors on both sides. Adapters are immutable; every operation returns new
-arrays. The merge ratio gamma = alpha / dim scales the delta wherever it is
-applied, but never inside reconstruct().
+Each family states its composition once, in its class: the shape check,
+the dense delta, the gradients of its factors, its rank bound and its
+seeded draw all go through the blocks. Adapters are immutable; every
+operation returns new arrays. The merge ratio gamma = alpha / dim scales
+the delta wherever it is applied, but never inside reconstruct().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,7 +47,6 @@ __all__ = [
     "forward_linear",
     "forward_conv",
     "merge",
-    "combine",
     "param_count",
     "max_rank_bound",
     "svd_fit_lora",
@@ -121,8 +122,114 @@ def _expect(cond: bool, message: str) -> None:
 
 
 @dataclass(frozen=True)
+class _Block:
+    """One factor block B on `geometry`, stored whole or at rank r.
+
+    Whole: w2, shaped geometry.delta_shape. Rank r: up (out, r) times down,
+    with down (r, in) on linear layers and (r, in, k, k) on conv ones, taken
+    unrolled; the Tucker form keeps down at (r, in) and moves the kernel
+    axes to a core (r, r, k, k). The field names are the role names.
+    """
+
+    geometry: LayerShape
+    up: np.ndarray | None = None
+    down: np.ndarray | None = None
+    core: np.ndarray | None = None
+    w2: np.ndarray | None = None
+
+    def check(self, r: int) -> None:
+        shp, k = self.geometry, self.geometry.kernel
+        if self.w2 is not None:
+            _expect(self.up is None and self.down is None and self.core is None,
+                    "a whole block excludes factored fields")
+            _expect(self.w2.shape == shp.delta_shape,
+                    f"w2 shape {self.w2.shape} != {shp.delta_shape}")
+            return
+        _expect(self.up is not None and self.down is not None,
+                "a factored block requires up and down")
+        _expect(self.up.shape == (shp.out_dim, r), f"up shape {self.up.shape} != ({shp.out_dim}, {r})")
+        if self.core is None:
+            want = (r, *shp.delta_shape[1:])
+        else:
+            _expect(shp.kind == "conv2d", "Tucker core requires a conv2d layer")
+            _expect(self.core.shape == (r, r, k, k),
+                    f"core shape {self.core.shape} != ({r}, {r}, {k}, {k})")
+            want = (r, shp.in_dim)
+        _expect(self.down.shape == want, f"down shape {self.down.shape} != {want}")
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        roles = {"up": self.up, "down": self.down, "core": self.core, "w2": self.w2}
+        return {role: value for role, value in roles.items() if value is not None}
+
+    def dense(self) -> np.ndarray:
+        if self.w2 is not None:
+            return self.w2
+        if self.core is not None:
+            # (r, r, k, k) x0 up.T -> (out, r, k, k), then x1 down -> (out, in, k, k)
+            return tensor_core.nmode_product(
+                tensor_core.nmode_product(self.core, self.up.T, 0), self.down, 1)
+        if self.geometry.kind == "linear":
+            # the product itself, not a reshaped view of it: numpy reuses the
+            # buffer of a temporary operand (loha's B1 * B2, merge's scaling)
+            # only when that operand owns its data
+            return self.up @ self.down
+        flat = self.up @ self.down.reshape(self.down.shape[0], -1)
+        return flat.reshape(self.geometry.delta_shape)
+
+    def vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of the stored tensors given g = dL/dB."""
+        if self.w2 is not None:
+            return {"w2": g}
+        if self.core is not None:
+            # B[o,i,a,b] = sum_{s,t} core[s,t,a,b] * up[o,s] * down[t,i]
+            return {
+                "up": np.einsum("oiab,stab,ti->os", g, self.core, self.down, optimize=True),
+                "down": np.einsum("oiab,stab,os->ti", g, self.core, self.up, optimize=True),
+                "core": np.einsum("oiab,os,ti->stab", g, self.up, self.down, optimize=True),
+            }
+        g2 = g.reshape(g.shape[0], -1)
+        d2 = self.down.reshape(self.down.shape[0], -1)
+        return {"up": g2 @ d2.T, "down": (self.up.T @ g2).reshape(self.down.shape)}
+
+    def rank_bound(self) -> int:
+        bound = min(self.geometry.out_dim, self.geometry.unrolled_in)
+        return bound if self.w2 is not None else min(self.up.shape[1], bound)
+
+    @classmethod
+    def draw(cls, geometry: LayerShape, r: int, normal, tucker: bool = False,
+             whole: bool = False, zero: str | None = None, core_last: bool = False) -> _Block:
+        """B drawn by normal(shape) as up, then core and down (down, core if core_last).
+
+        The role named by `zero` is drawn, then zeroed ("down" zeroes a whole
+        block), so the draws after it are the same either way.
+        """
+        shp, k = geometry, geometry.kernel
+        if whole:
+            block = cls(shp, w2=normal(shp.delta_shape))
+        elif not tucker:
+            block = cls(shp, normal((shp.out_dim, r)), normal((r, *shp.delta_shape[1:])))
+        elif core_last:
+            block = cls(shp, normal((shp.out_dim, r)), normal((r, shp.in_dim)),
+                        normal((r, r, k, k)))
+        else:
+            up, core = normal((shp.out_dim, r)), normal((r, r, k, k))
+            block = cls(shp, up, normal((r, shp.in_dim)), core)
+        if zero is not None:
+            role = "w2" if whole else zero
+            block = replace(block, **{role: np.zeros_like(getattr(block, role))})
+        return block
+
+
+def _attach(adapter, *blocks: _Block) -> None:
+    # frozen dataclasses: check the factor blocks once, at construction, and keep them
+    for block in blocks:
+        block.check(adapter.scale.dim)
+    object.__setattr__(adapter, "_blocks", blocks)
+
+
+@dataclass(frozen=True)
 class LoraAdapter:
-    """delta = up @ down (conv: unrolled, or Tucker with a (r, r, k, k) core).
+    """lora = B: delta = up @ down (conv: unrolled, or Tucker with a (r, r, k, k) core).
 
     Shapes: up (out, r); down (r, in) for linear and Tucker forms,
     (r, in, k, k) for the plain conv form; core (r, r, k, k) or None.
@@ -136,34 +243,32 @@ class LoraAdapter:
 
     def __post_init__(self):
         _store(self, up=self.up, down=self.down, core=self.core)
-        shp, r = self.layer, self.scale.dim
-        _expect(self.up.shape == (shp.out_dim, r), f"up shape {self.up.shape} != ({shp.out_dim}, {r})")
-        if self.core is None:
-            if shp.kind == "linear":
-                _expect(self.down.shape == (r, shp.in_dim), f"down shape {self.down.shape}")
-            else:
-                _expect(
-                    self.down.shape == (r, shp.in_dim, shp.kernel, shp.kernel),
-                    f"down shape {self.down.shape} does not match {shp}",
-                )
-        else:
-            _expect(shp.kind == "conv2d", "Tucker core requires a conv2d layer")
-            _expect(
-                self.core.shape == (r, r, shp.kernel, shp.kernel),
-                f"core shape {self.core.shape} != ({r}, {r}, {shp.kernel}, {shp.kernel})",
-            )
-            _expect(self.down.shape == (r, shp.in_dim), f"down shape {self.down.shape}")
+        _attach(self, _Block(self.layer, self.up, self.down, self.core))
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {"up": self.up, "down": self.down}
-        if self.core is not None:
-            out["core"] = self.core
-        return out
+        return self._blocks[0].tensors()
+
+    def _delta(self) -> np.ndarray:
+        return self._blocks[0].dense()
+
+    def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
+        return self._blocks[0].vjp(g)
+
+    def _rank_bound(self) -> int:
+        return self._blocks[0].rank_bound()
+
+    def _form(self) -> tuple[str, int, bool]:
+        return "lora", -1, self.core is not None
+
+    @classmethod
+    def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LoraAdapter:
+        b = _Block.draw(layer, scale.dim, normal, tucker, zero="up" if zero_init else None)
+        return cls(layer, scale, b.up, b.down, b.core)
 
 
 @dataclass(frozen=True)
 class LohaAdapter:
-    """delta = (up1 @ down1) * (up2 @ down2), branch shapes as in LoraAdapter."""
+    """loha = B1 * B2: delta = (up1 @ down1) * (up2 @ down2), branches as in LoraAdapter."""
 
     layer: LayerShape
     scale: MergeScale
@@ -183,11 +288,8 @@ class LohaAdapter:
             (self.core1 is None) == (self.core2 is None),
             "Tucker cores must be present on both branches or neither",
         )
-        for up, down, core in ((self.up1, self.down1, self.core1), (self.up2, self.down2, self.core2)):
-            probe = LoraAdapter(self.layer, self.scale, up, down, core)
-            del probe  # constructed purely for its shape checks
-        _expect(self.up1.shape == self.up2.shape, "branch up shapes differ")
-        _expect(self.down1.shape == self.down2.shape, "branch down shapes differ")
+        _attach(self, _Block(self.layer, self.up1, self.down1, self.core1),
+                _Block(self.layer, self.up2, self.down2, self.core2))
 
     def tensors(self) -> dict[str, np.ndarray]:
         out = {"up1": self.up1, "down1": self.down1, "up2": self.up2, "down2": self.down2}
@@ -196,10 +298,36 @@ class LohaAdapter:
             out["core2"] = self.core2
         return out
 
+    def _delta(self) -> np.ndarray:
+        b1, b2 = self._blocks
+        return b1.dense() * b2.dense()
+
+    def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
+        # d(B1 * B2) = dB1 * B2 + B1 * dB2
+        b1, b2 = self._blocks
+        d1, d2 = b1.dense(), b2.dense()
+        return {f"{role}{i}": grad for i, grads in ((1, b1.vjp(g * d2)), (2, b2.vjp(g * d1)))
+                for role, grad in grads.items()}
+
+    def _rank_bound(self) -> int:
+        b1, b2 = self._blocks
+        return min(b1.rank_bound() * b2.rank_bound(), self.layer.out_dim, self.layer.unrolled_in)
+
+    def _form(self) -> tuple[str, int, bool]:
+        return "loha", -1, self.core1 is not None
+
+    @classmethod
+    def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LohaAdapter:
+        # each branch draws its Tucker core last
+        b1 = _Block.draw(layer, scale.dim, normal, tucker, core_last=True)
+        b2 = _Block.draw(layer, scale.dim, normal, tucker, zero="down" if zero_init else None,
+                         core_last=True)
+        return cls(layer, scale, b1.up, b1.down, b2.up, b2.down, b1.core, b2.core)
+
 
 @dataclass(frozen=True)
 class LokrAdapter:
-    """delta = kron(c, right block), channel extents split by lokr_factor_dims.
+    """lokr = C (x) B: delta = kron(c, right block), channel extents split by lokr_factor_dims.
 
     c is (u_p, u_q) where out = u_p * v_p and in = u_q * v_q. The right block
     is either stored whole (w2: (v_p, v_q) or (v_p, v_q, k, k)) or factored
@@ -219,30 +347,14 @@ class LokrAdapter:
 
     def __post_init__(self):
         _store(self, c=self.c, w2=self.w2, up=self.up, down=self.down, core=self.core)
-        shp, r = self.layer, self.scale.dim
-        _expect(self.c.ndim == 2, f"c must be a matrix, got shape {self.c.shape}")
+        shp = self.layer
+        _expect(self.c.ndim == 2 and self.c.size > 0,
+                f"c must be a non-empty matrix, got shape {self.c.shape}")
         u_p, u_q = self.c.shape
         _expect(shp.out_dim % u_p == 0, f"out extent {shp.out_dim} not divisible by {u_p}")
         _expect(shp.in_dim % u_q == 0, f"in extent {shp.in_dim} not divisible by {u_q}")
-        v_p, v_q = shp.out_dim // u_p, shp.in_dim // u_q
-        k = shp.kernel
-        full = self.w2 is not None
-        if full:
-            _expect(self.up is None and self.down is None and self.core is None,
-                    "full right block excludes factored fields")
-            want = (v_p, v_q) if shp.kind == "linear" else (v_p, v_q, k, k)
-            _expect(self.w2.shape == want, f"w2 shape {self.w2.shape} != {want}")
-        else:
-            _expect(self.up is not None and self.down is not None,
-                    "factored right block requires up and down")
-            _expect(self.up.shape == (v_p, r), f"up shape {self.up.shape} != ({v_p}, {r})")
-            if self.core is None:
-                want = (r, v_q) if shp.kind == "linear" else (r, v_q, k, k)
-                _expect(self.down.shape == want, f"down shape {self.down.shape} != {want}")
-            else:
-                _expect(shp.kind == "conv2d", "Tucker core requires a conv2d layer")
-                _expect(self.core.shape == (r, r, k, k), f"core shape {self.core.shape}")
-                _expect(self.down.shape == (r, v_q), f"down shape {self.down.shape} != ({r}, {v_q})")
+        right = LayerShape(shp.kind, shp.out_dim // u_p, shp.in_dim // u_q, shp.kernel)
+        _attach(self, _Block(right, self.up, self.down, self.core, self.w2))
 
     @property
     def block_dims(self) -> tuple[int, int, int, int]:
@@ -250,18 +362,58 @@ class LokrAdapter:
         return u_p, self.layer.out_dim // u_p, u_q, self.layer.in_dim // u_q
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {"c": self.c}
-        if self.w2 is not None:
-            out["w2"] = self.w2
-        else:
-            out["up"] = self.up
-            out["down"] = self.down
-            if self.core is not None:
-                out["core"] = self.core
+        return {"c": self.c, **self._blocks[0].tensors()}
+
+    def _delta(self) -> np.ndarray:
+        right = self._blocks[0].dense()
+        flat = np.kron(self.c, right.reshape(right.shape[0], -1))
+        # linear: flat itself, as in _Block.dense
+        return flat if self.layer.kind == "linear" else flat.reshape(self.layer.delta_shape)
+
+    def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
+        # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]
+        u_p, v_p, u_q, v_q = self.block_dims
+        ab = "ab" if self.layer.kind == "conv2d" else ""
+        g_blocks = g.reshape(u_p, v_p, u_q, v_q, *g.shape[2:])
+        right = self._blocks[0]
+        dc = np.einsum(f"ipjq{ab},pq{ab}->ij", g_blocks, right.dense(), optimize=True)
+        out = right.vjp(np.einsum(f"ipjq{ab},ij->pq{ab}", g_blocks, self.c, optimize=True))
+        out["c"] = dc
         return out
+
+    def _rank_bound(self) -> int:
+        u_p, _, u_q, _ = self.block_dims
+        return min(min(u_p, u_q) * self._blocks[0].rank_bound(),
+                   self.layer.out_dim, self.layer.unrolled_in)
+
+    def _form(self) -> tuple[str, int, bool]:
+        return "lokr", self.factor, self.core is not None
+
+    @classmethod
+    def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LokrAdapter:
+        u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
+        u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
+        c = normal((u_p, u_q))
+        b = _Block.draw(LayerShape(layer.kind, v_p, v_q, layer.kernel), scale.dim, normal,
+                        tucker, whole=not tucker and lokr_is_full(layer, scale.dim, factor),
+                        zero="down" if zero_init else None)
+        return cls(layer, scale, factor, c, b.w2, b.up, b.down, b.core)
 
 
 Adapter = LoraAdapter | LohaAdapter | LokrAdapter
+_FAMILIES = dict(zip(ALGORITHMS, (LoraAdapter, LohaAdapter, LokrAdapter)))
+
+
+def _from_tensors(algorithm: str, layer: LayerShape, scale: MergeScale, factor: int,
+                  tensors: dict[str, np.ndarray]) -> Adapter:
+    """Adapter of a family from the role -> tensor map that tensors() gives."""
+    cls = _FAMILIES[algorithm]
+    roles = {f.name for f in fields(cls)} - {"layer", "scale", "factor"}
+    _expect(set(tensors) <= roles, f"roles {sorted(tensors)} do not form a {algorithm} adapter")
+    args = {role: tensors.get(role) for role in roles}
+    if cls is LokrAdapter:
+        args["factor"] = factor
+    return cls(layer, scale, **args)
 
 
 @dataclass(frozen=True)
@@ -313,59 +465,9 @@ def lokr_is_full(layer: LayerShape, dim: int, factor: int = -1) -> bool:
     return dim >= min(v_p, v_q * layer.kernel * layer.kernel)
 
 
-def _tucker_kernel(core: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    # (r, r, k, k) x0 up.T -> (rows(up), r, k, k), then x1 down -> (rows, cols(down), k, k)
-    return tensor_core.nmode_product(tensor_core.nmode_product(core, up.T, 0), down, 1)
-
-
-def _lora_delta(ad: LoraAdapter) -> np.ndarray:
-    shp = ad.layer
-    if ad.core is not None:
-        return _tucker_kernel(ad.core, ad.up, ad.down)
-    if shp.kind == "linear":
-        return ad.up @ ad.down
-    flat = ad.up @ ad.down.reshape(ad.down.shape[0], -1)
-    return flat.reshape(shp.delta_shape)
-
-
-def _loha_branch(ad: LohaAdapter, which: int) -> np.ndarray:
-    up, down, core = ((ad.up1, ad.down1, ad.core1), (ad.up2, ad.down2, ad.core2))[which]
-    probe = LoraAdapter(ad.layer, ad.scale, up, down, core)
-    return _lora_delta(probe)
-
-
-def _lokr_right_block(ad: LokrAdapter) -> np.ndarray:
-    """Right Kronecker block with its natural axes ((v_p, v_q) or + (k, k))."""
-    if ad.w2 is not None:
-        return ad.w2
-    if ad.core is not None:
-        return _tucker_kernel(ad.core, ad.up, ad.down)
-    if ad.layer.kind == "linear":
-        return ad.up @ ad.down
-    _, v_p, _, v_q = ad.block_dims
-    k = ad.layer.kernel
-    flat = ad.up @ ad.down.reshape(ad.down.shape[0], -1)
-    return flat.reshape(v_p, v_q, k, k)
-
-
 def reconstruct(adapter: Adapter) -> np.ndarray:
     """Materialize the dense weight delta (gamma is NOT applied)."""
-    if isinstance(adapter, LoraAdapter):
-        delta = _lora_delta(adapter)
-    elif isinstance(adapter, LohaAdapter):
-        delta = _loha_branch(adapter, 0) * _loha_branch(adapter, 1)
-    elif isinstance(adapter, LokrAdapter):
-        right = _lokr_right_block(adapter)
-        right2 = right.reshape(right.shape[0], -1)
-        flat = np.kron(adapter.c, right2)
-        delta = flat if adapter.layer.kind == "linear" else flat.reshape(adapter.layer.delta_shape)
-    else:
-        raise TypeError(f"not an adapter: {type(adapter).__name__}")
-    if delta.shape != adapter.layer.delta_shape:
-        raise InvariantError(
-            f"reconstructed shape {delta.shape} != layer shape {adapter.layer.delta_shape}"
-        )
-    return delta
+    return adapter._delta()
 
 
 def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
@@ -436,23 +538,6 @@ def merge(adapter: Adapter, w0_new, lam: float = 1.0) -> np.ndarray:
     return wm + (lam * adapter.scale.gamma) * reconstruct(adapter)
 
 
-def combine(updates) -> np.ndarray:
-    """Weighted sum of dense deltas: [(delta, weight), ...] -> sum w * delta."""
-    items = list(updates)
-    if not items:
-        raise ValueError("combine requires at least one (delta, weight) pair")
-    first = as_tensor(items[0][0])
-    total = np.zeros_like(first)
-    for delta, weight in items:
-        dm = as_tensor(delta)
-        if dm.shape != first.shape:
-            raise ShapeError(f"delta shape {dm.shape} != {first.shape}")
-        if not math.isfinite(weight):
-            raise ValueError(f"combine weight must be finite, got {weight}")
-        total += weight * dm
-    return total
-
-
 def param_count(adapter: Adapter) -> int:
     """Number of stored scalars across all factor tensors."""
     return int(sum(t.size for t in adapter.tensors().values()))
@@ -460,32 +545,7 @@ def param_count(adapter: Adapter) -> int:
 
 def max_rank_bound(adapter: Adapter) -> int:
     """Upper bound on the rank of the (unrolled) reconstructed delta."""
-    shp = adapter.layer
-    p, q = shp.out_dim, shp.unrolled_in
-    if isinstance(adapter, LoraAdapter):
-        return min(adapter.scale.dim, p, q)
-    if isinstance(adapter, LohaAdapter):
-        return min(adapter.scale.dim ** 2, p, q)
-    if isinstance(adapter, LokrAdapter):
-        u_p, v_p, u_q, v_q = adapter.block_dims
-        right_cols = v_q * shp.kernel * shp.kernel
-        right = min(v_p, right_cols)
-        if adapter.w2 is None:
-            right = min(right, adapter.scale.dim)
-        return min(min(u_p, u_q) * right, p, q)
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
-
-
-# role zeroed at init, per algorithm/form: exactly one factor, so the
-# reconstructed delta starts at exactly zero
-_ZERO_ROLE = {
-    ("lora", False): "up",
-    ("lora", True): "up",
-    ("loha", False): "down2",
-    ("loha", True): "down2",
-    ("lokr", False): "down",
-    ("lokr", True): "down",
-}
+    return adapter._rank_bound()
 
 
 def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init):
@@ -496,57 +556,11 @@ def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init
     scale = MergeScale(alpha=alpha, dim=dim)
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(dim)
-    k = layer.kernel
 
-    def draw(*shape):
+    def normal(shape):
         return rng.normal(0.0, std, size=shape)
 
-    if algorithm == "lora":
-        up = draw(layer.out_dim, dim)
-        if tucker:
-            core = draw(dim, dim, k, k)
-            down = draw(dim, layer.in_dim)
-        else:
-            core = None
-            down = (draw(dim, layer.in_dim, k, k) if layer.kind == "conv2d"
-                    else draw(dim, layer.in_dim))
-        fields = {"up": up, "down": down, "core": core}
-        if zero_init:
-            fields[_ZERO_ROLE["lora", tucker]] = np.zeros_like(fields[_ZERO_ROLE["lora", tucker]])
-        return LoraAdapter(layer, scale, **fields)
-
-    if algorithm == "loha":
-        def branch():
-            up = draw(layer.out_dim, dim)
-            if tucker:
-                return up, draw(dim, layer.in_dim), draw(dim, dim, k, k)
-            down = (draw(dim, layer.in_dim, k, k) if layer.kind == "conv2d"
-                    else draw(dim, layer.in_dim))
-            return up, down, None
-        up1, down1, core1 = branch()
-        up2, down2, core2 = branch()
-        if zero_init:
-            down2 = np.zeros_like(down2)
-        return LohaAdapter(layer, scale, up1, down1, up2, down2, core1, core2)
-
-    u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
-    u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
-    c = draw(u_p, u_q)
-    if not tucker and lokr_is_full(layer, dim, factor):
-        w2 = draw(v_p, v_q) if layer.kind == "linear" else draw(v_p, v_q, k, k)
-        if zero_init:
-            w2 = np.zeros_like(w2)
-        return LokrAdapter(layer, scale, factor, c, w2=w2)
-    up = draw(v_p, dim)
-    if tucker:
-        core = draw(dim, dim, k, k)
-        down = draw(dim, v_q)
-    else:
-        core = None
-        down = draw(dim, v_q) if layer.kind == "linear" else draw(dim, v_q, k, k)
-    if zero_init:
-        down = np.zeros_like(down)
-    return LokrAdapter(layer, scale, factor, c, up=up, down=down, core=core)
+    return _FAMILIES[algorithm]._draw(layer, scale, factor, tucker, normal, zero_init)
 
 
 def init_adapter(algorithm: str, layer: LayerShape, dim: int, alpha: float,

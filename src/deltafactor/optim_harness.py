@@ -3,12 +3,13 @@
 Small frozen-base models (linear or conv2d layers, tanh between them, last
 layer linear) are trained on fixed data with only the adapter factors as
 trainable parameters. Everything is written out explicitly: forward pass,
-backprop through every factor tensor (Tucker cores included), and the three
-optimizers. The point is exactness, not speed; this module backs the
-merge-ratio equivalence check, the homogeneity check, and complex-step
-gradient verification. The forward path and the loss carry float64 or
-complex128 alike: a factor given an imaginary perturbation yields a complex
-loss whose imaginary part holds the derivative.
+backprop to each layer's delta and on, through the adapter family's own
+vector-Jacobian product, to every factor tensor (Tucker cores included),
+and the three optimizers. The point is exactness, not speed; this module
+backs the merge-ratio equivalence check, the homogeneity check, and
+complex-step gradient verification. The forward path and the loss carry
+float64 or complex128 alike: a factor given an imaginary perturbation
+yields a complex loss whose imaginary part holds the derivative.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import adapters
-from .adapters import (
-    LayerShape,
-    LohaAdapter,
-    LokrAdapter,
-    LoraAdapter,
-    MergeScale,
-)
+from .adapters import LayerShape, MergeScale
 from .tensor_core import NumericalError, as_tensor
 
 __all__ = [
@@ -210,67 +205,17 @@ def model_loss(model: ToyModel, x, target) -> float | complex:
     return mse_loss(model_forward(model, x), target)
 
 
-def _tucker_grads(g4, core, up, down):
-    # delta[o,i,a,b] = sum_{s,t} core[s,t,a,b] * up[o,s] * down[t,i]
-    dcore = np.einsum("oiab,os,ti->stab", g4, up, down, optimize=True)
-    dup = np.einsum("oiab,stab,ti->os", g4, core, down, optimize=True)
-    ddown = np.einsum("oiab,stab,os->ti", g4, core, up, optimize=True)
-    return dcore, dup, ddown
-
-
-def _lora_like_grads(g, up, down, core):
-    """Gradients for a single up/down(/core) product chain; g is delta-shaped."""
-    if core is not None:
-        dcore, dup, ddown = _tucker_grads(g, core, up, down)
-        return {"up": dup, "down": ddown, "core": dcore}
-    if g.ndim == 2:
-        return {"up": g @ down.T, "down": up.T @ g}
-    g2 = g.reshape(g.shape[0], -1)
-    d2 = down.reshape(down.shape[0], -1)
-    return {"up": g2 @ d2.T, "down": (up.T @ g2).reshape(down.shape)}
-
-
 def adapter_grads(adapter, g) -> dict[str, np.ndarray]:
-    """Factor gradients given g = dL/d(delta), with delta = reconstruct(adapter)."""
-    gm = np.asarray(g, dtype=np.float64)
+    """Factor gradients given g = dL/d(delta), with delta = reconstruct(adapter).
+
+    Complex g gives complex gradients: the products are analytic in g, so
+    nothing is dropped.
+    """
+    gm = np.asarray(g)
+    gm = gm.astype(np.complex128 if gm.dtype.kind == "c" else np.float64, copy=False)
     if gm.shape != adapter.layer.delta_shape:
         raise ValueError(f"gradient shape {gm.shape} != delta shape {adapter.layer.delta_shape}")
-    if isinstance(adapter, LoraAdapter):
-        return _lora_like_grads(gm, adapter.up, adapter.down, adapter.core)
-    if isinstance(adapter, LohaAdapter):
-        b1 = adapters.reconstruct(LoraAdapter(adapter.layer, adapter.scale,
-                                              adapter.up1, adapter.down1, adapter.core1))
-        b2 = adapters.reconstruct(LoraAdapter(adapter.layer, adapter.scale,
-                                              adapter.up2, adapter.down2, adapter.core2))
-        g1 = _lora_like_grads(gm * b2, adapter.up1, adapter.down1, adapter.core1)
-        g2 = _lora_like_grads(gm * b1, adapter.up2, adapter.down2, adapter.core2)
-        out = {f"{k}1": v for k, v in g1.items()}
-        out.update({f"{k}2": v for k, v in g2.items()})
-        return out
-    if isinstance(adapter, LokrAdapter):
-        u_p, v_p, u_q, v_q = adapter.block_dims
-        kk = adapter.layer.kernel
-        if adapter.layer.kind == "linear":
-            g_blocks = gm.reshape(u_p, v_p, u_q, v_q)
-            spec_c, spec_r = "ipjq,pq->ij", "ipjq,ij->pq"
-        else:
-            g_blocks = gm.reshape(u_p, v_p, u_q, v_q, kk, kk)
-            spec_c, spec_r = "ipjqab,pqab->ij", "ipjqab,ij->pqab"
-        if adapter.w2 is not None:
-            right = adapter.w2
-        else:
-            block_layer = LayerShape(adapter.layer.kind, v_p, v_q,
-                                     kk if adapter.layer.kind == "conv2d" else 1)
-            right = adapters.reconstruct(
-                LoraAdapter(block_layer, adapter.scale, adapter.up, adapter.down, adapter.core))
-        dc = np.einsum(spec_c, g_blocks, right, optimize=True)
-        dright = np.einsum(spec_r, g_blocks, adapter.c, optimize=True)
-        if adapter.w2 is not None:
-            return {"c": dc, "w2": dright}
-        out = _lora_like_grads(dright, adapter.up, adapter.down, adapter.core)
-        out["c"] = dc
-        return out
-    raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    return adapter._vjp(gm)
 
 
 def loss_and_grads(model: ToyModel, x, target):
@@ -393,10 +338,6 @@ _OPTIMIZER_TYPES = {"sgd": _Sgd, "adam": _Adam, "adagrad": _Adagrad}
 # model building and training
 
 
-def _algorithm_of(adapter) -> str:
-    return {LoraAdapter: "lora", LohaAdapter: "loha", LokrAdapter: "lokr"}[type(adapter)]
-
-
 def _seed_seq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -404,11 +345,9 @@ def _seed_seq(seed) -> np.random.SeedSequence:
 
 
 def _reinit(adapter, seed):
-    tucker = getattr(adapter, "core", None) is not None or getattr(adapter, "core1", None) is not None
-    factor = getattr(adapter, "factor", -1)
-    return adapters.random_adapter(_algorithm_of(adapter), adapter.layer,
-                                   adapter.scale.dim, adapter.scale.alpha,
-                                   factor, tucker, seed)
+    algorithm, factor, tucker = adapter._form()
+    return adapters.random_adapter(algorithm, adapter.layer, adapter.scale.dim,
+                                   adapter.scale.alpha, factor, tucker, seed)
 
 
 def toy_geometry(conv: bool) -> list[tuple[LayerShape, bool]]:

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: products, regroupings, decompositions.
+"""Dense tensor primitives: n-mode products, convolution, decompositions.
 
 Row-major (C) memory order is the convention for every vectorization,
 unrolling, and regrouping operation in this package. All functions accept
@@ -21,14 +21,8 @@ __all__ = [
     "SYM_EIG_MAX_SIZE",
     "as_tensor",
     "as_real_tensor",
-    "matmul",
-    "hadamard",
-    "kronecker",
     "nmode_product",
-    "vec_rowmajor",
-    "unvec",
     "unroll_conv",
-    "reroll_conv",
     "conv2d",
     "svd",
     "numerical_rank",
@@ -76,37 +70,6 @@ def _require_rank(arr: np.ndarray, rank: int, name: str) -> None:
         raise ShapeError(f"{name} must have rank {rank}, got shape {arr.shape}")
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of a (m x k) and b (k x n)."""
-    am, bm = as_tensor(a), as_tensor(b)
-    _require_rank(am, 2, "left operand")
-    _require_rank(bm, 2, "right operand")
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {am.shape} x {bm.shape}")
-    return am @ bm
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise product of two tensors of identical shape."""
-    am, bm = as_tensor(a), as_tensor(b)
-    if am.shape != bm.shape:
-        raise ShapeError(f"hadamard requires identical shapes: {am.shape} vs {bm.shape}")
-    return am * bm
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Block (i, j) of the result is a[i, j] * b, so the result has shape
-    (a_rows * b_rows, a_cols * b_cols) with row index i * b_rows + p and
-    column index j * b_cols + q.
-    """
-    am, bm = as_tensor(a), as_tensor(b)
-    _require_rank(am, 2, "left operand")
-    _require_rank(bm, 2, "right operand")
-    return np.kron(am, bm)
-
-
 def nmode_product(t, m, mode: int) -> np.ndarray:
     """Contract mode `mode` of tensor `t` with the rows of matrix `m`.
 
@@ -130,24 +93,6 @@ def nmode_product(t, m, mode: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
 
 
-def vec_rowmajor(m) -> np.ndarray:
-    """Flatten a matrix row by row into a vector."""
-    mm = as_tensor(m)
-    _require_rank(mm, 2, "matrix")
-    return mm.reshape(-1)
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec_rowmajor: reshape a vector into a rows x cols matrix."""
-    vv = as_tensor(v)
-    _require_rank(vv, 1, "vector")
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"target extents must be positive, got ({rows}, {cols})")
-    if vv.shape[0] != rows * cols:
-        raise ShapeError(f"vector length {vv.shape[0]} != {rows} * {cols}")
-    return vv.reshape(rows, cols)
-
-
 def unroll_conv(kernel) -> np.ndarray:
     """Flatten a conv kernel stack (out, in, k, k) to a matrix (out, in*k*k).
 
@@ -160,19 +105,6 @@ def unroll_conv(kernel) -> np.ndarray:
         raise ShapeError(f"kernel must be square, got shape {km.shape}")
     out_c = km.shape[0]
     return km.reshape(out_c, -1)
-
-
-def reroll_conv(m, in_channels: int, kernel: int) -> np.ndarray:
-    """Inverse of unroll_conv: reshape (out, in*k*k) back to (out, in, k, k)."""
-    mm = as_tensor(m)
-    _require_rank(mm, 2, "unrolled kernel")
-    if in_channels < 1 or kernel < 1:
-        raise ShapeError(f"extents must be positive, got in={in_channels}, k={kernel}")
-    if mm.shape[1] != in_channels * kernel * kernel:
-        raise ShapeError(
-            f"column count {mm.shape[1]} != {in_channels} * {kernel}^2"
-        )
-    return mm.reshape(mm.shape[0], in_channels, kernel, kernel)
 
 
 def conv2d(kernel, image) -> np.ndarray:

@@ -8,7 +8,9 @@ layer list; each layer entry names its tensors with role, shape, dtype
 start. Tensors are stored at 32-bit precision and re-promoted to float64 on
 load; loading therefore reproduces exactly the float32 quantization of what
 was saved. Complex tensors cannot be stored: saving one raises
-ComplexInputError rather than dropping its imaginary part.
+ComplexInputError rather than dropping its imaginary part. A value that is
+not finite once cast to float32 (NaN, inf, or beyond the float32 range)
+raises WeightFileError before the file is opened, as loading would refuse it.
 
 Parsing is strict: every failure raises a WeightFileError subclass carrying
 the byte position, and no read ever leaves the declared bounds.
@@ -23,15 +25,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .adapters import (
-    AdapterModel,
-    LayerShape,
-    LohaAdapter,
-    LokrAdapter,
-    LoraAdapter,
-    MergeScale,
-    ModelMeta,
-)
+from . import adapters
+from .adapters import ALGORITHMS, AdapterModel, LayerShape, MergeScale, ModelMeta
 from .tensor_core import ComplexInputError
 
 __all__ = [
@@ -50,12 +45,6 @@ __all__ = [
 MAGIC = b"LWU1"
 FORMAT_VERSION = 1
 _DENSE_ALGORITHMS = {"delta": "delta", "dense": "weight"}
-_ADAPTER_ROLE_SETS = {
-    "lora": ({"up", "down"}, {"up", "down", "core"}),
-    "loha": ({"up1", "down1", "up2", "down2"},
-             {"up1", "down1", "up2", "down2", "core1", "core2"}),
-    "lokr": ({"c", "w2"}, {"c", "up", "down"}, {"c", "up", "down", "core"}),
-}
 
 
 class WeightFileError(ValueError):
@@ -97,7 +86,13 @@ def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
             if value.dtype.kind == "c":
                 raise ComplexInputError(
                     f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
-            raw = np.ascontiguousarray(value, dtype="<f4").tobytes()
+            with np.errstate(over="ignore"):
+                f4 = np.ascontiguousarray(value, dtype="<f4")
+            if not np.all(np.isfinite(f4)):
+                raise WeightFileError(
+                    f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
+            raw = f4.tobytes()
+            del f4  # freed before the payload grows, so its pages are reused
             tensor_entries.append({
                 "role": role,
                 "shape": list(value.shape),
@@ -205,7 +200,7 @@ def _parse_container(blob: bytes):
     alpha = _require_key(header, "alpha", (int, float), "header")
     factor = _require_key(header, "factor", int, "header")
     seed = _require_key(header, "seed", int, "header")
-    known = set(_ADAPTER_ROLE_SETS) | set(_DENSE_ALGORITHMS)
+    known = set(ALGORITHMS) | set(_DENSE_ALGORITHMS)
     if algorithm not in known:
         _fail(MalformedHeaderError, f"unknown algorithm {algorithm!r}", 8)
     try:
@@ -282,22 +277,9 @@ def _read(path) -> bytes:
 
 
 def _assemble_adapter(meta: ModelMeta, shape: LayerShape, tensors: dict):
-    roles = frozenset(tensors)
-    if roles not in [frozenset(s) for s in _ADAPTER_ROLE_SETS[meta.algorithm]]:
-        _fail(MalformedHeaderError,
-              f"roles {sorted(roles)} do not form a {meta.algorithm} adapter", 8)
     scale = MergeScale(meta.alpha, meta.dim)
     try:
-        if meta.algorithm == "lora":
-            return LoraAdapter(shape, scale, tensors["up"], tensors["down"],
-                               tensors.get("core"))
-        if meta.algorithm == "loha":
-            return LohaAdapter(shape, scale, tensors["up1"], tensors["down1"],
-                               tensors["up2"], tensors["down2"],
-                               tensors.get("core1"), tensors.get("core2"))
-        return LokrAdapter(shape, scale, meta.factor, tensors["c"],
-                           w2=tensors.get("w2"), up=tensors.get("up"),
-                           down=tensors.get("down"), core=tensors.get("core"))
+        return adapters._from_tensors(meta.algorithm, shape, scale, meta.factor, tensors)
     except ValueError as exc:
         _fail(MalformedHeaderError, f"inconsistent adapter tensors: {exc}", 8)
 

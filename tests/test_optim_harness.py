@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,26 @@ class TestForwardAndGrads:
         assert len({key.split(".")[0] for key in worst}) == expected_layers
         for key, err in worst.items():
             assert err < 1e-9, f"{name} seed {seed} {key}: {err}"
+
+    @pytest.mark.parametrize("name", sorted(oh.HARNESS_ALGORITHMS))
+    def test_adapter_grads_keep_complex_g(self, name):
+        # the factor gradients are linear in g, so a complex g splits into
+        # its real and imaginary parts; dropping either would show here
+        rng = np.random.default_rng(9)
+        for layer in oh.build_toy_model(name, seed=9).layers:
+            shape = layer.adapter.layer.delta_shape
+            gr, gi = rng.standard_normal(shape), rng.standard_normal(shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = oh.adapter_grads(layer.adapter, gr + 1j * gi)
+            real = oh.adapter_grads(layer.adapter, gr)
+            imag = oh.adapter_grads(layer.adapter, gi)
+            assert set(got) == set(layer.adapter.tensors())
+            for role, value in got.items():
+                want = real[role] + 1j * imag[role]
+                assert value.dtype == np.complex128
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert float(np.max(np.abs(value - want))) <= 64 * np.finfo(float).eps * scale
 
 
 class TestTrain:

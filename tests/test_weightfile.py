@@ -1,5 +1,6 @@
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ class TestDenseFiles:
         with pytest.raises(ComplexInputError, match="'a' tensor 'delta' is complex"):
             wf.save_dense(entries, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [1e39, np.inf, np.nan])
+    def test_rejects_values_not_finite_as_f32(self, tmp_path, bad):
+        path = tmp_path / "x.lwu"
+        path.write_bytes(b"kept")
+        value = np.zeros(LINEAR.delta_shape)
+        value[1, 2] = bad
+        with pytest.raises(wf.WeightFileError, match="'a' tensor 'delta' holds values"):
+            wf.save_dense({"a": (LINEAR, value)}, path)
+        assert path.read_bytes() == b"kept"
 
     def test_save_weights_rejects_dense_meta(self, tmp_path):
         model = build_model()
@@ -352,3 +363,35 @@ class TestFuzz:
         # mutations in unread payload slack cannot exist (no slack allowed),
         # but a byte flip may land on a value byte and still parse
         assert survived < 300
+
+
+class TestWriterRefusesNonFinite:
+    """save_weights refuses what load_weights would refuse, before opening the file."""
+
+    def test_beyond_f32_range(self, tmp_path):
+        model = build_model(seed=4)
+        layer = model.entries["blk0.attn"]
+        big = layer.down.copy()
+        big[0, 0] = 1e39  # finite in float64, inf in float32
+        model.entries["blk0.attn"] = ad.with_tensors(layer, {"down": big})
+        path = tmp_path / "m.lwu"
+        path.write_bytes(b"kept")
+        with pytest.raises(wf.WeightFileError, match="'blk0.attn' tensor 'down' holds values"):
+            wf.save_weights(model, path)
+        assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_inf_and_nan(self, tmp_path, bad):
+        # adapters refuse non-finite factors themselves, so a stand-in entry
+        # hands the writer such a tensor directly
+        down = np.zeros((2, 6))
+        down[1, 3] = bad
+        entry = SimpleNamespace(layer=LINEAR,
+                                tensors=lambda: {"up": np.zeros((4, 2)), "down": down})
+        model = ad.AdapterModel(meta=ad.ModelMeta(algorithm="lora", dim=2, alpha=2.0),
+                                entries={"blk0.attn": entry})
+        path = tmp_path / "m.lwu"
+        path.write_bytes(b"kept")
+        with pytest.raises(wf.WeightFileError, match="'blk0.attn' tensor 'down' holds values"):
+            wf.save_weights(model, path)
+        assert path.read_bytes() == b"kept"
