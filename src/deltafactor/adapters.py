@@ -197,27 +197,18 @@ class _Block:
 
     @classmethod
     def draw(cls, geometry: LayerShape, r: int, normal, tucker: bool = False,
-             whole: bool = False, zero: str | None = None, core_last: bool = False) -> _Block:
-        """B drawn by normal(shape) as up, then core and down (down, core if core_last).
-
-        The role named by `zero` is drawn, then zeroed ("down" zeroes a whole
-        block), so the draws after it are the same either way.
-        """
+             whole: bool = False, core_last: bool = False) -> _Block:
+        """B drawn by normal(shape) as up, then core and down (down, core if core_last)."""
         shp, k = geometry, geometry.kernel
         if whole:
-            block = cls(shp, w2=normal(shp.delta_shape))
-        elif not tucker:
-            block = cls(shp, normal((shp.out_dim, r)), normal((r, *shp.delta_shape[1:])))
-        elif core_last:
-            block = cls(shp, normal((shp.out_dim, r)), normal((r, shp.in_dim)),
-                        normal((r, r, k, k)))
-        else:
-            up, core = normal((shp.out_dim, r)), normal((r, r, k, k))
-            block = cls(shp, up, normal((r, shp.in_dim)), core)
-        if zero is not None:
-            role = "w2" if whole else zero
-            block = replace(block, **{role: np.zeros_like(getattr(block, role))})
-        return block
+            return cls(shp, w2=normal(shp.delta_shape))
+        if not tucker:
+            return cls(shp, normal((shp.out_dim, r)), normal((r, *shp.delta_shape[1:])))
+        if core_last:
+            return cls(shp, normal((shp.out_dim, r)), normal((r, shp.in_dim)),
+                       normal((r, r, k, k)))
+        up, core = normal((shp.out_dim, r)), normal((r, r, k, k))
+        return cls(shp, up, normal((r, shp.in_dim)), core)
 
 
 def _attach(adapter, *blocks: _Block) -> None:
@@ -262,8 +253,9 @@ class LoraAdapter:
 
     @classmethod
     def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LoraAdapter:
-        b = _Block.draw(layer, scale.dim, normal, tucker, zero="up" if zero_init else None)
-        return cls(layer, scale, b.up, b.down, b.core)
+        # zero_init zeroes up after drawing it, so the later draws do not move
+        b = _Block.draw(layer, scale.dim, normal, tucker)
+        return cls(layer, scale, np.zeros_like(b.up) if zero_init else b.up, b.down, b.core)
 
 
 @dataclass(frozen=True)
@@ -320,9 +312,9 @@ class LohaAdapter:
     def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LohaAdapter:
         # each branch draws its Tucker core last
         b1 = _Block.draw(layer, scale.dim, normal, tucker, core_last=True)
-        b2 = _Block.draw(layer, scale.dim, normal, tucker, zero="down" if zero_init else None,
-                         core_last=True)
-        return cls(layer, scale, b1.up, b1.down, b2.up, b2.down, b1.core, b2.core)
+        b2 = _Block.draw(layer, scale.dim, normal, tucker, core_last=True)
+        down2 = np.zeros_like(b2.down) if zero_init else b2.down
+        return cls(layer, scale, b1.up, b1.down, b2.up, down2, b1.core, b2.core)
 
 
 @dataclass(frozen=True)
@@ -348,8 +340,8 @@ class LokrAdapter:
     def __post_init__(self):
         _store(self, c=self.c, w2=self.w2, up=self.up, down=self.down, core=self.core)
         shp = self.layer
-        _expect(self.c.ndim == 2 and self.c.size > 0,
-                f"c must be a non-empty matrix, got shape {self.c.shape}")
+        _expect(self.c is not None and self.c.ndim == 2 and self.c.size > 0,
+                f"c must be a non-empty matrix, got shape {getattr(self.c, 'shape', None)}")
         u_p, u_q = self.c.shape
         _expect(shp.out_dim % u_p == 0, f"out extent {shp.out_dim} not divisible by {u_p}")
         _expect(shp.in_dim % u_q == 0, f"in extent {shp.in_dim} not divisible by {u_q}")
@@ -395,8 +387,10 @@ class LokrAdapter:
         u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
         c = normal((u_p, u_q))
         b = _Block.draw(LayerShape(layer.kind, v_p, v_q, layer.kernel), scale.dim, normal,
-                        tucker, whole=not tucker and lokr_is_full(layer, scale.dim, factor),
-                        zero="down" if zero_init else None)
+                        tucker, whole=not tucker and lokr_is_full(layer, scale.dim, factor))
+        if zero_init:
+            role = "w2" if b.w2 is not None else "down"
+            b = replace(b, **{role: np.zeros_like(getattr(b, role))})
         return cls(layer, scale, factor, c, b.w2, b.up, b.down, b.core)
 
 

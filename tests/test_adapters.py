@@ -511,11 +511,12 @@ class TestInvariantErrors:
             ad.LokrAdapter(layer, ad.MergeScale(alpha=2.0, dim=2), -1,
                            c=np.zeros((3, 8)), w2=np.zeros((22, 8)))
 
-    def test_lokr_empty_c(self):
+    @pytest.mark.parametrize("c", [np.zeros((0, 8)), None], ids=["empty", "missing"])
+    def test_lokr_empty_c(self, c):
         layer = ad.LayerShape("linear", 64, 64)
         with pytest.raises(ad.InvariantError, match="non-empty"):
             ad.LokrAdapter(layer, ad.MergeScale(alpha=2.0, dim=2), -1,
-                           c=np.zeros((0, 8)), w2=np.zeros((8, 8)))
+                           c=c, w2=np.zeros((8, 8)))
 
     def test_lokr_full_excludes_factored(self):
         layer = ad.LayerShape("linear", 64, 64)

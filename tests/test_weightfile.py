@@ -309,6 +309,26 @@ class TestMalformedCorpus:
         with pytest.raises(wf.MalformedHeaderError, match="adapter"):
             load_blob(rewrite_header(blob, rerole), tmp_path)
 
+    @pytest.mark.parametrize("algorithm,dim,tucker", [
+        ("lora", 2, False), ("lora", 2, True), ("loha", 2, False), ("loha", 2, True),
+        ("lokr", 2, False), ("lokr", 1, False), ("lokr", 2, True),
+    ])
+    @pytest.mark.parametrize("layer", [LINEAR, CONV], ids=["linear", "conv"])
+    def test_each_missing_role(self, tmp_path, algorithm, dim, tucker, layer):
+        # the layer goes first, so the payload of the one after it keeps the
+        # dropped tensor's bytes from reading as trailing
+        model = ad.init_model([("first", layer), ("last", LINEAR)], algorithm, dim,
+                              alpha=2.0, tucker=tucker)
+        blob = save_blob(model, tmp_path)
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        count = len(json.loads(blob[8:8 + header_len])["layers"][0]["tensors"])
+        for drop in [*range(count), None]:
+            def remove(h):
+                tensors = h["layers"][0]["tensors"]
+                h["layers"][0]["tensors"] = [] if drop is None else tensors[:drop] + tensors[drop + 1:]
+            with pytest.raises(wf.MalformedHeaderError, match="inconsistent"):
+                load_blob(rewrite_header(blob, remove), tmp_path)
+
     def test_inconsistent_tensor_shapes(self, tmp_path):
         blob = save_blob(build_model(), tmp_path)
         def swap(h):
