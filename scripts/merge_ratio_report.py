@@ -17,13 +17,11 @@ from deltafactor.optim_harness import (
     verify_merge_ratio,
 )
 
-DEFAULT_ALGOS = "lora,loha,lokr,lokr-factored,lora-tucker"
-
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--algos", default=DEFAULT_ALGOS,
-                        help="comma-separated adapter forms to sweep")
+    parser.add_argument("--algos", default=",".join(HARNESS_ALGORITHMS),
+                        help="comma-separated adapter forms to sweep (default: all)")
     parser.add_argument("--opts", default="sgd,adam,adagrad",
                         help="comma-separated optimizers")
     parser.add_argument("--ratios", default="0.25,4,16",

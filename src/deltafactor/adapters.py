@@ -12,10 +12,22 @@ kernel axes between channel factors on both sides. The families are:
   stored whole (w2) or itself a rank-r block.
 
 Each family states its composition once, in its class: the shape check,
-the dense delta, the gradients of its factors, its rank bound and its
-seeded draw all go through the blocks. Adapters are immutable; every
-operation returns new arrays. The merge ratio gamma = alpha / dim scales
-the delta wherever it is applied, but never inside reconstruct().
+the dense delta, the delta applied to a batch of inputs, the gradients of
+its factors, its rank bound and its seeded draw.
+
+forward_linear runs every family in one column form: an input (or a batch
+of n) is the columns of x.T, and y = w0 @ cols + bias + gamma * delta @ cols
+with delta @ cols taken from the factors, never from the dense delta (lora:
+up @ (down @ cols); loha: the rank-r^2 face-splitting form; lokr: the
+grouped Kronecker product of kron_linear). forward_conv convolves an image
+(or a batch) with the base kernel and with each family's delta: lora as a
+chain of convolutions through its factors, loha and lokr as one convolution
+with the delta kernel, since elementwise and Kronecker structure do not
+commute with convolution.
+
+Adapters are immutable; every operation returns new arrays. The merge
+ratio gamma = alpha / dim scales the delta wherever it is applied, but
+never inside reconstruct().
 """
 
 from __future__ import annotations
@@ -242,6 +254,19 @@ class LoraAdapter:
     def _delta(self) -> np.ndarray:
         return self._blocks[0].dense()
 
+    def _apply(self, cols: np.ndarray) -> np.ndarray:
+        return self.up @ (self.down @ cols)
+
+    def _convolve(self, image: np.ndarray) -> np.ndarray:
+        # k x k with down, then 1 x 1 with up; Tucker: 1 x 1, core k x k, 1 x 1
+        r = self.up.shape[1]
+        if self.core is None:
+            mid = tensor_core.conv2d(self.down, image)
+        else:
+            mid = tensor_core.conv2d(self.down.reshape(r, -1, 1, 1), image)
+            mid = tensor_core.conv2d(self.core, mid)
+        return tensor_core.conv2d(self.up.reshape(-1, r, 1, 1), mid)
+
     def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         return self._blocks[0].vjp(g)
 
@@ -294,6 +319,19 @@ class LohaAdapter:
         b1, b2 = self._blocks
         return b1.dense() * b2.dense()
 
+    def _apply(self, cols: np.ndarray) -> np.ndarray:
+        # face-splitting: (U1 V1 * U2 V2) x = (U1 (.)r U2)((V1 (.)r V2) x), where
+        # the row-wise Khatri-Rao products pair each rank index s of branch 1
+        # with each t of branch 2: columns of up, rows of down
+        up = (self.up1[:, :, None] * self.up2[:, None, :]).reshape(self.layer.out_dim, -1)
+        down = (self.down1[:, None, :] * self.down2[None, :, :]).reshape(up.shape[1], -1)
+        return up @ (down @ cols)
+
+    def _convolve(self, image: np.ndarray) -> np.ndarray:
+        # the Hadamard product does not commute with convolution; the delta
+        # is built through reconstruct, the public step a trace reports
+        return tensor_core.conv2d(reconstruct(self), image)
+
     def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         # d(B1 * B2) = dB1 * B2 + B1 * dB2
         b1, b2 = self._blocks
@@ -345,6 +383,9 @@ class LokrAdapter:
         u_p, u_q = self.c.shape
         _expect(shp.out_dim % u_p == 0, f"out extent {shp.out_dim} not divisible by {u_p}")
         _expect(shp.in_dim % u_q == 0, f"in extent {shp.in_dim} not divisible by {u_q}")
+        want = (lokr_factor_dims(shp.out_dim, self.factor)[0],
+                lokr_factor_dims(shp.in_dim, self.factor)[0])
+        _expect(self.c.shape == want, f"c shape {self.c.shape} != {want}, the split at factor {self.factor}")
         right = LayerShape(shp.kind, shp.out_dim // u_p, shp.in_dim // u_q, shp.kernel)
         _attach(self, _Block(right, self.up, self.down, self.core, self.w2))
 
@@ -361,6 +402,17 @@ class LokrAdapter:
         flat = np.kron(self.c, right.reshape(right.shape[0], -1))
         # linear: flat itself, as in _Block.dense
         return flat if self.layer.kind == "linear" else flat.reshape(self.layer.delta_shape)
+
+    def _apply(self, cols: np.ndarray) -> np.ndarray:
+        # kron_linear takes a batch as rows: the columns go in as cols.T
+        if self.w2 is not None:
+            return kron_linear.grouped_forward_full(self.c, self.w2, cols.T).T
+        return kron_linear.grouped_forward(self.c, self.up, self.down, cols.T).T
+
+    def _convolve(self, image: np.ndarray) -> np.ndarray:
+        # the Kronecker product does not commute with convolution; the delta
+        # is built through reconstruct, the public step a trace reports
+        return tensor_core.conv2d(reconstruct(self), image)
 
     def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]
@@ -464,62 +516,55 @@ def reconstruct(adapter: Adapter) -> np.ndarray:
     return adapter._delta()
 
 
+def _check_base(layer: LayerShape, w0, bias) -> tuple[np.ndarray, np.ndarray]:
+    w0m, bv = as_tensor(w0), as_tensor(bias)
+    if w0m.shape != layer.delta_shape:
+        what = "weight" if layer.kind == "linear" else "kernel"
+        raise ShapeError(f"base {what} shape {w0m.shape} != {layer.delta_shape}")
+    if bv.shape != (layer.out_dim,):
+        raise ShapeError(f"bias shape {bv.shape} != ({layer.out_dim},)")
+    return w0m, bv
+
+
 def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
-    """y = w0 @ x + bias + gamma * delta @ x, via each adapter's factored path."""
-    w0m, bv, xv = as_tensor(w0), as_tensor(bias), as_tensor(x)
+    """y = w0 @ x + bias + gamma * delta @ x, the delta applied in factored form.
+
+    x is one input (in,), giving (out,), or a batch (n, in), giving (n, out);
+    the batch runs as the n columns of x.T. lora applies up @ (down @ x),
+    loha the face-splitting form (U1 (.)r U2)((V1 (.)r V2) x) of rank r^2,
+    lokr the grouped Kronecker product of kron_linear; none builds the dense
+    delta. w0, bias and x are checked here, once.
+    """
     shp = adapter.layer
     if shp.kind != "linear":
         raise ShapeError(f"forward_linear needs a linear layer, got {shp.kind}")
-    if w0m.shape != (shp.out_dim, shp.in_dim):
-        raise ShapeError(f"base weight shape {w0m.shape} != {(shp.out_dim, shp.in_dim)}")
-    if bv.shape != (shp.out_dim,):
-        raise ShapeError(f"bias shape {bv.shape} != ({shp.out_dim},)")
-    if xv.shape != (shp.in_dim,):
-        raise ShapeError(f"input shape {xv.shape} != ({shp.in_dim},)")
-    if isinstance(adapter, LoraAdapter):
-        dy = adapter.up @ (adapter.down @ xv)
-    elif isinstance(adapter, LohaAdapter):
-        dy = reconstruct(adapter) @ xv
-    elif isinstance(adapter, LokrAdapter):
-        if adapter.w2 is not None:
-            dy = kron_linear.grouped_forward_full(adapter.c, adapter.w2, xv)
-        else:
-            dy = kron_linear.grouped_forward(adapter.c, adapter.up, adapter.down, xv)
-    else:
-        raise TypeError(f"not an adapter: {type(adapter).__name__}")
-    return w0m @ xv + bv + adapter.scale.gamma * dy
+    w0m, bv = _check_base(shp, w0, bias)
+    xm = as_tensor(x)
+    if xm.ndim not in (1, 2) or xm.shape[-1] != shp.in_dim:
+        raise ShapeError(f"input shape {xm.shape} != ({shp.in_dim},) or (n, {shp.in_dim})")
+    cols = xm.T
+    b = bv if xm.ndim == 1 else bv[:, None]
+    return (w0m @ cols + b + adapter.scale.gamma * adapter._apply(cols)).T
 
 
 def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
     """Conv layer forward with the adapter applied in factored form.
 
-    LoRA runs as a chain of convolutions (k x k with `down`, then 1 x 1 with
-    `up`; the Tucker form as 1 x 1, core k x k, 1 x 1). LoHa and LoKr build
-    the delta kernel from their factors and apply it in one pass, since
-    elementwise and Kronecker structure do not commute with convolution.
+    x is one image (in, H, W), giving (out, H-k+1, W-k+1), or a batch
+    (n, in, H, W), giving (n, out, H-k+1, W-k+1): valid cross-correlation,
+    stride 1, each convolution one GEMM in tensor_core.conv2d. LoRA runs as
+    a chain of convolutions (k x k with `down`, then 1 x 1 with `up`; the
+    Tucker form as 1 x 1, core k x k, 1 x 1). LoHa and LoKr build the delta
+    kernel from their factors and apply it in one pass, since elementwise
+    and Kronecker structure do not commute with convolution.
     """
-    k0m, bv, xm = as_tensor(k0), as_tensor(bias), as_tensor(x)
     shp = adapter.layer
     if shp.kind != "conv2d":
         raise ShapeError(f"forward_conv needs a conv2d layer, got {shp.kind}")
-    if k0m.shape != shp.delta_shape:
-        raise ShapeError(f"base kernel shape {k0m.shape} != {shp.delta_shape}")
-    if bv.shape != (shp.out_dim,):
-        raise ShapeError(f"bias shape {bv.shape} != ({shp.out_dim},)")
-    r = adapter.scale.dim
-    if isinstance(adapter, LoraAdapter):
-        if adapter.core is None:
-            mid = tensor_core.conv2d(adapter.down, xm)
-        else:
-            mid = tensor_core.conv2d(adapter.down.reshape(r, shp.in_dim, 1, 1), xm)
-            mid = tensor_core.conv2d(adapter.core, mid)
-        dy = tensor_core.conv2d(adapter.up.reshape(shp.out_dim, r, 1, 1), mid)
-    elif isinstance(adapter, (LohaAdapter, LokrAdapter)):
-        dy = tensor_core.conv2d(reconstruct(adapter), xm)
-    else:
-        raise TypeError(f"not an adapter: {type(adapter).__name__}")
+    k0m, bv = _check_base(shp, k0, bias)
+    xm = as_tensor(x)
     base = tensor_core.conv2d(k0m, xm)
-    return base + bv[:, None, None] + adapter.scale.gamma * dy
+    return base + bv[:, None, None] + adapter.scale.gamma * adapter._convolve(xm)
 
 
 def merge(adapter: Adapter, w0_new, lam: float = 1.0) -> np.ndarray:

@@ -107,25 +107,46 @@ def unroll_conv(kernel) -> np.ndarray:
     return km.reshape(out_c, -1)
 
 
+def _im2col(image: np.ndarray, k: int) -> np.ndarray:
+    """Columns (in*k*k, n*h*w) of every k x k window of an image or batch.
+
+    Rows run row-major over (in, k, k), as unroll_conv lays out a kernel, so
+    unroll_conv(kernel) @ columns is the convolution; columns run over
+    (n, h, w) with h = H-k+1, w = W-k+1 (n = 1 for an (in, H, W) image).
+    """
+    windows = sliding_window_view(image, (k, k), axis=(-2, -1))
+    axes = (0, 3, 4, 1, 2) if image.ndim == 3 else (1, 4, 5, 0, 2, 3)
+    rows = image.shape[-3] * k * k
+    return windows.transpose(axes).reshape(rows, windows.size // rows)
+
+
 def conv2d(kernel, image) -> np.ndarray:
     """Valid 2-D cross-correlation, stride 1, no padding.
 
-    kernel: (out, in, k, k), image: (in, H, W) -> (out, H-k+1, W-k+1).
+    kernel: (out, in, k, k); image: (in, H, W) -> (out, H-k+1, W-k+1), or a
+    batch (n, in, H, W) -> (n, out, H-k+1, W-k+1). Runs as one GEMM of the
+    unrolled kernel (out, in*k*k) with the image's im2col columns
+    (in*k*k, n*h*w).
     """
     km, xm = as_tensor(kernel), as_tensor(image)
     _require_rank(km, 4, "kernel stack")
-    _require_rank(xm, 3, "image")
+    if xm.ndim not in (3, 4):
+        raise ShapeError(f"image must be (in, H, W) or (n, in, H, W), got shape {xm.shape}")
     if km.shape[2] != km.shape[3]:
         raise ShapeError(f"kernel must be square, got shape {km.shape}")
     k = km.shape[2]
-    if km.shape[1] != xm.shape[0]:
+    if km.shape[1] != xm.shape[-3]:
         raise ShapeError(
             f"kernel input channels {km.shape} do not match image channels {xm.shape}"
         )
-    if xm.shape[1] < k or xm.shape[2] < k:
+    h, w = xm.shape[-2] - k + 1, xm.shape[-1] - k + 1
+    if h < 1 or w < 1:
         raise ShapeError(f"image {xm.shape} smaller than kernel window {k}x{k}")
-    windows = sliding_window_view(xm, (k, k), axis=(1, 2))
-    return np.einsum("oiab,ihwab->ohw", km, windows, optimize=True)
+    out_c = km.shape[0]
+    y = km.reshape(out_c, -1) @ _im2col(xm, k)
+    if xm.ndim == 3:
+        return y.reshape(out_c, h, w)
+    return y.reshape(out_c, xm.shape[0], h, w).swapaxes(0, 1)
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -77,8 +77,14 @@ def _layer_shape_fields(shape: LayerShape) -> list[int]:
     return [shape.out_dim, shape.in_dim]
 
 
-def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> bytes:
-    payload = bytearray()
+def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]
+            ) -> tuple[bytes, list[np.ndarray]]:
+    """The header bytes and the payload's float32 tensors, in file order.
+
+    Every refusal happens here, before a file is opened.
+    """
+    payload = []
+    offset = 0
     layer_entries = []
     for name, shape, tensors in layers:
         tensor_entries = []
@@ -91,16 +97,15 @@ def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
             if not np.all(np.isfinite(f4)):
                 raise WeightFileError(
                     f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
-            raw = f4.tobytes()
-            del f4  # freed before the payload grows, so its pages are reused
             tensor_entries.append({
                 "role": role,
                 "shape": list(value.shape),
                 "dtype": "f4",
-                "byte_offset": len(payload),
-                "byte_length": len(raw),
+                "byte_offset": offset,
+                "byte_length": f4.nbytes,
             })
-            payload.extend(raw)
+            payload.append(f4)
+            offset += f4.nbytes
         layer_entries.append({
             "name": name,
             "kind": shape.kind,
@@ -108,8 +113,18 @@ def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
             "tensors": tensor_entries,
         })
     header = dict(asdict(meta), layers=layer_entries)
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + bytes(payload)
+    return json.dumps(header, sort_keys=True).encode("utf-8"), payload
+
+
+def _write(path, meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> None:
+    # one part after another; a C-contiguous array writes its own buffer, uncopied
+    header, payload = _encode(meta, layers)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for f4 in payload:
+            fh.write(f4)
 
 
 def save_weights(model: AdapterModel, path) -> None:
@@ -117,9 +132,7 @@ def save_weights(model: AdapterModel, path) -> None:
     if model.meta.algorithm in _DENSE_ALGORITHMS:
         raise ValueError("use save_dense for dense tensor files")
     layers = [(name, ad.layer, ad.tensors()) for name, ad in model.entries.items()]
-    blob = _encode(model.meta, layers)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    _write(path, model.meta, layers)
 
 
 def save_dense(entries, path, algorithm: str = "delta",
@@ -144,9 +157,7 @@ def save_dense(entries, path, algorithm: str = "delta",
         if arr.shape != shape.delta_shape:
             raise ValueError(f"layer {name!r}: array shape {arr.shape} != {shape.delta_shape}")
         layers.append((name, shape, {role: arr}))
-    blob = _encode(meta, layers)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    _write(path, meta, layers)
 
 
 def _fail(cls, message, position):

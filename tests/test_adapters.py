@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
 from deltafactor import adapters as ad
@@ -298,6 +299,121 @@ class TestForwardConv:
                 np.testing.assert_allclose(got[:, i, j], want, atol=1e-12)
 
 
+# float64 rounding unit; forward deviations are stated as multiples of it
+EPS = np.finfo(np.float64).eps
+
+# (algorithm, layer, dim, factor, tucker): every stored layout, with inner
+# ranks (lora r, loha r^2) below and at or above min(out, in*k*k)
+FORWARD_FORMS = [
+    ("lora", LINEAR_RECT, 4, -1, False),
+    ("lora", ad.LayerShape("linear", 6, 10), 6, -1, False),
+    ("lora", CONV_SMALL, 3, -1, False),
+    ("lora", CONV_SMALL, 3, -1, True),
+    ("lora", CONV_SMALL, 8, -1, True),
+    ("loha", LINEAR_RECT, 4, -1, False),
+    ("loha", ad.LayerShape("linear", 6, 10), 3, -1, False),
+    ("loha", CONV_SMALL, 2, -1, False),
+    ("loha", CONV_SMALL, 2, -1, True),
+    ("loha", CONV_SMALL, 3, -1, True),
+    ("loha", ad.LayerShape("conv2d", 6, 4, 1), 2, -1, False),
+    ("lokr", LINEAR_64, 8, 8, False),     # whole right block
+    ("lokr", LINEAR_RECT, 2, 4, False),   # factored right block
+    ("lokr", CONV_SMALL, 4, 2, False),    # whole conv right block
+    ("lokr", CONV_SMALL, 2, 2, False),
+    ("lokr", CONV_SMALL, 2, 2, True),
+]
+
+
+def forward_form_id(form):
+    algorithm, layer, dim, factor, tucker = form
+    dims = "x".join(map(str, layer.delta_shape[:3]))
+    return f"{algorithm}{'-tucker' if tucker else ''}-{dims}-r{dim}-f{factor}"
+
+
+def dense_forward(merged, bias, x):
+    """(w0 + gamma * delta) applied densely: a matrix product, or an explicit window sum."""
+    if merged.ndim == 2:
+        return x @ merged.T + bias
+    k = merged.shape[2]
+    windows = sliding_window_view(x, (k, k), axis=(-2, -1))
+    spec = "oiab,ihwab->ohw" if x.ndim == 3 else "oiab,nihwab->nohw"
+    return np.einsum(spec, merged, windows) + bias[:, None, None]
+
+
+class TestForwardColumns:
+    @pytest.mark.parametrize("batch", [(), (3,), (0,)], ids=["single", "batched", "empty"])
+    @pytest.mark.parametrize("algorithm,layer,dim,factor,tucker", FORWARD_FORMS,
+                             ids=map(forward_form_id, FORWARD_FORMS))
+    def test_matches_dense_merged_layer(self, algorithm, layer, dim, factor, tucker, batch):
+        rng = np.random.default_rng(40)
+        adapter = ad.random_adapter(algorithm, layer, dim, alpha=1.5 * dim,
+                                    factor=factor, tucker=tucker, seed=41)
+        w0 = rng.standard_normal(layer.delta_shape)
+        bias = rng.standard_normal(layer.out_dim)
+        if layer.kind == "linear":
+            x = rng.standard_normal((*batch, layer.in_dim))
+            got = ad.forward_linear(adapter, w0, bias, x)
+        else:
+            x = rng.standard_normal((*batch, layer.in_dim, 7, 6))
+            got = ad.forward_conv(adapter, w0, bias, x)
+        want = dense_forward(w0 + adapter.scale.gamma * ad.reconstruct(adapter), bias, x)
+        assert got.shape == want.shape
+        # both sides round sums of at most in*k*k = 54 products in another
+        # order; these forms measure at most 2.3 rounding units of the scale
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.max(np.abs(got - want), initial=0.0) <= 32 * EPS * scale
+
+
+class TestForwardBoundary:
+    LINEAR = ad.LayerShape("linear", 6, 4)
+    CONV = ad.LayerShape("conv2d", 5, 3, 3)
+
+    def args(self, kind):
+        layer = self.LINEAR if kind == "linear" else self.CONV
+        adapter = ad.random_adapter("loha", layer, 2, alpha=2.0, seed=44)
+        x = np.ones(4) if kind == "linear" else np.ones((3, 5, 5))
+        forward = ad.forward_linear if kind == "linear" else ad.forward_conv
+        return forward, adapter, [np.ones(layer.delta_shape), np.ones(layer.out_dim), x]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["w0", "bias", "x"])
+    @pytest.mark.parametrize("kind", ["linear", "conv2d"])
+    def test_non_finite_raises_value_error(self, kind, which, bad):
+        forward, adapter, args = self.args(kind)
+        args[which].flat[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(adapter, *args)
+
+    @pytest.mark.parametrize("kind,which,shape,match", [
+        ("linear", 0, (4, 6), "base weight"),
+        ("linear", 1, (5,), "bias"),
+        ("linear", 2, (3,), "input"),
+        ("linear", 2, (2, 3), "input"),
+        ("linear", 2, (2, 2, 4), "input"),
+        ("linear", 2, (), "input"),
+        ("conv2d", 0, (5, 3, 1, 1), "base kernel"),
+        ("conv2d", 1, (3,), "bias"),
+        ("conv2d", 2, (3, 5), "image"),
+        ("conv2d", 2, (1, 1, 3, 5, 5), "image"),
+        ("conv2d", 2, (4, 5, 5), "channels"),
+        ("conv2d", 2, (2, 4, 5, 5), "channels"),
+        ("conv2d", 2, (3, 2, 5), "smaller"),
+    ])
+    def test_wrong_shape_raises_shape_error(self, kind, which, shape, match):
+        forward, adapter, args = self.args(kind)
+        args[which] = np.ones(shape)
+        with pytest.raises(tc.ShapeError, match=match):
+            forward(adapter, *args)
+
+    def test_wrong_layer_kind_raises_shape_error(self):
+        _, linear, linear_args = self.args("linear")
+        _, conv, conv_args = self.args("conv2d")
+        with pytest.raises(tc.ShapeError, match="forward_linear needs a linear layer"):
+            ad.forward_linear(conv, *conv_args)
+        with pytest.raises(tc.ShapeError, match="forward_conv needs a conv2d layer"):
+            ad.forward_conv(linear, *linear_args)
+
+
 class TestMergeCombine:
     def test_merge_lambda_zero(self):
         adapter = ad.random_adapter("lora", LINEAR_RECT, 4, alpha=4.0, seed=22)
@@ -517,6 +633,13 @@ class TestInvariantErrors:
         with pytest.raises(ad.InvariantError, match="non-empty"):
             ad.LokrAdapter(layer, ad.MergeScale(alpha=2.0, dim=2), -1,
                            c=c, w2=np.zeros((8, 8)))
+
+    def test_lokr_c_must_match_factor(self):
+        # lokr_factor_dims(64, 4) is (4, 16), so factor 4 needs c of (4, 4)
+        layer = ad.LayerShape("linear", 64, 64)
+        with pytest.raises(ad.InvariantError, match=r"c shape \(8, 8\) != \(4, 4\)"):
+            ad.LokrAdapter(layer, ad.MergeScale(alpha=2.0, dim=2), 4,
+                           c=np.ones((8, 8)), w2=np.ones((8, 8)))
 
     def test_lokr_full_excludes_factored(self):
         layer = ad.LayerShape("linear", 64, 64)

@@ -66,6 +66,11 @@ class TestGroupedForward:
         assert got.shape == (5, 4, 4)
         np.testing.assert_allclose(got, dense_oracle(c, b, a, h), atol=1e-12)
 
+    def test_empty_batch(self):
+        c, b, a = np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2))
+        assert grouped_forward(c, b, a, np.ones((0, 6))).shape == (0, 4)
+        assert grouped_forward_full(c, b @ a, np.ones((4, 0, 6))).shape == (4, 0, 4)
+
     def test_rejects_unfactorable_input(self):
         with pytest.raises(tc.ShapeError, match="does not factor"):
             grouped_forward(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 3)),

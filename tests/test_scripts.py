@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from deltafactor.optim_harness import HARNESS_ALGORITHMS
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -24,3 +26,7 @@ def load(name):
 def test_main_runs(capsys, script, argv, first_line):
     assert load(script).main(argv) == 0
     assert capsys.readouterr().out.splitlines()[0].startswith(first_line)
+
+
+def test_merge_ratio_report_sweeps_every_harness_form_by_default():
+    assert load("merge_ratio_report").parse_args([]).algo_list == list(HARNESS_ALGORITHMS)

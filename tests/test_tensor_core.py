@@ -165,6 +165,21 @@ class TestConv2d:
                                        conv_oracle(kernel, image),
                                        rtol=1e-12, atol=1e-12)
 
+    def test_batch_against_naive_oracle(self):
+        rng = np.random.default_rng(7)
+        kernel = rng.standard_normal((3, 2, 2, 2))
+        images = rng.standard_normal((4, 2, 5, 6))
+        got = tc.conv2d(kernel, images)
+        assert got.shape == (4, 3, 4, 5)
+        for n in range(4):
+            np.testing.assert_allclose(got[n], conv_oracle(kernel, images[n]),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_rejects_image_rank(self):
+        for shape in ((2, 3), (1, 1, 2, 3, 3)):
+            with pytest.raises(tc.ShapeError, match="image"):
+                tc.conv2d(np.ones((1, 2, 1, 1)), np.ones(shape))
+
     def test_channel_mismatch(self):
         with pytest.raises(tc.ShapeError, match="channels"):
             tc.conv2d(np.ones((1, 2, 1, 1)), np.ones((3, 2, 2)))

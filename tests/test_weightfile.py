@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from types import SimpleNamespace
@@ -77,6 +78,26 @@ class TestRoundtrip:
         a = save_blob(model, tmp_path)
         b = save_blob(model, tmp_path)
         assert a == b
+
+    def test_file_is_magic_length_header_payload(self, tmp_path):
+        # the layout spelled out: magic, u32 header length, sorted-key JSON
+        # header, then every tensor's float32 bytes in header order
+        model = build_model("lokr", factor=2, tucker=True, seed=5)
+        layers, payload = [], b""
+        for name, adapter in model.entries.items():
+            shp = adapter.layer
+            tensors = []
+            for role, t in adapter.tensors().items():
+                raw = t.astype("<f4").tobytes()
+                tensors.append({"role": role, "shape": list(t.shape), "dtype": "f4",
+                                "byte_offset": len(payload), "byte_length": len(raw)})
+                payload += raw
+            dims = [shp.out_dim, shp.in_dim] + ([shp.kernel] if shp.kind == "conv2d" else [])
+            layers.append({"name": name, "kind": shp.kind, "shape": dims, "tensors": tensors})
+        header = json.dumps(dict(dataclasses.asdict(model.meta), layers=layers),
+                            sort_keys=True).encode("utf-8")
+        want = wf.MAGIC + struct.pack("<I", len(header)) + header + payload
+        assert save_blob(model, tmp_path) == want
 
     def test_rejects_complex_factor(self, tmp_path):
         model = build_model()
@@ -328,6 +349,17 @@ class TestMalformedCorpus:
                 h["layers"][0]["tensors"] = [] if drop is None else tensors[:drop] + tensors[drop + 1:]
             with pytest.raises(wf.MalformedHeaderError, match="inconsistent"):
                 load_blob(rewrite_header(blob, remove), tmp_path)
+
+    def test_lokr_factor_disagrees_with_c(self, tmp_path):
+        # c (8, 8) is the factor -1 split of 64 x 64; factor 4 splits it as (4, 16)
+        layer = ad.LayerShape("linear", 64, 64)
+        model = ad.init_model([("blk", layer)], "lokr", 8, alpha=8.0, factor=-1)
+        assert model.entries["blk"].c.shape == (8, 8)
+        blob = save_blob(model, tmp_path)
+        def refactor(h):
+            h["factor"] = 4
+        with pytest.raises(wf.MalformedHeaderError, match="factor 4"):
+            load_blob(rewrite_header(blob, refactor), tmp_path)
 
     def test_inconsistent_tensor_shapes(self, tmp_path):
         blob = save_blob(build_model(), tmp_path)
