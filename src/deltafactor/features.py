@@ -87,8 +87,7 @@ class FeatureRecord:
             vec = np.asarray(self.vector, dtype=np.float64)
             if vec.ndim != 1 or vec.size == 0:
                 raise ValueError(f"record {self.id!r}: vector must be 1-D and non-empty")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"record {self.id!r}: vector holds non-finite values")
+            _require_finite(vec, f"record {self.id!r}: vector")
             object.__setattr__(self, "vector", vec)
         else:
             pairs = []
@@ -103,25 +102,45 @@ class FeatureRecord:
                 if arr.ndim != 3 or arr.size == 0:
                     raise ValueError(
                         f"record {self.id!r}: map {layer!r} must be (C, H, W)")
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(
-                        f"record {self.id!r}: map {layer!r} holds non-finite values")
+                _require_finite(arr, f"record {self.id!r}: map {layer!r}")
                 pairs.append((layer, arr))
             if not pairs:
                 raise ValueError(f"record {self.id!r}: maps may not be empty")
             object.__setattr__(self, "maps", tuple(pairs))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite.ravel()))
+        raise ValueError(f"{what} holds a non-finite value at flat index {i}: {arr.flat[i]}")
 
 
-def _check_numbers(values, where: str):
+_NUMBER_TYPES = {int, float}
+
+
+def _check_numbers(values, where: str) -> np.ndarray:
+    """A non-empty list of JSON numbers as a float64 array.
+
+    Each entry must be exactly an int or a float (bool, str, None and lists
+    are refused) that fits a float64. Finiteness is FeatureRecord's check,
+    so each value is checked once on the load path. The common case is one
+    type scan and one conversion; only a failing list is walked, to name a
+    bad entry.
+    """
     if not isinstance(values, list) or not values:
         raise ValueError(f"{where} must be a non-empty list of numbers")
-    for v in values:
-        if not _is_number(v) or not math.isfinite(v):
-            raise ValueError(f"{where} holds a non-numeric or non-finite entry: {v!r}")
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:
+            # the largest integer is one that does not fit
+            i, v = max(((i, v) for i, v in enumerate(values) if type(v) is int),
+                       key=lambda entry: abs(entry[1]))
+            raise ValueError(f"{where} entry {i} is an integer of {len(str(abs(v)))} "
+                             f"digits, beyond float range") from None
+    i, v = next((i, v) for i, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+    raise ValueError(f"{where} entry {i} is not a number: {v!r}")
 
 
 def _parse_maps(raw):
@@ -136,13 +155,11 @@ def _parse_maps(raw):
         if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0
                    for d in dims):
             raise ValueError(f"{where} has non-positive dimensions {dims}")
-        _check_numbers(entry["data"], f"{where} data")
+        data = _check_numbers(entry["data"], f"{where} data")
         c, h, w = dims
-        if len(entry["data"]) != c * h * w:
-            raise ValueError(
-                f"{where} data has {len(entry['data'])} values, expected {c * h * w}")
-        arr = np.array(entry["data"], dtype=np.float64).reshape(c, h, w)
-        pairs.append((entry["layer"], arr))
+        if data.size != c * h * w:
+            raise ValueError(f"{where} data has {data.size} values, expected {c * h * w}")
+        pairs.append((entry["layer"], data.reshape(c, h, w)))
     return tuple(pairs)
 
 
@@ -157,8 +174,7 @@ def _parse_record(obj) -> FeatureRecord:
     vector = None
     maps = None
     if "vector" in obj:
-        _check_numbers(obj["vector"], "vector")
-        vector = np.array(obj["vector"], dtype=np.float64)
+        vector = _check_numbers(obj["vector"], "vector")
     elif "maps" in obj:
         maps = _parse_maps(obj["maps"])
     else:
@@ -187,8 +203,10 @@ def load_features(path) -> list[FeatureRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FeatureFileError(f"{path}: line {line_no}: invalid JSON: {exc}")
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, an integer literal past Python's digit
+                # limit for int(), or nesting deeper than the recursion limit
+                raise FeatureFileError(f"{path}: line {line_no}: invalid JSON: {exc}") from None
             try:
                 rec = _parse_record(obj)
             except (ValueError, TypeError) as exc:

@@ -61,11 +61,15 @@ def _normalized(a, name: str = "vectors") -> np.ndarray:
 
 
 def avg_cosine_similarity(a, b) -> float:
-    """Mean cosine similarity over all cross pairs of the two sets."""
+    """Mean cosine similarity over all cross pairs of the two sets.
+
+    The mean of all n * m dot products is the dot product of the two
+    centroids, so no (n, m) matrix is built.
+    """
     na, nb = _normalized(a, "first set"), _normalized(b, "second set")
     if na.shape[1] != nb.shape[1]:
         raise ShapeError(f"vector widths differ: {na.shape} vs {nb.shape}")
-    return float(np.mean(na @ nb.T))
+    return float(na.mean(axis=0) @ nb.mean(axis=0))
 
 
 def squared_centroid_distance(a, b) -> float:
@@ -78,16 +82,20 @@ def squared_centroid_distance(a, b) -> float:
 
 
 def intra_dissimilarity(a) -> float:
-    """1 - mean pairwise cosine of a set with itself (self pairs included)."""
-    na = _normalized(a)
-    return 1.0 - float(np.mean(na @ na.T))
+    """1 - mean pairwise cosine of a set with itself (self pairs included).
+
+    The mean pairwise cosine is the squared norm of the centroid.
+    """
+    centroid = _normalized(a).mean(axis=0)
+    return 1.0 - float(centroid @ centroid)
 
 
 def variance_normalized(a) -> float:
     """Mean squared distance of normalized vectors from their centroid.
 
-    Computed directly from deviations; equals intra_dissimilarity by the
-    identity 1 - cossim(S, S) = Var(S-normalized).
+    Computed directly from deviations, not from the centroid norm, so that
+    it checks intra_dissimilarity by the identity
+    1 - cossim(S, S) = Var(S-normalized).
     """
     na = _normalized(a)
     centered = na - na.mean(axis=0)
@@ -115,12 +123,18 @@ def vendi_score(a) -> float:
 
     With K the cosine Gram matrix of the normalized set, the score is
     exp(-sum lambda_i log lambda_i) over eigenvalues of K/n, using
-    0 log 0 = 0. Ranges from 1 (all identical) to n (orthogonal).
+    0 log 0 = 0. Ranges from 1 (all identical) to min(n, d) (orthogonal).
+
+    The nonzero eigenvalues of X X^T / n (n x n) and X^T X / n (d x d) are
+    the same, so the solver runs on the smaller side: the n x n Gram when
+    n <= d, the d x d second-moment matrix when n > d, in O(n d min(n, d))
+    time. The eigensolver's size cap (SYM_EIG_MAX_SIZE) therefore applies
+    to min(n, d): groups of any size score while d is within it.
     """
     na = _normalized(a)
-    n = na.shape[0]
-    gram = na @ na.T
-    values = sym_eig(gram / n)
+    n, d = na.shape
+    kernel = na @ na.T if n <= d else na.T @ na
+    values = sym_eig(kernel / n)
     values = np.clip(values, 0.0, None)
     positive = values[values > 0.0]
     entropy = -float(np.sum(positive * np.log(positive)))

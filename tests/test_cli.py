@@ -8,6 +8,7 @@ import pytest
 from deltafactor import adapters as ad
 from deltafactor import features as ft
 from deltafactor.cli import cli_dispatch
+from deltafactor.tensor_core import SYM_EIG_MAX_SIZE
 from deltafactor.weightfile import load_dense, load_weights, save_dense, save_weights
 
 
@@ -321,6 +322,22 @@ class TestMetricsCommands:
         rows = parse_csv(stdout)
         tags = {row[0] for row in rows[1:]}
         assert "solo" in tags
+
+    def test_vendi_group_above_the_eigensolver_cap(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        big = SYM_EIG_MAX_SIZE + 4
+        records = [ft.FeatureRecord(id=f"r{i}", class_name="c",
+                                    prompt_type="big" if i < big else "small", vector=row)
+                   for i, row in enumerate(rng.standard_normal((big + 3, 4)))]
+        path = tmp_path / "big.jsonl"
+        ft.write_features(records, path)
+        code, stdout, _ = run(capsys, "metrics", "vendi", "--features",
+                              str(path), "--group-by", "prompt_type",
+                              "--singletons", "skip")
+        assert code == 0
+        scores = dict(parse_csv(stdout)[1:])
+        assert 1.0 <= float(scores["big"]) <= 4.0
+        assert 1.0 <= float(scores["small"]) <= 3.0
 
     def test_vendi_grouping_flag_rules(self, tmp_path, capsys):
         feats = write_vectors(tmp_path, "f", [[1.0, 0.0], [0.0, 1.0]])

@@ -160,6 +160,87 @@ class TestLoadFeatureErrors:
             ft.load_features(path)
 
 
+def vector_line(entry: str) -> str:
+    return '{"id": "a", "class": "c", "vector": [1.0, %s]}' % entry
+
+
+def maps_line(entry: str) -> str:
+    return ('{"id": "a", "class": "c", "maps": [{"layer": "l", "c": 1, "h": 1, '
+            '"w": 2, "data": [1.0, %s]}]}' % entry)
+
+
+class TestLoaderValueRules:
+    """Each value must be exactly a JSON int or float, finite, within float range."""
+
+    def load_second_line(self, tmp_path, entry, payload="vector"):
+        """Load a file whose line 2 carries `entry` after a well-formed line 1."""
+        line = vector_line if payload == "vector" else maps_line
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line("2.0") + "\n" + line(entry) + "\n", encoding="utf-8")
+        return ft.load_features(path)
+
+    @pytest.mark.parametrize("entry", ["true", "false", "null", '"x"', '"1.5"', "[1.0]",
+                                       "{}", "NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("payload", ["vector", "maps"])
+    def test_refused_entry_names_line(self, tmp_path, payload, entry):
+        with pytest.raises(ft.FeatureFileError, match=r"bad\.jsonl: line 2: "):
+            self.load_second_line(tmp_path, entry, payload)
+
+    @pytest.mark.parametrize("payload", ["vector", "maps"])
+    def test_integer_beyond_float_range(self, tmp_path, payload):
+        with pytest.raises(ft.FeatureFileError,
+                           match="line 2: .*entry 1 is an integer of 401 digits"):
+            self.load_second_line(tmp_path, "1" + "0" * 400, payload)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        with pytest.raises(ft.FeatureFileError, match="bad\\.jsonl: line 2: invalid JSON"):
+            self.load_second_line(tmp_path, "1" * 5000)
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path):
+        with pytest.raises(ft.FeatureFileError, match="line 2: invalid JSON"):
+            self.load_second_line(tmp_path, "[" * 100_000)
+
+    def test_refusal_names_the_entry(self, tmp_path):
+        # bool is an int subclass: an isinstance-based check would let it through
+        with pytest.raises(ft.FeatureFileError, match="entry 1 is not a number: True"):
+            self.load_second_line(tmp_path, "true")
+
+    def test_direct_record_refuses_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite value at flat index 2: inf"):
+            ft.FeatureRecord(id="r", class_name="c", vector=np.array([1.0, 2.0, np.inf]))
+        with pytest.raises(ValueError, match="map 'l' holds a non-finite value"):
+            ft.FeatureRecord(id="r", class_name="c",
+                             maps=(("l", np.full((1, 2, 2), np.nan)),))
+
+    def test_roundtrip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   0.1, 1.0 / 3.0, 2.0**53 + 2.0]
+        vectors = [np.array(special), rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)]
+        maps = (("conv", rng.standard_normal((2, 3, 4)) * 1e-200),)
+        for recs, name in (([ft.FeatureRecord(id=f"v{i}", class_name="c", vector=v)
+                             for i, v in enumerate(vectors)], "v.jsonl"),
+                           ([ft.FeatureRecord(id="m", class_name="c", maps=maps)], "m.jsonl")):
+            ft.write_features(recs, tmp_path / name)
+            loaded = ft.load_features(tmp_path / name)
+            for got, want in zip(loaded, recs):
+                pairs = ([(got.vector, want.vector)] if want.vector is not None
+                         else [(g, w) for (_, g), (_, w) in zip(got.maps, want.maps)])
+                for g, w in pairs:
+                    assert g.dtype == np.float64 and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+
+    def test_integer_literals_load_as_float64(self, tmp_path):
+        # 2**1024 - 2**971 is the largest finite double
+        ints = [0, -7, 2**53, 2**53 + 1, -(2**63), 10**300, 2**1024 - 2**971]
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps({"id": "a", "class": "c", "vector": ints}) + "\n",
+                        encoding="utf-8")
+        got = ft.load_features(path)[0].vector
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([float(v) for v in ints]).tobytes()
+
+
 class TestFeatureAccessors:
     def test_matrix_stacks_in_order(self):
         records = [vector_record("a"),

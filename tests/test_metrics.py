@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltafactor import metrics as mt
-from deltafactor.tensor_core import ComplexInputError, ShapeError
+from deltafactor.tensor_core import SYM_EIG_MAX_SIZE, ComplexInputError, ShapeError
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -134,6 +134,45 @@ class TestVendiScore:
         s = rng.standard_normal((9, 5))
         score = mt.vendi_score(s)
         assert 1.0 <= score <= 9.0 + 1e-12
+
+
+def vendi_from_gram(x) -> float:
+    """Reference Vendi score from eigvalsh of the n x n cosine kernel."""
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    values = np.clip(np.linalg.eigvalsh(unit @ unit.T / len(x)), 0.0, None)
+    values = values[values > 0.0]
+    return math.exp(-float(np.sum(values * np.log(values))))
+
+
+@st.composite
+def vector_sets(draw):
+    """(n, d) sets with n below, at or above d: generic, duplicated or rank-deficient."""
+    d = draw(st.integers(1, 24))
+    n = {"below": max(1, d - draw(st.integers(1, 24))), "equal": d,
+         "above": d + draw(st.integers(1, 40))}[draw(st.sampled_from(["below", "equal", "above"]))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "duplicated", "rank-deficient"]))
+    if kind == "generic":
+        return rng.standard_normal((n, d))
+    if kind == "duplicated":
+        base = rng.standard_normal((draw(st.integers(1, 4)), d))
+        return base[rng.integers(0, len(base), n)] * rng.uniform(0.5, 2.0, (n, 1))
+    rank = draw(st.integers(1, max(1, min(n, d) - 1)))
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+
+
+class TestVendiSides:
+    """The d x d form used for n > d agrees with the n x n kernel."""
+
+    @given(vector_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gram_eigenvalues(self, x):
+        assert mt.vendi_score(x) == pytest.approx(vendi_from_gram(x), rel=1e-12)
+
+    def test_group_above_the_eigensolver_cap(self):
+        n = SYM_EIG_MAX_SIZE + 4
+        x = np.random.default_rng(12).standard_normal((n, 8))
+        assert 1.0 <= mt.vendi_score(x) <= 8.0
 
 
 class TestGroupedVendi:
