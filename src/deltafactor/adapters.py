@@ -177,9 +177,8 @@ class _Block:
         if self.w2 is not None:
             return self.w2
         if self.core is not None:
-            # (r, r, k, k) x0 up.T -> (out, r, k, k), then x1 down -> (out, in, k, k)
-            return tensor_core.nmode_product(
-                tensor_core.nmode_product(self.core, self.up.T, 0), self.down, 1)
+            # B[o, i, ab] = sum_t down[t, i] (up @ core)[o, t, ab]: one matmul per mode
+            return np.matmul(self.down.T, self._up_core()).reshape(self.geometry.delta_shape)
         if self.geometry.kind == "linear":
             # the product itself, not a reshaped view of it: numpy reuses the
             # buffer of a temporary operand (loha's B1 * B2, merge's scaling)
@@ -193,15 +192,25 @@ class _Block:
         if self.w2 is not None:
             return {"w2": g}
         if self.core is not None:
-            # B[o,i,a,b] = sum_{s,t} core[s,t,a,b] * up[o,s] * down[t,i]
+            # B[o,i,ab] = sum_{s,t} core[s,t,ab] * up[o,s] * down[t,i]; with
+            # gd[o,t,ab] = sum_i down[t,i] g[o,i,ab] and uc = up @ core as in dense
+            r, out_c = self.core.shape[0], self.geometry.out_dim
+            g3 = g.reshape(out_c, self.geometry.in_dim, -1)
+            gd = np.matmul(self.down, g3).reshape(out_c, -1)
+            uc = self._up_core().swapaxes(0, 1).reshape(r, -1)
             return {
-                "up": np.einsum("oiab,stab,ti->os", g, self.core, self.down, optimize=True),
-                "down": np.einsum("oiab,stab,os->ti", g, self.core, self.up, optimize=True),
-                "core": np.einsum("oiab,os,ti->stab", g, self.up, self.down, optimize=True),
+                "up": gd @ self.core.reshape(r, -1).T,
+                "down": uc @ g3.swapaxes(1, 2).reshape(-1, g3.shape[1]),
+                "core": (self.up.T @ gd).reshape(self.core.shape),
             }
         g2 = g.reshape(g.shape[0], -1)
         d2 = self.down.reshape(self.down.shape[0], -1)
         return {"up": g2 @ d2.T, "down": (self.up.T @ g2).reshape(self.down.shape)}
+
+    def _up_core(self) -> np.ndarray:
+        # (up @ core)[o, t, ab] = sum_s up[o, s] * core[s, t, ab], shaped (out, r, k*k)
+        r = self.core.shape[0]
+        return (self.up @ self.core.reshape(r, -1)).reshape(self.geometry.out_dim, r, -1)
 
     def rank_bound(self) -> int:
         bound = min(self.geometry.out_dim, self.geometry.unrolled_in)
@@ -415,14 +424,12 @@ class LokrAdapter:
         return tensor_core.conv2d(reconstruct(self), image)
 
     def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
-        # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]
-        u_p, v_p, u_q, v_q = self.block_dims
-        ab = "ab" if self.layer.kind == "conv2d" else ""
-        g_blocks = g.reshape(u_p, v_p, u_q, v_q, *g.shape[2:])
+        # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]: rearranged, g is
+        # G[(i,j), (p,q,...)], so dc = G @ vec(B) and dB = vec(c) @ G
         right = self._blocks[0]
-        dc = np.einsum(f"ipjq{ab},pq{ab}->ij", g_blocks, right.dense(), optimize=True)
-        out = right.vjp(np.einsum(f"ipjq{ab},ij->pq{ab}", g_blocks, self.c, optimize=True))
-        out["c"] = dc
+        grid = _nkp_rearrange(g, *self.block_dims)
+        out = right.vjp((self.c.reshape(-1) @ grid).reshape(right.geometry.delta_shape))
+        out["c"] = (grid @ right.dense().reshape(-1)).reshape(self.c.shape)
         return out
 
     def _rank_bound(self) -> int:
@@ -665,13 +672,9 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
 
 def _nkp_rearrange(dm: np.ndarray, u_p: int, v_p: int, u_q: int, v_q: int) -> np.ndarray:
     # permute delta entries so kron(c, right) becomes the rank-1 outer
-    # product vec(c) @ vec(right).T
-    if dm.ndim == 2:
-        blocks = dm.reshape(u_p, v_p, u_q, v_q).transpose(0, 2, 1, 3)
-        return blocks.reshape(u_p * u_q, v_p * v_q)
-    k = dm.shape[2]
-    blocks = dm.reshape(u_p, v_p, u_q, v_q, k, k).transpose(0, 2, 1, 3, 4, 5)
-    return blocks.reshape(u_p * u_q, v_p * v_q * k * k)
+    # product vec(c) @ vec(right).T; kernel axes, if any, ride on the right
+    blocks = dm.reshape(u_p, v_p, u_q, v_q, -1).transpose(0, 2, 1, 3, 4)
+    return blocks.reshape(u_p * u_q, -1)
 
 
 def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter:

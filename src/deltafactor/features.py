@@ -191,14 +191,27 @@ def _parse_record(obj) -> FeatureRecord:
     )
 
 
+def _text_lines(path, fh):
+    """(line number, text) per line; a line with invalid UTF-8 raises FeatureFileError."""
+    # fh decodes with errors="surrogateescape", so a bad byte reads as a lone surrogate
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = line[exc.start].encode("utf-8", "surrogateescape")
+                raise FeatureFileError(f"{path}: line {line_no}: invalid UTF-8 {bad!r}") from None
+        yield line_no, line
+
+
 def load_features(path) -> list[FeatureRecord]:
     """Read a JSONL feature file; all records must share one payload mode."""
     records = []
     mode = None
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, text in _text_lines(path, fh):
+            line = text.strip()
             if not line:
                 continue
             try:
@@ -289,9 +302,8 @@ def _score_cell(path, line_no, name, cell, allow_empty=False):
 def load_scores(path) -> list[ScoreRecord]:
     """Read a score CSV with the fixed SCORE_COLUMNS header."""
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        rows = list(csv.reader(text for _, text in _text_lines(path, fh)))
     if not rows or tuple(rows[0]) != SCORE_COLUMNS:
         raise FeatureFileError(
             f"{path}: header must be {','.join(SCORE_COLUMNS)}")

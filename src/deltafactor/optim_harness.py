@@ -5,11 +5,14 @@ layer linear) are trained on fixed data with only the adapter factors as
 trainable parameters. Everything is written out explicitly: forward pass,
 backprop to each layer's delta and on, through the adapter family's own
 vector-Jacobian product, to every factor tensor (Tucker cores included),
-and the three optimizers. The point is exactness, not speed; this module
-backs the merge-ratio equivalence check, the homogeneity check, and
-complex-step gradient verification. The forward path and the loss carry
-float64 or complex128 alike: a factor given an imaginary perturbation
-yields a complex loss whose imaginary part holds the derivative.
+and the three optimizers. This module backs the merge-ratio equivalence
+check, the homogeneity check, and complex-step gradient verification. The
+forward path and the loss carry float64 or complex128 alike: a factor
+given an imaginary perturbation yields a complex loss whose imaginary part
+holds the derivative.
+
+Conv layers run on tensor_core's im2col kernel and its two adjoints. A
+training step builds each delta once and reuses it in the next forward.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import adapters
+from . import adapters, tensor_core
 from .adapters import LayerShape, MergeScale
 from .tensor_core import NumericalError, as_tensor
 
@@ -164,41 +166,26 @@ def homogeneity_degree(adapter) -> int:
 # batched forward / backward
 
 
-def _conv_batch(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    k = kernel.shape[2]
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))
-    return np.einsum("oiab,nihwab->nohw", kernel, windows, optimize=True)
-
-
-def _conv_weight_grad(dz: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))
-    return np.einsum("nohw,nihwab->oiab", dz, windows, optimize=True)
-
-
-def _conv_input_grad(dz: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    k = kernel.shape[2]
-    pad = k - 1
-    dzp = np.pad(dz, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    flipped = kernel[:, :, ::-1, ::-1]
-    windows = sliding_window_view(dzp, (k, k), axis=(2, 3))
-    return np.einsum("ocab,noijab->ncij", flipped, windows, optimize=True)
-
-
-def _effective_weight(layer: ToyLayer) -> np.ndarray:
-    return layer.base_weight + layer.adapter.scale.gamma * adapters.reconstruct(layer.adapter)
+def _forward(model: ToyModel, h: np.ndarray, deltas: list[np.ndarray]) -> list[tuple]:
+    """Per layer (input, w0 + gamma * deltas[i], im2col columns or None, output)."""
+    saved = []
+    for layer, delta in zip(model.layers, deltas):
+        w_eff = layer.base_weight + layer.adapter.scale.gamma * delta
+        if layer.adapter.layer.kind == "linear":
+            z, cols = h @ w_eff.T + layer.base_bias, None
+        else:
+            z, cols = tensor_core._conv2d(w_eff, h)
+            z = z + layer.base_bias[:, None, None]
+        a = np.tanh(z) if layer.activation else z
+        saved.append((h, w_eff, cols, a))
+        h = a
+    return saved
 
 
 def model_forward(model: ToyModel, x) -> np.ndarray:
     """Batched forward pass; x is (n, in) or (n, in, H, W)."""
-    h = as_tensor(x)
-    for layer in model.layers:
-        w_eff = _effective_weight(layer)
-        if layer.adapter.layer.kind == "linear":
-            z = h @ w_eff.T + layer.base_bias
-        else:
-            z = _conv_batch(w_eff, h) + layer.base_bias[None, :, None, None]
-        h = np.tanh(z) if layer.activation else z
-    return h
+    deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
+    return _forward(model, as_tensor(x), deltas)[-1][-1]
 
 
 def model_loss(model: ToyModel, x, target) -> float | complex:
@@ -224,39 +211,38 @@ def loss_and_grads(model: ToyModel, x, target):
     Returns (loss, grads) where grads[i] maps the i-th layer's factor roles
     to arrays shaped like the factors themselves.
     """
-    xm, tm = as_tensor(x), as_tensor(target)
-    inputs = []
-    acts = []
-    h = xm
-    for layer in model.layers:
-        w_eff = _effective_weight(layer)
-        if layer.adapter.layer.kind == "linear":
-            z = h @ w_eff.T + layer.base_bias
-        else:
-            z = _conv_batch(w_eff, h) + layer.base_bias[None, :, None, None]
-        a = np.tanh(z) if layer.activation else z
-        inputs.append((h, w_eff))
-        acts.append(a)
-        h = a
-    if h.shape != tm.shape:
-        raise ValueError(f"prediction shape {h.shape} != target shape {tm.shape}")
-    diff = h - tm
+    deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
+    return _loss_and_grads(model, as_tensor(x), as_tensor(target), deltas)
+
+
+def _loss_and_grads(model: ToyModel, x: np.ndarray, target: np.ndarray,
+                    deltas: list[np.ndarray]):
+    """loss_and_grads on checked data, with deltas[i] = reconstruct(layer i's adapter).
+
+    The input gradient of the first layer is never used, so it is not taken.
+    """
+    saved = _forward(model, x, deltas)
+    h = saved[-1][-1]
+    if h.shape != target.shape:
+        raise ValueError(f"prediction shape {h.shape} != target shape {target.shape}")
+    diff = h - target
     loss = float(np.mean(diff * diff))
     d = (2.0 / diff.size) * diff
     grads: list[dict[str, np.ndarray]] = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        h_in, w_eff = inputs[i]
+        h_in, w_eff, cols, a = saved[i]
         if layer.activation:
-            a = acts[i]
             d = d * (1.0 - a * a)
-        if layer.adapter.layer.kind == "linear":
+        if cols is None:
             g_w = d.T @ h_in
-            d = d @ w_eff
+            if i:
+                d = d @ w_eff
         else:
-            g_w = _conv_weight_grad(d, h_in, layer.adapter.layer.kernel)
-            d = _conv_input_grad(d, w_eff)
-        grads[i] = adapter_grads(layer.adapter, layer.adapter.scale.gamma * g_w)
+            g_w = tensor_core._conv2d_weight_grad(d, cols, layer.adapter.layer.kernel)
+            if i:
+                d = tensor_core._conv2d_input_grad(w_eff, d)
+        grads[i] = layer.adapter._vjp(layer.adapter.scale.gamma * g_w)
     return loss, grads
 
 
@@ -425,8 +411,11 @@ def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int,
             layer.adapter = _reinit(layer.adapter, child)
     opt = _OPTIMIZER_TYPES[optimizer.kind](optimizer, len(work.layers))
     trace = TrainTrace()
+    xm, ym = as_tensor(x), as_tensor(y)
+    # the deltas recorded after each update are the next step's forward deltas
+    deltas = [adapters.reconstruct(layer.adapter) for layer in work.layers]
     for step_index in range(1, steps + 1):
-        loss, grads = loss_and_grads(work, x, y)
+        loss, grads = _loss_and_grads(work, xm, ym, deltas)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at step {step_index}")
         opt.begin_step()
@@ -434,8 +423,9 @@ def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int,
             new = {role: opt.update(li, role, p, grads[li][role])
                    for role, p in layer.adapter.tensors().items()}
             layer.adapter = adapters.with_tensors(layer.adapter, new)
+        deltas = [adapters.reconstruct(layer.adapter) for layer in work.layers]
         trace.losses.append(loss)
-        trace.deltas.append([adapters.reconstruct(l.adapter) for l in work.layers])
+        trace.deltas.append(deltas)
     return trace
 
 

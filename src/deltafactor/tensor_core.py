@@ -1,12 +1,15 @@
-"""Dense tensor primitives: n-mode products, convolution, decompositions.
+"""Dense tensor primitives: convolution and its adjoints, decompositions.
 
 Row-major (C) memory order is the convention for every vectorization,
-unrolling, and regrouping operation in this package. All functions accept
-array-likes, validate them to contiguous float64 (complex128 when the input
-is complex), and return numpy arrays; inputs are never mutated. Complex
-input exists for complex-step differentiation of real-analytic paths
-(products, Tucker contractions, convolutions); operations that are defined
-for real input only refuse it with ComplexInputError.
+unrolling, and regrouping operation in this package. The public functions
+accept array-likes, validate them to contiguous float64 (complex128 when
+the input is complex), and return numpy arrays; inputs are never mutated.
+Complex input exists for complex-step differentiation of real-analytic
+paths (products, Tucker contractions, convolutions); operations that are
+defined for real input only refuse it with ComplexInputError.
+
+There is one convolution kernel, _conv2d, on arrays its caller has checked;
+its two adjoints reuse its im2col columns, and conv2d is its checked entry.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "SYM_EIG_MAX_SIZE",
     "as_tensor",
     "as_real_tensor",
-    "nmode_product",
     "unroll_conv",
     "conv2d",
     "svd",
@@ -70,29 +72,6 @@ def _require_rank(arr: np.ndarray, rank: int, name: str) -> None:
         raise ShapeError(f"{name} must have rank {rank}, got shape {arr.shape}")
 
 
-def nmode_product(t, m, mode: int) -> np.ndarray:
-    """Contract mode `mode` of tensor `t` with the rows of matrix `m`.
-
-    With t of shape (..., i_n, ...) and m of shape (i_n, j_n), the result
-    replaces extent i_n by j_n at the same axis position:
-
-        out[..., j, ...] = sum_i t[..., i, ...] * m[i, j]
-
-    Modes are 0-based. For a matrix t, nmode_product(t, m, 0) == m.T @ t.
-    """
-    td, md = as_tensor(t), as_tensor(m)
-    _require_rank(md, 2, "mode factor")
-    if not 0 <= mode < td.ndim:
-        raise ShapeError(f"mode {mode} out of range for tensor of rank {td.ndim}")
-    if td.shape[mode] != md.shape[0]:
-        raise ShapeError(
-            f"mode-{mode} extent {td.shape[mode]} does not match factor rows {md.shape}"
-        )
-    contracted = np.tensordot(td, md, axes=([mode], [0]))
-    # tensordot appends the new axis last; restore it to the contracted position
-    return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
-
-
 def unroll_conv(kernel) -> np.ndarray:
     """Flatten a conv kernel stack (out, in, k, k) to a matrix (out, in*k*k).
 
@@ -107,17 +86,38 @@ def unroll_conv(kernel) -> np.ndarray:
     return km.reshape(out_c, -1)
 
 
-def _im2col(image: np.ndarray, k: int) -> np.ndarray:
-    """Columns (in*k*k, n*h*w) of every k x k window of an image or batch.
+def _conv2d(kernel: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conv2d on arrays the caller has checked; returns (y, cols).
 
-    Rows run row-major over (in, k, k), as unroll_conv lays out a kernel, so
-    unroll_conv(kernel) @ columns is the convolution; columns run over
-    (n, h, w) with h = H-k+1, w = W-k+1 (n = 1 for an (in, H, W) image).
+    cols (in*k*k, n*h*w) are the im2col columns of every k x k window (n = 1
+    for one (in, H, W) image): rows run row-major over (in, k, k), as
+    unroll_conv lays out a kernel, and columns over (n, h, w).
     """
+    out_c, k = kernel.shape[0], kernel.shape[2]
     windows = sliding_window_view(image, (k, k), axis=(-2, -1))
     axes = (0, 3, 4, 1, 2) if image.ndim == 3 else (1, 4, 5, 0, 2, 3)
-    rows = image.shape[-3] * k * k
-    return windows.transpose(axes).reshape(rows, windows.size // rows)
+    cols = windows.transpose(axes).reshape(kernel[0].size, -1)
+    y = kernel.reshape(out_c, -1) @ cols
+    h, w = windows.shape[-4:-2]
+    if image.ndim == 3:
+        return y.reshape(out_c, h, w), cols
+    return y.reshape(out_c, image.shape[0], h, w).swapaxes(0, 1), cols
+
+
+def _conv2d_weight_grad(dy: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """dL/dkernel of _conv2d from dy = dL/dy and the forward's columns: one GEMM."""
+    out_c = dy.shape[-3]
+    dy_rows = dy.reshape(out_c, -1) if dy.ndim == 3 else dy.swapaxes(0, 1).reshape(out_c, -1)
+    return (dy_rows @ cols.T).reshape(out_c, -1, k, k)
+
+
+def _conv2d_input_grad(kernel: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """dL/dimage of _conv2d: the flipped, channel-swapped kernel over dy padded by k-1."""
+    p = kernel.shape[2] - 1
+    h, w = dy.shape[-2:]
+    padded = np.zeros((*dy.shape[:-2], h + 2 * p, w + 2 * p), dtype=np.result_type(kernel, dy))
+    padded[..., p:p + h, p:p + w] = dy
+    return _conv2d(kernel[:, :, ::-1, ::-1].swapaxes(0, 1), padded)[0]
 
 
 def conv2d(kernel, image) -> np.ndarray:
@@ -139,14 +139,9 @@ def conv2d(kernel, image) -> np.ndarray:
         raise ShapeError(
             f"kernel input channels {km.shape} do not match image channels {xm.shape}"
         )
-    h, w = xm.shape[-2] - k + 1, xm.shape[-1] - k + 1
-    if h < 1 or w < 1:
+    if xm.shape[-2] < k or xm.shape[-1] < k:
         raise ShapeError(f"image {xm.shape} smaller than kernel window {k}x{k}")
-    out_c = km.shape[0]
-    y = km.reshape(out_c, -1) @ _im2col(xm, k)
-    if xm.ndim == 3:
-        return y.reshape(out_c, h, w)
-    return y.reshape(out_c, xm.shape[0], h, w).swapaxes(0, 1)
+    return _conv2d(km, xm)[0]
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -188,9 +188,121 @@ class TestReconstruct:
     def test_conv_tucker_path(self):
         adapter = ad.random_adapter("lora", CONV_SMALL, 3, alpha=3.0,
                                     tucker=True, seed=9)
-        want = tc.nmode_product(tc.nmode_product(adapter.core, adapter.up.T, 0),
-                                adapter.down, 1)
-        np.testing.assert_array_equal(ad.reconstruct(adapter), want)
+        factors = (adapter.core, adapter.up, adapter.down)
+        want = np.einsum("stab,os,ti->oiab", *factors)
+        # 16 float64 unit roundoffs of the same sum over magnitudes
+        magnitude = np.einsum("stab,os,ti->oiab", *map(np.abs, factors))
+        assert np.all(np.abs(ad.reconstruct(adapter) - want) <= 16 * 2.0 ** -53 * magnitude)
+
+    # B[o, i, a, b] = sum_{s,t} core[s, t, a, b] up[o, s] down[t, i] as core's
+    # mode 0 taken against up, then mode 1 against down (the n-mode products
+    # the Tucker delta was built from). Equal bit for bit while the matmul
+    # runs as a GEMM, that is with in >= 2 and k >= 2.
+    @pytest.mark.parametrize("algorithm,layer,dim,factor", [
+        ("lora", CONV_SMALL, 3, -1),
+        ("lora", ad.LayerShape("conv2d", 320, 320, 3), 8, -1),
+        ("lora", ad.LayerShape("conv2d", 8, 4, 5), 2, -1),
+        ("loha", CONV_SMALL, 3, -1),
+        ("lokr", CONV_SMALL, 2, 2),
+    ])
+    def test_tucker_dense_equals_nested_nmode(self, algorithm, layer, dim, factor):
+        def nmode(t, m, mode):
+            contracted = np.tensordot(t, m, axes=([mode], [0]))
+            return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
+
+        adapter = ad.random_adapter(algorithm, layer, dim, alpha=1.0, factor=factor,
+                                    tucker=True, seed=10)
+        for block in adapter._blocks:
+            want = nmode(nmode(block.core, block.up.T, 0), block.down, 1)
+            assert np.array_equal(block.dense(), want)
+
+
+# the einsum forms the Tucker block and lokr gradients were written in
+TUCKER_VJP = {"up": ("oiab,stab,ti->os", "core", "down"),
+              "down": ("oiab,stab,os->ti", "core", "up"),
+              "core": ("oiab,os,ti->stab", "up", "down")}
+
+
+def block_vjp_oracle(block, g, f):
+    """Gradients of a factor block's tensors, every operand passed through f."""
+    if block.w2 is not None:
+        return {"w2": f(g)}
+    if block.core is not None:
+        return {role: np.einsum(spec, f(g), f(getattr(block, a)), f(getattr(block, b)))
+                for role, (spec, a, b) in TUCKER_VJP.items()}
+    g2 = f(g).reshape(g.shape[0], -1)
+    d2 = f(block.down).reshape(block.down.shape[0], -1)
+    return {"up": g2 @ d2.T, "down": (f(block.up).T @ g2).reshape(block.down.shape)}
+
+
+def lokr_vjp_oracle(adapter, g, f):
+    # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]
+    u_p, v_p, u_q, v_q = adapter.block_dims
+    ab = "ab" if adapter.layer.kind == "conv2d" else ""
+    g_blocks = f(g).reshape(u_p, v_p, u_q, v_q, *g.shape[2:])
+    right = adapter._blocks[0]
+    out = block_vjp_oracle(right, np.einsum(f"ipjq{ab},ij->pq{ab}", g_blocks, f(adapter.c)), f)
+    out["c"] = np.einsum(f"ipjq{ab},pq{ab}->ij", g_blocks, f(right.dense()))
+    return out
+
+
+class TestGradientOracles:
+    """Tucker block and lokr gradients against their einsum forms.
+
+    Each gradient entry is a sum of products; it may differ from the oracle
+    by ROUNDING_UNITS float64 unit roundoffs of the same sum taken over
+    magnitudes (the oracle with |.| on every operand). Measured worst: 5.9
+    (Tucker, 32 x 16 channels, r = 8), 2.6 (lokr), over 20 seeds, real and
+    complex g.
+    """
+
+    UNIT = 2.0 ** -53
+    ROUNDING_UNITS = 16
+
+    def check(self, got, want, magnitude):
+        assert set(got) == set(want)
+        for role in want:
+            assert got[role].shape == want[role].shape, role
+            assert np.all(np.abs(got[role] - want[role])
+                          <= self.ROUNDING_UNITS * self.UNIT * magnitude[role]), role
+
+    @staticmethod
+    def draw_g(layer, seed, complex_):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(layer.delta_shape)
+        return g + 1j * rng.standard_normal(layer.delta_shape) if complex_ else g
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("algorithm,layer,dim,factor", [
+        ("lora", CONV_SMALL, 3, -1),
+        ("lora", ad.LayerShape("conv2d", 32, 16, 3), 8, -1),
+        ("loha", CONV_SMALL, 3, -1),
+        ("lokr", CONV_SMALL, 2, 2),
+    ])
+    def test_tucker_block(self, algorithm, layer, dim, factor, complex_):
+        adapter = ad.random_adapter(algorithm, layer, dim, alpha=1.0, factor=factor,
+                                    tucker=True, seed=12)
+        for i, block in enumerate(adapter._blocks):
+            g = self.draw_g(block.geometry, 13 + i, complex_)
+            self.check(block.vjp(g), block_vjp_oracle(block, g, lambda a: a),
+                       block_vjp_oracle(block, g, np.abs))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("layer,dim,factor,tucker,whole", [
+        (LINEAR_64, 8, 8, False, True),
+        (LINEAR_RECT, 2, 4, False, False),
+        (CONV_SMALL, 12, 2, False, True),
+        (CONV_SMALL, 2, 2, False, False),
+        (CONV_SMALL, 2, 2, True, False),
+        (ad.LayerShape("conv2d", 16, 16, 3), 2, 4, True, False),
+    ])
+    def test_lokr(self, layer, dim, factor, tucker, whole, complex_):
+        adapter = ad.random_adapter("lokr", layer, dim, alpha=1.0, factor=factor,
+                                    tucker=tucker, seed=14)
+        assert (adapter.w2 is not None) == whole
+        g = self.draw_g(layer, 15, complex_)
+        self.check(oh.adapter_grads(adapter, g), lokr_vjp_oracle(adapter, g, lambda a: a),
+                   lokr_vjp_oracle(adapter, g, np.abs))
 
 
 class TestScaleEquivalence:

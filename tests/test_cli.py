@@ -355,6 +355,13 @@ class TestMetricsCommands:
         assert code == 1
         assert "ungrouped" in stderr
 
+    def test_vendi_invalid_utf8_exits_with_line(self, tmp_path, capsys):
+        feats = write_vectors(tmp_path, "f", [[1.0, 0.0], [0.0, 1.0]])
+        feats.write_bytes(feats.read_bytes().replace(b'"f1"', b'"f\xff"'))
+        code, _, stderr = run(capsys, "metrics", "vendi", "--features", str(feats))
+        assert code == 1
+        assert "f.jsonl: line 2: invalid UTF-8" in stderr
+
     def test_style(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         fm = rng.standard_normal((2, 3, 3))

@@ -91,6 +91,13 @@ class TestLoadFeatureErrors:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps({"id": "a", "class": "c", "vector": [1.0]}).encode()
+                         + b'\n{"id": "b\xff", "class": "c", "vector": [1.0]}\n')
+        with pytest.raises(ft.FeatureFileError, match="bad.jsonl: line 2: invalid UTF-8"):
+            ft.load_features(path)
+
     def test_invalid_json_names_line(self, tmp_path):
         path = self.write_lines(
             tmp_path,
@@ -313,6 +320,13 @@ class TestScoreTables:
         path.write_text(",".join(ft.SCORE_COLUMNS) + "\nck,anime,cls\n",
                         encoding="utf-8")
         with pytest.raises(ft.FeatureFileError, match="line 2: expected 8"):
+            ft.load_scores(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(",".join(ft.SCORE_COLUMNS).encode()
+                         + b"\nck,anime,cls\xff,,plain,vendi,0.5,true\n")
+        with pytest.raises(ft.FeatureFileError, match="s.csv: line 2: invalid UTF-8"):
             ft.load_scores(path)
 
     def test_bad_value(self, tmp_path):

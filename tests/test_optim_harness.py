@@ -181,6 +181,32 @@ class TestTrain:
             for a, b in zip(d1, d2):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("optimizer", oh.OPTIMIZERS)
+    @pytest.mark.parametrize("name", sorted(oh.HARNESS_ALGORITHMS))
+    def test_matches_public_step_loop(self, name, optimizer):
+        # train carries each step's recorded deltas into the next forward;
+        # a loop that rebuilds everything through the public functions on
+        # every step must give the same trace bit for bit
+        spec = oh.HARNESS_ALGORITHMS[name]
+        model = oh.build_toy_model(name, seed=13, ratio=4.0)
+        data = oh.toy_dataset(spec.conv, seed=13)
+        cfg = oh.OptimizerConfig(optimizer, oh.BASE_LR[optimizer])
+        steps = 4
+        trace = oh.train(model, cfg, data, steps)
+        opt = oh._OPTIMIZER_TYPES[optimizer](cfg, len(model.layers))
+        work = [layer.adapter for layer in model.layers]
+        for step in range(steps):
+            current = oh.ToyModel([oh.ToyLayer(l.base_weight, l.base_bias, a, l.activation)
+                                   for l, a in zip(model.layers, work)])
+            loss, grads = oh.loss_and_grads(current, *data)
+            opt.begin_step()
+            work = [adapters.with_tensors(a, {role: opt.update(li, role, p, grads[li][role])
+                                              for role, p in a.tensors().items()})
+                    for li, a in enumerate(work)]
+            assert trace.losses[step] == loss
+            for got, adapter in zip(trace.deltas[step], work):
+                assert np.array_equal(got, adapters.reconstruct(adapter))
+
     def test_input_model_not_mutated(self):
         model = oh.build_toy_model("lora", seed=9)
         before = [l.adapter.tensors() for l in model.layers]

@@ -22,6 +22,38 @@ def conv_oracle(kernel, image):
     return out
 
 
+def conv_weight_grad_oracle(dy, image, k):
+    # dK[o, c, a, b] = sum_{i, j} dy[o, i, j] * image[c, i + a, j + b]
+    out_c, h, w = dy.shape
+    in_c = image.shape[0]
+    out = np.zeros((out_c, in_c, k, k), dtype=np.result_type(dy, image))
+    for o in range(out_c):
+        for c in range(in_c):
+            for a in range(k):
+                for b in range(k):
+                    acc = 0.0
+                    for i in range(h):
+                        for j in range(w):
+                            acc += dy[o, i, j] * image[c, i + a, j + b]
+                    out[o, c, a, b] = acc
+    return out
+
+
+def conv_input_grad_oracle(kernel, dy):
+    # image[c, i + a, j + b] meets kernel[o, c, a, b] in output [o, i, j]
+    out_c, in_c, k, _ = kernel.shape
+    _, h, w = dy.shape
+    out = np.zeros((in_c, h + k - 1, w + k - 1), dtype=np.result_type(kernel, dy))
+    for o in range(out_c):
+        for i in range(h):
+            for j in range(w):
+                for c in range(in_c):
+                    for a in range(k):
+                        for b in range(k):
+                            out[c, i + a, j + b] += kernel[o, c, a, b] * dy[o, i, j]
+    return out
+
+
 class TestAsTensor:
     def test_coerces_lists(self):
         arr = tc.as_tensor([[1, 2], [3, 4]])
@@ -79,39 +111,6 @@ class TestKronecker:
         ra = tc.numerical_rank(a)
         rb = tc.numerical_rank(b)
         assert tc.numerical_rank(np.kron(a, b)) == ra * rb
-
-
-class TestNmodeProduct:
-    def test_identity_factor(self):
-        t = np.arange(24, dtype=float).reshape(2, 3, 4)
-        for mode, n in enumerate(t.shape):
-            np.testing.assert_array_equal(tc.nmode_product(t, np.eye(n), mode), t)
-
-    def test_matrix_mode0_is_left_transpose_product(self):
-        rng = np.random.default_rng(3)
-        t = rng.standard_normal((3, 5))
-        m = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(tc.nmode_product(t, m, 0), m.T @ t, atol=1e-14)
-
-    def test_explicit_sum(self):
-        rng = np.random.default_rng(4)
-        t = rng.standard_normal((2, 3, 4))
-        m = rng.standard_normal((3, 5))
-        out = tc.nmode_product(t, m, 1)
-        assert out.shape == (2, 5, 4)
-        for a in range(2):
-            for j in range(5):
-                for b in range(4):
-                    want = sum(t[a, i, b] * m[i, j] for i in range(3))
-                    assert abs(out[a, j, b] - want) < 1e-12
-
-    def test_mode_out_of_range(self):
-        with pytest.raises(tc.ShapeError, match="mode 2"):
-            tc.nmode_product(np.ones((2, 2)), np.eye(2), 2)
-
-    def test_extent_mismatch(self):
-        with pytest.raises(tc.ShapeError, match="mode-0"):
-            tc.nmode_product(np.ones((2, 3)), np.ones((3, 3)), 0)
 
 
 class TestUnrollConv:
@@ -187,6 +186,71 @@ class TestConv2d:
     def test_image_smaller_than_window(self):
         with pytest.raises(tc.ShapeError, match="smaller"):
             tc.conv2d(np.ones((1, 1, 3, 3)), np.ones((1, 2, 2)))
+
+
+class TestConvAdjoints:
+    """The kernel and image gradients of the im2col conv kernel."""
+
+    # float64 unit roundoff; the three inner products below are one triple
+    # sum sum K x dy taken in three association orders, so each differs from
+    # the exact value by at most a few rounding units of the same sum taken
+    # over magnitudes, S = <conv(|K|, |x|), |dy|> (measured worst 1.14 over
+    # 200 random shapes, real and complex, single and batched)
+    UNIT = 2.0 ** -53
+    ROUNDING_UNITS = 8
+
+    @staticmethod
+    def draw(rng, shape, complex_):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
+    @pytest.mark.parametrize("out_c,in_c,k,h,w", [(2, 3, 3, 5, 6), (1, 1, 1, 2, 2), (4, 2, 2, 4, 4),
+                                                  (3, 5, 3, 3, 3)])
+    def test_inner_products_agree(self, complex_, batch, out_c, in_c, k, h, w):
+        rng = np.random.default_rng([out_c, in_c, k, h, w, int(complex_), batch or 0])
+        kernel = self.draw(rng, (out_c, in_c, k, k), complex_)
+        image = self.draw(rng, (in_c, h, w) if batch is None else (batch, in_c, h, w), complex_)
+        y, cols = tc._conv2d(kernel, image)
+        dy = self.draw(rng, y.shape, complex_)
+        grad_k = tc._conv2d_weight_grad(dy, cols, k)
+        grad_x = tc._conv2d_input_grad(kernel, dy)
+        assert grad_k.shape == kernel.shape and grad_x.shape == image.shape
+        forward = np.sum(y * dy)
+        magnitude = float(np.sum(tc._conv2d(np.abs(kernel), np.abs(image))[0] * np.abs(dy)))
+        bound = self.ROUNDING_UNITS * self.UNIT * magnitude
+        assert abs(np.sum(kernel * grad_k) - forward) <= bound
+        assert abs(np.sum(image * grad_x) - forward) <= bound
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_against_naive_oracles(self, complex_):
+        rng = np.random.default_rng(9)
+        for out_c, in_c, k, h, w in ((2, 3, 3, 5, 6), (1, 1, 1, 2, 2), (4, 2, 2, 4, 4)):
+            kernel = self.draw(rng, (out_c, in_c, k, k), complex_)
+            image = self.draw(rng, (in_c, h, w), complex_)
+            y, cols = tc._conv2d(kernel, image)
+            dy = self.draw(rng, y.shape, complex_)
+            np.testing.assert_allclose(tc._conv2d_weight_grad(dy, cols, k),
+                                       conv_weight_grad_oracle(dy, image, k),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(tc._conv2d_input_grad(kernel, dy),
+                                       conv_input_grad_oracle(kernel, dy),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_batch_against_naive_oracles(self):
+        rng = np.random.default_rng(10)
+        kernel = rng.standard_normal((3, 2, 2, 2))
+        images = rng.standard_normal((4, 2, 5, 6))
+        y, cols = tc._conv2d(kernel, images)
+        dy = rng.standard_normal(y.shape)
+        grad_k = tc._conv2d_weight_grad(dy, cols, 2)
+        grad_x = tc._conv2d_input_grad(kernel, dy)
+        np.testing.assert_allclose(grad_k, sum(conv_weight_grad_oracle(dy[n], images[n], 2)
+                                               for n in range(4)), rtol=1e-12, atol=1e-12)
+        for n in range(4):
+            np.testing.assert_allclose(grad_x[n], conv_input_grad_oracle(kernel, dy[n]),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestSvd:
