@@ -33,7 +33,6 @@ from .adapters import (
     reconstruct,
     scale_factors,
     svd_fit_lora,
-    with_tensors,
 )
 from .tensor_core import NumericalError, ShapeError
 from .weightfile import (
@@ -77,7 +76,6 @@ __all__ = [
     "reconstruct",
     "scale_factors",
     "svd_fit_lora",
-    "with_tensors",
     "BadMagicError",
     "MalformedHeaderError",
     "OffsetOverlapError",

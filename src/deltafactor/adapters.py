@@ -81,8 +81,8 @@ class MergeScale:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
 
@@ -103,8 +103,8 @@ class LayerShape:
     def __post_init__(self):
         if self.kind not in ("linear", "conv2d"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.out_dim < 1 or self.in_dim < 1 or self.kernel < 1:
-            raise ValueError(f"layer extents must be positive: {self}")
+        if any(isinstance(d, bool) or d < 1 for d in (self.out_dim, self.in_dim, self.kernel)):
+            raise ValueError(f"layer extents must be positive integers: {self}")
         if self.kind == "linear" and self.kernel != 1:
             raise ValueError("linear layers have no kernel extent")
 
@@ -282,9 +282,6 @@ class LoraAdapter:
     def _rank_bound(self) -> int:
         return self._blocks[0].rank_bound()
 
-    def _form(self) -> tuple[str, int, bool]:
-        return "lora", -1, self.core is not None
-
     @classmethod
     def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LoraAdapter:
         # zero_init zeroes up after drawing it, so the later draws do not move
@@ -351,9 +348,6 @@ class LohaAdapter:
     def _rank_bound(self) -> int:
         b1, b2 = self._blocks
         return min(b1.rank_bound() * b2.rank_bound(), self.layer.out_dim, self.layer.unrolled_in)
-
-    def _form(self) -> tuple[str, int, bool]:
-        return "loha", -1, self.core1 is not None
 
     @classmethod
     def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LohaAdapter:
@@ -436,9 +430,6 @@ class LokrAdapter:
         u_p, _, u_q, _ = self.block_dims
         return min(min(u_p, u_q) * self._blocks[0].rank_bound(),
                    self.layer.out_dim, self.layer.unrolled_in)
-
-    def _form(self) -> tuple[str, int, bool]:
-        return "lokr", self.factor, self.core is not None
 
     @classmethod
     def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LokrAdapter:
@@ -635,11 +626,6 @@ def scale_factors(adapter: Adapter, c: float) -> Adapter:
     if not math.isfinite(c):
         raise ValueError(f"scale must be finite, got {c}")
     return replace(adapter, **{name: c * value for name, value in adapter.tensors().items()})
-
-
-def with_tensors(adapter: Adapter, tensors: dict[str, np.ndarray]) -> Adapter:
-    """Copy of the adapter with the named factor tensors replaced."""
-    return replace(adapter, **tensors)
 
 
 def svd_fit_lora(delta, dim: int) -> LoraAdapter:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -41,6 +42,8 @@ from .features import (
     write_scores,
 )
 from .weightfile import load_dense, load_weights, save_dense, save_weights
+
+__all__ = ["build_parser", "cli_dispatch", "main"]
 
 MERGE_RATIO_TOL = 1e-8
 HOMOGENEITY_TOL = 1e-12
@@ -190,13 +193,16 @@ def _verify_names(args) -> list[str]:
 
 
 def _cmd_verify_merge_ratio(args) -> int:
-    deviation = optim_harness.verify_merge_ratio(
-        args.algo, args.scale, optimizer=args.opt, steps=args.steps,
-        seed=args.seed, eps=args.eps, weight_decay=args.weight_decay)
-    verdict = "PASS" if deviation < MERGE_RATIO_TOL else "FAIL"
-    print(f"max deviation: {deviation!r}")
-    print(f"{verdict} (tolerance {MERGE_RATIO_TOL!r})")
-    return 0 if verdict == "PASS" else 1
+    worst_fail = False
+    for name, opt, scale in itertools.product(_verify_names(args), args.opt, args.scale):
+        deviation = optim_harness.verify_merge_ratio(
+            name, scale, optimizer=opt, steps=args.steps, seed=args.seed,
+            eps=args.eps, weight_decay=args.weight_decay)
+        verdict = "PASS" if deviation < MERGE_RATIO_TOL else "FAIL"
+        worst_fail |= verdict == "FAIL"
+        print(f"{name} {opt} ratio {scale!r}: max deviation: {deviation!r} {verdict}")
+    print(f"{'FAIL' if worst_fail else 'PASS'} (tolerance {MERGE_RATIO_TOL!r})")
+    return 1 if worst_fail else 0
 
 
 def _cmd_verify_homogeneity(args) -> int:
@@ -387,10 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify_sub.add_parser(
         "merge-ratio",
-        help="training at merge ratio s must equal a rescaled ratio-1 run")
-    p.add_argument("--algo", required=True, choices=harness_names)
-    p.add_argument("--scale", type=float, default=4.0)
-    p.add_argument("--opt", choices=optim_harness.OPTIMIZERS, default="sgd")
+        help="training at merge ratio s must equal a rescaled ratio-1 run, "
+             "for every form, optimizer and ratio given")
+    p.add_argument("--algo", choices=harness_names, default=None)
+    p.add_argument("--scale", type=float, nargs="+", default=[4.0])
+    p.add_argument("--opt", choices=optim_harness.OPTIMIZERS, nargs="+", default=["sgd"])
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.0,

@@ -31,7 +31,6 @@ __all__ = [
     "grouped_vendi",
     "gram_matrix",
     "style_loss",
-    "avg_style_loss",
     "diversity_ratio",
     "subsample",
     "rank_normalize",
@@ -192,14 +191,6 @@ def style_loss(maps_a, maps_b) -> float:
         diff = ga - gb
         total += float(np.sum(diff * diff))
     return total
-
-
-def avg_style_loss(pairs) -> float:
-    """Mean style_loss over an iterable of (maps_a, maps_b) pairs."""
-    losses = [style_loss(a, b) for a, b in pairs]
-    if not losses:
-        raise ValueError("avg_style_loss requires at least one pair")
-    return float(np.mean(losses))
 
 
 def subsample(vectors, limit: int, seed=0) -> np.ndarray:

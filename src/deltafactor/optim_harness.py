@@ -5,11 +5,12 @@ layer linear) are trained on fixed data with only the adapter factors as
 trainable parameters. Everything is written out explicitly: forward pass,
 backprop to each layer's delta and on, through the adapter family's own
 vector-Jacobian product, to every factor tensor (Tucker cores included),
-and the three optimizers. This module backs the merge-ratio equivalence
-check, the homogeneity check, and complex-step gradient verification. The
-forward path and the loss carry float64 or complex128 alike: a factor
-given an imaginary perturbation yields a complex loss whose imaginary part
-holds the derivative.
+and the three optimizers (Adam with fixed betas). Its three checks back
+the CLI's `verify merge-ratio`, `verify homogeneity` and `verify
+gradients`, which loop over the forms in HARNESS_ALGORITHMS. The forward
+path and the loss carry float64 or complex128 alike: a factor given an
+imaginary perturbation yields a complex loss whose imaginary part holds
+the derivative.
 
 Conv layers run on tensor_core's im2col kernel and its two adjoints. A
 training step builds each delta once and reuses it in the next forward.
@@ -38,13 +39,13 @@ __all__ = [
     "model_forward",
     "model_loss",
     "loss_and_grads",
-    "adapter_grads",
     "homogeneity_degree",
     "train",
     "homogeneity_check",
     "verify_merge_ratio",
     "gradient_check",
     "build_toy_model",
+    "toy_geometry",
     "toy_dataset",
 ]
 
@@ -54,6 +55,8 @@ OPTIMIZERS = ("sgd", "adam", "adagrad")
 C_EXPONENT = {"sgd": 2, "adam": 1, "adagrad": 1}
 
 BASE_LR = {"sgd": 0.01, "adam": 0.02, "adagrad": 0.02}
+
+ADAM_BETAS = (0.9, 0.999)
 
 # initial reconstructed-delta RMS in toy models; keeps large merge ratios in
 # the stable regime without freezing the factors
@@ -91,35 +94,20 @@ HARNESS_ALGORITHMS = {
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Optimizer kind plus hyperparameters; learning_rate may be per layer."""
+    """Optimizer kind, learning rate, Adam/AdaGrad epsilon and decoupled weight decay."""
 
     kind: str
-    learning_rate: float | tuple[float, ...]
-    beta1: float = 0.9
-    beta2: float = 0.999
+    learning_rate: float
     eps: float = 0.0
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZERS}")
-        rates = self.learning_rate if isinstance(self.learning_rate, tuple) else (self.learning_rate,)
-        for lr in rates:
-            if not math.isfinite(lr) or lr < 0:
-                raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.eps < 0 or self.weight_decay < 0:
             raise ValueError("eps and weight_decay must be non-negative")
-
-    def rate_for(self, layer_index: int, n_layers: int) -> float:
-        if isinstance(self.learning_rate, tuple):
-            if len(self.learning_rate) != n_layers:
-                raise ValueError(
-                    f"{len(self.learning_rate)} learning rates for {n_layers} layers"
-                )
-            return self.learning_rate[layer_index]
-        return self.learning_rate
 
 
 @dataclass
@@ -192,19 +180,6 @@ def model_loss(model: ToyModel, x, target) -> float | complex:
     return mse_loss(model_forward(model, x), target)
 
 
-def adapter_grads(adapter, g) -> dict[str, np.ndarray]:
-    """Factor gradients given g = dL/d(delta), with delta = reconstruct(adapter).
-
-    Complex g gives complex gradients: the products are analytic in g, so
-    nothing is dropped.
-    """
-    gm = np.asarray(g)
-    gm = gm.astype(np.complex128 if gm.dtype.kind == "c" else np.float64, copy=False)
-    if gm.shape != adapter.layer.delta_shape:
-        raise ValueError(f"gradient shape {gm.shape} != delta shape {adapter.layer.delta_shape}")
-    return adapter._vjp(gm)
-
-
 def loss_and_grads(model: ToyModel, x, target):
     """MSE loss and hand-derived gradients of every adapter factor.
 
@@ -251,9 +226,8 @@ def _loss_and_grads(model: ToyModel, x: np.ndarray, target: np.ndarray,
 
 
 class _Optimizer:
-    def __init__(self, cfg: OptimizerConfig, n_layers: int):
+    def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
-        self.n_layers = n_layers
         self.t = 0
 
     def begin_step(self):
@@ -263,7 +237,7 @@ class _Optimizer:
         raise NotImplementedError
 
     def update(self, layer_index: int, role: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-        lr = self.cfg.rate_for(layer_index, self.n_layers)
+        lr = self.cfg.learning_rate
         step = self._direction((layer_index, role), g)
         new = p - lr * step
         if self.cfg.weight_decay:
@@ -284,13 +258,13 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 class _Adam(_Optimizer):
-    def __init__(self, cfg, n_layers):
-        super().__init__(cfg, n_layers)
+    def __init__(self, cfg):
+        super().__init__(cfg)
         self.m: dict = {}
         self.v: dict = {}
 
     def _direction(self, key, g):
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        b1, b2 = ADAM_BETAS
         m = self.m.get(key)
         if m is None:
             m = np.zeros_like(g)
@@ -306,8 +280,8 @@ class _Adam(_Optimizer):
 
 
 class _Adagrad(_Optimizer):
-    def __init__(self, cfg, n_layers):
-        super().__init__(cfg, n_layers)
+    def __init__(self, cfg):
+        super().__init__(cfg)
         self.acc: dict = {}
 
     def _direction(self, key, g):
@@ -328,12 +302,6 @@ def _seed_seq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
-
-
-def _reinit(adapter, seed):
-    algorithm, factor, tucker = adapter._form()
-    return adapters.random_adapter(algorithm, adapter.layer, adapter.scale.dim,
-                                   adapter.scale.alpha, factor, tucker, seed)
 
 
 def toy_geometry(conv: bool) -> list[tuple[LayerShape, bool]]:
@@ -391,25 +359,17 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
     return ToyModel(layers)
 
 
-def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int,
-          seed=None) -> TrainTrace:
+def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int) -> TrainTrace:
     """Full-batch training of the adapter factors; the base stays frozen.
 
-    The input model is not mutated. With `seed` given, every adapter is
-    re-drawn (all factors random) before training. Raises NumericalError if
-    the loss goes non-finite, reporting the step index.
+    The input model is not mutated. Raises NumericalError if the loss goes
+    non-finite, reporting the step index.
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     x, y = dataset
-    layers = [ToyLayer(l.base_weight, l.base_bias, l.adapter, l.activation)
-              for l in model.layers]
-    work = ToyModel(layers)
-    if seed is not None:
-        children = _seed_seq(seed).spawn(len(work.layers))
-        for layer, child in zip(work.layers, children):
-            layer.adapter = _reinit(layer.adapter, child)
-    opt = _OPTIMIZER_TYPES[optimizer.kind](optimizer, len(work.layers))
+    work = ToyModel([replace(layer) for layer in model.layers])
+    opt = _OPTIMIZER_TYPES[optimizer.kind](optimizer)
     trace = TrainTrace()
     xm, ym = as_tensor(x), as_tensor(y)
     # the deltas recorded after each update are the next step's forward deltas
@@ -422,7 +382,7 @@ def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int,
         for li, layer in enumerate(work.layers):
             new = {role: opt.update(li, role, p, grads[li][role])
                    for role, p in layer.adapter.tensors().items()}
-            layer.adapter = adapters.with_tensors(layer.adapter, new)
+            layer.adapter = replace(layer.adapter, **new)
         deltas = [adapters.reconstruct(layer.adapter) for layer in work.layers]
         trace.losses.append(loss)
         trace.deltas.append(deltas)
@@ -434,8 +394,11 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
 
     k is the number of factor tensors (2 for lora and unfactored lokr, 3 for
     factored lokr and Tucker lora, 4 for loha). Exact in real arithmetic, so
-    the deviation is rounding noise.
+    the deviation is rounding noise. Raises ValueError for trials < 1, which
+    would check nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     spec = HARNESS_ALGORITHMS[algorithm]
     shapes = [shape for shape, _ in toy_geometry(spec.conv)]
     worst = 0.0
@@ -461,6 +424,7 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     scaled by s^(1/k) with ratio 1 and learning rate scaled by s^(c/k),
     where c is 2 for SGD and 1 for Adam/AdaGrad (with eps = 0). Returns the
     max over steps and layers of |s * delta_A - delta_B|, elementwise.
+    Nonzero eps or weight_decay breaks the law; they serve as controls.
     """
     if s <= 0:
         raise ValueError(f"merge ratio must be positive, got {s}")
@@ -471,13 +435,10 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     model_a = build_toy_model(algorithm, seed=ss[0], ratio=s)
     k = homogeneity_degree(model_a.layers[0].adapter)
     model_b = ToyModel([
-        ToyLayer(
-            l.base_weight, l.base_bias,
-            adapters.scale_factors(
-                replace(l.adapter, scale=MergeScale(alpha=float(l.adapter.scale.dim),
-                                                    dim=l.adapter.scale.dim)),
-                s ** (1.0 / k)),
-            l.activation)
+        replace(l, adapter=adapters.scale_factors(
+            replace(l.adapter, scale=MergeScale(alpha=float(l.adapter.scale.dim),
+                                                dim=l.adapter.scale.dim)),
+            s ** (1.0 / k)))
         for l in model_a.layers
     ])
     lr = BASE_LR[optimizer]
@@ -519,11 +480,11 @@ def gradient_check(algorithm: str, seed=0, step: float = 1e-30) -> dict[str, flo
             for idx in range(param.size):
                 probe = base.copy()
                 probe.flat[idx] += 1j * step
-                layer.adapter = adapters.with_tensors(layer.adapter, {role: probe})
+                layer.adapter = replace(layer.adapter, **{role: probe})
                 ref = model_loss(model, x, y).imag / step
                 an = float(analytic[idx])
                 denom = max(abs(ref), abs(an), 1e-8)
                 err = max(err, abs(an - ref) / denom)
-            layer.adapter = adapters.with_tensors(layer.adapter, {role: param})
+            layer.adapter = replace(layer.adapter, **{role: param})
             worst[f"layer{li}.{role}"] = err
     return worst

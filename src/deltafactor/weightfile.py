@@ -167,7 +167,8 @@ def _fail(cls, message, position):
 def _require_key(entry: dict, key: str, kinds, where: str):
     if key not in entry:
         _fail(MalformedHeaderError, f"{where} missing key {key!r}", 8)
-    if not isinstance(entry[key], kinds):
+    # JSON true/false load as bool, which Python counts as an int
+    if not isinstance(entry[key], kinds) or isinstance(entry[key], bool):
         _fail(MalformedHeaderError, f"{where} key {key!r} has wrong type", 8)
     return entry[key]
 
@@ -245,7 +246,8 @@ def _parse_container(blob: bytes):
             if role in tensors:
                 _fail(MalformedHeaderError, f"{twhere} repeats role {role!r}", 8)
             tshape = _require_key(tentry, "shape", list, twhere)
-            if not all(isinstance(d, int) and d > 0 for d in tshape):
+            if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0
+                       for d in tshape):
                 _fail(MalformedHeaderError, f"{twhere} has invalid shape {tshape}", 8)
             dtype = _require_key(tentry, "dtype", str, twhere)
             if dtype != "f4":

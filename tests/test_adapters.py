@@ -57,6 +57,16 @@ class TestLayerShape:
         with pytest.raises(ValueError, match="kind"):
             ad.LayerShape("dense", 4, 4)
 
+    @pytest.mark.parametrize("extents", [(True, 4), (4, True), (4, 4, True)])
+    def test_rejects_boolean_extent(self, extents):
+        kind = "linear" if len(extents) == 2 else "conv2d"
+        with pytest.raises(ValueError, match="positive integers"):
+            ad.LayerShape(kind, *extents)
+
+    def test_merge_scale_rejects_boolean_dim(self):
+        with pytest.raises(ValueError, match="dim"):
+            ad.MergeScale(alpha=1.0, dim=True)
+
     def test_rejects_linear_kernel(self):
         with pytest.raises(ValueError, match="kernel"):
             ad.LayerShape("linear", 4, 4, kernel=3)
@@ -301,7 +311,7 @@ class TestGradientOracles:
                                     tucker=tucker, seed=14)
         assert (adapter.w2 is not None) == whole
         g = self.draw_g(layer, 15, complex_)
-        self.check(oh.adapter_grads(adapter, g), lokr_vjp_oracle(adapter, g, lambda a: a),
+        self.check(adapter._vjp(g), lokr_vjp_oracle(adapter, g, lambda a: a),
                    lokr_vjp_oracle(adapter, g, np.abs))
 
 

@@ -234,6 +234,41 @@ class TestVerifyCommands:
         assert code == 1
         assert "FAIL" in stdout
 
+    def test_merge_ratio_one_line_per_case(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "merge-ratio", "--algo", "lokr",
+                              "--opt", "sgd", "adagrad", "--scale", "0.25", "16",
+                              "--steps", "5")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "lokr sgd ratio 0.25", "lokr sgd ratio 16.0",
+            "lokr adagrad ratio 0.25", "lokr adagrad ratio 16.0"]
+        assert all("max deviation: " in line and line.endswith(" PASS")
+                   for line in lines[:-1])
+        assert lines[-1] == "PASS (tolerance 1e-08)"
+
+    def test_merge_ratio_every_form_by_default(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "merge-ratio", "--steps", "2")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert [line.split(" ")[0] for line in lines[:-1]] == [
+            "lora", "loha", "lokr", "lokr-factored", "lora-tucker",
+            "loha-tucker", "lokr-tucker"]
+        assert lines[-1] == "PASS (tolerance 1e-08)"
+
+    def test_merge_ratio_one_failing_case_fails_the_sweep(self, capsys):
+        # at ratio 1 the twin is the run itself, so eps cannot break it
+        code, stdout, _ = run(capsys, "verify", "merge-ratio", "--algo", "lora",
+                              "--opt", "adam", "--scale", "100", "1",
+                              "--eps", "1e-8")
+        assert code == 1
+        lines = stdout.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("lora adam ratio 100.0: max deviation: ")
+        assert lines[0].endswith(" FAIL")
+        assert lines[1] == "lora adam ratio 1.0: max deviation: 0.0 PASS"
+        assert lines[2] == "FAIL (tolerance 1e-08)"
+
     def test_homogeneity_single_algo(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "verify", "homogeneity", "--algo",
                               "loha", "--trials", "5")
@@ -248,6 +283,12 @@ class TestVerifyCommands:
         for name in ("lora", "loha", "lokr", "lokr-factored", "lora-tucker",
                      "loha-tucker", "lokr-tucker"):
             assert f"{name}: " in stdout
+
+    def test_homogeneity_without_trials_is_an_error(self, capsys):
+        code, stdout, stderr = run(capsys, "verify", "homogeneity", "--trials", "0")
+        assert code == 1
+        assert "PASS" not in stdout
+        assert "error: trials must be positive" in stderr
 
     def test_gradients_single_algo(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "verify", "gradients", "--algo", "lora")
@@ -381,6 +422,21 @@ class TestMetricsCommands:
         assert float(rows[1][2]) == pytest.approx(0.0, abs=1e-12)
         assert rows[2][:2] == ["mean", "mean"]
 
+    def test_style_mean_row(self, tmp_path, capsys):
+        # style losses 16 and 0 average to 8
+        two, zero = np.full((1, 1, 1), 2.0), np.zeros((1, 1, 1))
+        recs_a = [ft.FeatureRecord(id=f"a{i}", class_name="c", maps=(("conv1", two),))
+                  for i in range(2)]
+        recs_b = [ft.FeatureRecord(id=f"b{i}", class_name="c", maps=(("conv1", m),))
+                  for i, m in enumerate((zero, two))]
+        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        ft.write_features(recs_a, pa)
+        ft.write_features(recs_b, pb)
+        code, stdout, _ = run(capsys, "metrics", "style", "--a", str(pa), "--b", str(pb))
+        assert code == 0
+        rows = parse_csv(stdout)
+        assert [float(row[2]) for row in rows[1:]] == [16.0, 0.0, 8.0]
+
     def test_style_layer_mismatch(self, tmp_path, capsys):
         rec_a = ft.FeatureRecord(id="a0", class_name="c",
                                  maps=(("conv1", np.ones((1, 1, 1))),))
@@ -494,3 +550,15 @@ class TestExitCodes:
                               str(tmp_path / "x.lwu"))
         assert code == 1
         assert "manifest" in stderr
+
+    def test_boolean_manifest_extent_is_one(self, tmp_path, capsys):
+        # JSON true is a Python int; it must not pass as an extent of 1
+        manifest = write_manifest(tmp_path, [{"name": "a", "kind": "linear",
+                                              "shape": [True, 4]}])
+        code, _, stderr = run(capsys, "adapter", "init", "--algo", "lora",
+                              "--manifest", str(manifest), "--dim", "1",
+                              "--alpha", "1.0", "--out", str(tmp_path / "x.lwu"))
+        assert code == 1
+        assert stderr.startswith("error: ")
+        assert "positive integers" in stderr
+        assert not (tmp_path / "x.lwu").exists()

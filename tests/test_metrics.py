@@ -256,15 +256,6 @@ class TestGramAndStyle:
         with pytest.raises(ValueError, match="layer count"):
             mt.style_loss([np.ones((2, 2, 2))], [])
 
-    def test_avg_style_loss(self):
-        a = [[[2.0]]]
-        b = [[[0.0]]]
-        assert mt.avg_style_loss([([a], [b]), ([a], [a])]) == pytest.approx(8.0)
-
-    def test_avg_style_loss_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            mt.avg_style_loss([])
-
 
 class TestSubsample:
     def test_within_limit_returned_whole(self):

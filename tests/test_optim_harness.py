@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -53,23 +54,9 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="learning rate"):
             oh.OptimizerConfig("sgd", -0.1)
 
-    def test_rejects_bad_betas(self):
-        with pytest.raises(ValueError, match="betas"):
-            oh.OptimizerConfig("adam", 0.1, beta2=1.0)
-
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError, match="non-negative"):
             oh.OptimizerConfig("adam", 0.1, eps=-1e-8)
-
-    def test_per_layer_rates(self):
-        cfg = oh.OptimizerConfig("sgd", (0.1, 0.2))
-        assert cfg.rate_for(0, 2) == 0.1
-        assert cfg.rate_for(1, 2) == 0.2
-
-    def test_per_layer_rate_count_enforced(self):
-        cfg = oh.OptimizerConfig("sgd", (0.1, 0.2))
-        with pytest.raises(ValueError, match="learning rates"):
-            cfg.rate_for(0, 3)
 
 
 class TestForwardAndGrads:
@@ -130,9 +117,9 @@ class TestForwardAndGrads:
             gr, gi = rng.standard_normal(shape), rng.standard_normal(shape)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = oh.adapter_grads(layer.adapter, gr + 1j * gi)
-            real = oh.adapter_grads(layer.adapter, gr)
-            imag = oh.adapter_grads(layer.adapter, gi)
+                got = layer.adapter._vjp(gr + 1j * gi)
+            real = layer.adapter._vjp(gr)
+            imag = layer.adapter._vjp(gi)
             assert set(got) == set(layer.adapter.tensors())
             for role, value in got.items():
                 want = real[role] + 1j * imag[role]
@@ -160,9 +147,21 @@ class TestTrain:
         for li, layer in enumerate(model.layers):
             stepped = {role: p - lr * grads[li][role]
                        for role, p in layer.adapter.tensors().items()}
-            want = adapters.reconstruct(
-                adapters.with_tensors(layer.adapter, stepped))
+            want = adapters.reconstruct(dataclasses.replace(layer.adapter, **stepped))
             np.testing.assert_array_equal(trace.deltas[0][li], want)
+
+    def test_single_sgd_step_with_weight_decay(self):
+        # decoupled decay: p - lr * g - lr * wd * p, bit for bit
+        model = oh.build_toy_model("lora", seed=6)
+        data = oh.toy_dataset(conv=False, seed=6)
+        lr, wd = 0.05, 0.01
+        trace = oh.train(model, oh.OptimizerConfig("sgd", lr, weight_decay=wd), data, steps=1)
+        _, grads = oh.loss_and_grads(model, *data)
+        for li, layer in enumerate(model.layers):
+            stepped = {role: p - lr * grads[li][role] - lr * wd * p
+                       for role, p in layer.adapter.tensors().items()}
+            want = adapters.reconstruct(dataclasses.replace(layer.adapter, **stepped))
+            assert np.array_equal(trace.deltas[0][li], want)
 
     def test_training_reduces_loss(self):
         model = oh.build_toy_model("lora", seed=7)
@@ -171,11 +170,10 @@ class TestTrain:
         assert trace.losses[-1] < trace.losses[0]
 
     def test_same_seed_identical_traces(self):
-        model = oh.build_toy_model("loha", seed=8)
         data = oh.toy_dataset(conv=False, seed=8)
         cfg = oh.OptimizerConfig("adagrad", 0.02)
-        t1 = oh.train(model, cfg, data, steps=5, seed=11)
-        t2 = oh.train(model, cfg, data, steps=5, seed=11)
+        t1 = oh.train(oh.build_toy_model("loha", seed=11), cfg, data, steps=5)
+        t2 = oh.train(oh.build_toy_model("loha", seed=11), cfg, data, steps=5)
         assert t1.losses == t2.losses
         for d1, d2 in zip(t1.deltas, t2.deltas):
             for a, b in zip(d1, d2):
@@ -193,14 +191,14 @@ class TestTrain:
         cfg = oh.OptimizerConfig(optimizer, oh.BASE_LR[optimizer])
         steps = 4
         trace = oh.train(model, cfg, data, steps)
-        opt = oh._OPTIMIZER_TYPES[optimizer](cfg, len(model.layers))
+        opt = oh._OPTIMIZER_TYPES[optimizer](cfg)
         work = [layer.adapter for layer in model.layers]
         for step in range(steps):
             current = oh.ToyModel([oh.ToyLayer(l.base_weight, l.base_bias, a, l.activation)
                                    for l, a in zip(model.layers, work)])
             loss, grads = oh.loss_and_grads(current, *data)
             opt.begin_step()
-            work = [adapters.with_tensors(a, {role: opt.update(li, role, p, grads[li][role])
+            work = [dataclasses.replace(a, **{role: opt.update(li, role, p, grads[li][role])
                                               for role, p in a.tensors().items()})
                     for li, a in enumerate(work)]
             assert trace.losses[step] == loss
@@ -238,6 +236,11 @@ class TestHomogeneityCheck:
 
     def test_non_integer_scale(self):
         assert oh.homogeneity_check("lora", c=1.7, trials=10, seed=1) < 1e-12
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_empty_check(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            oh.homogeneity_check("lora", trials=trials)
 
 
 class TestVerifyMergeRatio:
@@ -277,11 +280,14 @@ class TestVerifyMergeRatio:
         with pytest.raises(KeyError):
             oh.verify_merge_ratio("dora", 2.0)
 
-    def test_weight_decay_accepted(self):
-        # decoupled decay shifts both runs identically in the scaled frame
-        dev = oh.verify_merge_ratio("lora", 4.0, "sgd", steps=10,
-                                    weight_decay=0.0)
-        assert dev < 1e-8
+    def test_nonzero_weight_decay_breaks_equivalence(self):
+        # decay shrinks each factor by lr * wd, and the twin's learning rate
+        # is scaled: the two runs decay at different rates
+        clean = oh.verify_merge_ratio("lora", 4.0, "sgd", steps=100, seed=0)
+        decayed = oh.verify_merge_ratio("lora", 4.0, "sgd", steps=100, seed=0,
+                                        weight_decay=0.01)
+        assert clean < 1e-8
+        assert decayed > 1e-4
 
 
 class TestToyPieces:

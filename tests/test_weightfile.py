@@ -102,7 +102,7 @@ class TestRoundtrip:
     def test_rejects_complex_factor(self, tmp_path):
         model = build_model()
         adapter = model.entries["blk0.attn"]
-        model.entries["blk0.attn"] = ad.with_tensors(adapter, {"down": adapter.down + 1e-30j})
+        model.entries["blk0.attn"] = dataclasses.replace(adapter, down=adapter.down + 1e-30j)
         path = tmp_path / "m.lwu"
         with pytest.raises(ComplexInputError, match="'blk0.attn' tensor 'down' is complex"):
             wf.save_weights(model, path)
@@ -258,6 +258,22 @@ class TestMalformedCorpus:
             h["dim"] = 0
         with pytest.raises(wf.MalformedHeaderError, match="metadata"):
             load_blob(rewrite_header(blob, corrupt), tmp_path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h["layers"][0].update(shape=[True, 4]),
+        lambda h: h.update(dim=True),
+        lambda h: h["layers"][0]["tensors"][0].update(shape=[True, True]),
+        lambda h: h.update(format_version=True),
+        lambda h: h.update(seed=False),
+        lambda h: h["layers"][0]["tensors"][0].update(byte_offset=False),
+    ], ids=["layer-shape", "dim", "tensor-shape", "format-version", "seed", "byte-offset"])
+    def test_boolean_is_not_an_integer(self, tmp_path, mutate):
+        # JSON true == 1 and false == 0: on a (1, 4) lora of dim 1 whose up
+        # tensor starts the payload, each value would otherwise load
+        model = ad.init_model([("a", ad.LayerShape("linear", 1, 4))], "lora", 1, alpha=1.0)
+        blob = save_blob(model, tmp_path)
+        with pytest.raises(wf.MalformedHeaderError, match=r"\(byte 8\)"):
+            load_blob(rewrite_header(blob, mutate), tmp_path)
 
     def test_unsupported_dtype(self, tmp_path):
         blob = save_blob(build_model(), tmp_path)
@@ -425,7 +441,7 @@ class TestWriterRefusesNonFinite:
         layer = model.entries["blk0.attn"]
         big = layer.down.copy()
         big[0, 0] = 1e39  # finite in float64, inf in float32
-        model.entries["blk0.attn"] = ad.with_tensors(layer, {"down": big})
+        model.entries["blk0.attn"] = dataclasses.replace(layer, down=big)
         path = tmp_path / "m.lwu"
         path.write_bytes(b"kept")
         with pytest.raises(wf.WeightFileError, match="'blk0.attn' tensor 'down' holds values"):
