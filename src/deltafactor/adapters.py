@@ -13,7 +13,9 @@ kernel axes between channel factors on both sides. The families are:
 
 Each family states its composition once, in its class: the shape check,
 the dense delta, the delta applied to a batch of inputs, the gradients of
-its factors, its rank bound and its seeded draw.
+its factors, its rank bound and its seeded draw. The dense delta and the
+gradients also run on factors with a leading member axis (_stacked), which
+the training harness uses to advance several runs at once.
 
 forward_linear runs every family in one column form: an input (or a batch
 of n) is the columns of x.T, and y = w0 @ cols + bias + gamma * delta @ cols
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +144,10 @@ class _Block:
     with down (r, in) on linear layers and (r, in, k, k) on conv ones, taken
     unrolled; the Tucker form keeps down at (r, in) and moves the kernel
     axes to a core (r, r, k, k). The field names are the role names.
+
+    dense and vjp also take factors with leading member axes, all with the
+    same ones (the training harness's stacked runs): each member then runs
+    its own matmuls, bit for bit as alone.
     """
 
     geometry: LayerShape
@@ -176,41 +183,45 @@ class _Block:
     def dense(self) -> np.ndarray:
         if self.w2 is not None:
             return self.w2
+        lead, r = self.up.shape[:-2], self.up.shape[-1]
         if self.core is not None:
             # B[o, i, ab] = sum_t down[t, i] (up @ core)[o, t, ab]: one matmul per mode
-            return np.matmul(self.down.T, self._up_core()).reshape(self.geometry.delta_shape)
+            down_t = self.down.swapaxes(-1, -2)[..., None, :, :]
+            return np.matmul(down_t, self._up_core()).reshape(*lead, *self.geometry.delta_shape)
         if self.geometry.kind == "linear":
             # the product itself, not a reshaped view of it: numpy reuses the
             # buffer of a temporary operand (loha's B1 * B2, merge's scaling)
             # only when that operand owns its data
             return self.up @ self.down
-        flat = self.up @ self.down.reshape(self.down.shape[0], -1)
-        return flat.reshape(self.geometry.delta_shape)
+        flat = self.up @ self.down.reshape(*lead, r, -1)
+        return flat.reshape(*lead, *self.geometry.delta_shape)
 
     def vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the stored tensors given g = dL/dB."""
         if self.w2 is not None:
             return {"w2": g}
+        lead, r = self.up.shape[:-2], self.up.shape[-1]
+        out_c, up_t = self.geometry.out_dim, self.up.swapaxes(-1, -2)
         if self.core is not None:
             # B[o,i,ab] = sum_{s,t} core[s,t,ab] * up[o,s] * down[t,i]; with
             # gd[o,t,ab] = sum_i down[t,i] g[o,i,ab] and uc = up @ core as in dense
-            r, out_c = self.core.shape[0], self.geometry.out_dim
-            g3 = g.reshape(out_c, self.geometry.in_dim, -1)
-            gd = np.matmul(self.down, g3).reshape(out_c, -1)
-            uc = self._up_core().swapaxes(0, 1).reshape(r, -1)
+            g3 = g.reshape(*lead, out_c, self.geometry.in_dim, -1)
+            gd = np.matmul(self.down[..., None, :, :], g3).reshape(*lead, out_c, -1)
+            uc = self._up_core().swapaxes(-3, -2).reshape(*lead, r, -1)
             return {
-                "up": gd @ self.core.reshape(r, -1).T,
-                "down": uc @ g3.swapaxes(1, 2).reshape(-1, g3.shape[1]),
-                "core": (self.up.T @ gd).reshape(self.core.shape),
+                "up": gd @ self.core.reshape(*lead, r, -1).swapaxes(-1, -2),
+                "down": uc @ g3.swapaxes(-1, -2).reshape(*lead, -1, g3.shape[-2]),
+                "core": (up_t @ gd).reshape(self.core.shape),
             }
-        g2 = g.reshape(g.shape[0], -1)
-        d2 = self.down.reshape(self.down.shape[0], -1)
-        return {"up": g2 @ d2.T, "down": (self.up.T @ g2).reshape(self.down.shape)}
+        g2 = g.reshape(*lead, out_c, -1)
+        d2 = self.down.reshape(*lead, r, -1)
+        return {"up": g2 @ d2.swapaxes(-1, -2), "down": (up_t @ g2).reshape(self.down.shape)}
 
     def _up_core(self) -> np.ndarray:
         # (up @ core)[o, t, ab] = sum_s up[o, s] * core[s, t, ab], shaped (out, r, k*k)
-        r = self.core.shape[0]
-        return (self.up @ self.core.reshape(r, -1)).reshape(self.geometry.out_dim, r, -1)
+        lead, r = self.up.shape[:-2], self.up.shape[-1]
+        uc = self.up @ self.core.reshape(*lead, r, -1)
+        return uc.reshape(*lead, self.geometry.out_dim, r, -1)
 
     def rank_bound(self) -> int:
         bound = min(self.geometry.out_dim, self.geometry.unrolled_in)
@@ -232,11 +243,22 @@ class _Block:
         return cls(shp, up, normal((r, shp.in_dim)), core)
 
 
-def _attach(adapter, *blocks: _Block) -> None:
-    # frozen dataclasses: check the factor blocks once, at construction, and keep them
-    for block in blocks:
+def _check_blocks(adapter) -> None:
+    # check the factor blocks once, at construction
+    for block in adapter._blocks:
         block.check(adapter.scale.dim)
-    object.__setattr__(adapter, "_blocks", blocks)
+
+
+def _stacked(adapter, tensors: dict[str, np.ndarray]):
+    """The adapter's family holding `tensors`, role -> factors with leading member axes.
+
+    No check runs: the constructors refuse stacked factors, so the training
+    harness builds its view of a stack here from adapters that passed them.
+    Only _delta and _vjp take leading axes.
+    """
+    out = object.__new__(type(adapter))
+    out.__dict__.update({f.name: getattr(adapter, f.name) for f in fields(adapter)}, **tensors)
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,7 +277,11 @@ class LoraAdapter:
 
     def __post_init__(self):
         _store(self, up=self.up, down=self.down, core=self.core)
-        _attach(self, _Block(self.layer, self.up, self.down, self.core))
+        _check_blocks(self)
+
+    @cached_property
+    def _blocks(self) -> tuple[_Block, ...]:
+        return (_Block(self.layer, self.up, self.down, self.core),)
 
     def tensors(self) -> dict[str, np.ndarray]:
         return self._blocks[0].tensors()
@@ -311,7 +337,11 @@ class LohaAdapter:
             (self.core1 is None) == (self.core2 is None),
             "Tucker cores must be present on both branches or neither",
         )
-        _attach(self, _Block(self.layer, self.up1, self.down1, self.core1),
+        _check_blocks(self)
+
+    @cached_property
+    def _blocks(self) -> tuple[_Block, ...]:
+        return (_Block(self.layer, self.up1, self.down1, self.core1),
                 _Block(self.layer, self.up2, self.down2, self.core2))
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -389,22 +419,30 @@ class LokrAdapter:
         want = (lokr_factor_dims(shp.out_dim, self.factor)[0],
                 lokr_factor_dims(shp.in_dim, self.factor)[0])
         _expect(self.c.shape == want, f"c shape {self.c.shape} != {want}, the split at factor {self.factor}")
-        right = LayerShape(shp.kind, shp.out_dim // u_p, shp.in_dim // u_q, shp.kernel)
-        _attach(self, _Block(right, self.up, self.down, self.core, self.w2))
+        _check_blocks(self)
+
+    @cached_property
+    def _blocks(self) -> tuple[_Block, ...]:
+        _, v_p, _, v_q = self.block_dims
+        right = LayerShape(self.layer.kind, v_p, v_q, self.layer.kernel)
+        return (_Block(right, self.up, self.down, self.core, self.w2),)
 
     @property
     def block_dims(self) -> tuple[int, int, int, int]:
-        u_p, u_q = self.c.shape
+        u_p, u_q = self.c.shape[-2:]
         return u_p, self.layer.out_dim // u_p, u_q, self.layer.in_dim // u_q
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {"c": self.c, **self._blocks[0].tensors()}
 
     def _delta(self) -> np.ndarray:
-        right = self._blocks[0].dense()
-        flat = np.kron(self.c, right.reshape(right.shape[0], -1))
-        # linear: flat itself, as in _Block.dense
-        return flat if self.layer.kind == "linear" else flat.reshape(self.layer.delta_shape)
+        # kron(c, right) as np.kron forms it, one product per entry, over any
+        # leading member axes
+        u_p, v_p, u_q, _ = self.block_dims
+        lead = self.c.shape[:-2]
+        right = self._blocks[0].dense().reshape(*lead, 1, v_p, 1, -1)
+        flat = (self.c[..., :, None, :, None] * right).reshape(*lead, u_p * v_p, -1)
+        return flat if self.layer.kind == "linear" else flat.reshape(*lead, *self.layer.delta_shape)
 
     def _apply(self, cols: np.ndarray) -> np.ndarray:
         # kron_linear takes a batch as rows: the columns go in as cols.T
@@ -420,10 +458,12 @@ class LokrAdapter:
     def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]: rearranged, g is
         # G[(i,j), (p,q,...)], so dc = G @ vec(B) and dB = vec(c) @ G
-        right = self._blocks[0]
-        grid = _nkp_rearrange(g, *self.block_dims)
-        out = right.vjp((self.c.reshape(-1) @ grid).reshape(right.geometry.delta_shape))
-        out["c"] = (grid @ right.dense().reshape(-1)).reshape(self.c.shape)
+        right, lead = self._blocks[0], self.c.shape[:-2]
+        grid = _nkp_rearrange(g, *self.block_dims, lead=lead)
+        c_row = self.c.reshape(*lead, 1, -1)
+        out = right.vjp((c_row @ grid).reshape(*lead, *right.geometry.delta_shape))
+        b_col = right.dense().reshape(*lead, -1, 1)
+        out["c"] = (grid @ b_col).reshape(self.c.shape)
         return out
 
     def _rank_bound(self) -> int:
@@ -656,11 +696,12 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     return LoraAdapter(layer, MergeScale(alpha=float(dim), dim=dim), up, down)
 
 
-def _nkp_rearrange(dm: np.ndarray, u_p: int, v_p: int, u_q: int, v_q: int) -> np.ndarray:
+def _nkp_rearrange(dm: np.ndarray, u_p: int, v_p: int, u_q: int, v_q: int,
+                   lead: tuple[int, ...] = ()) -> np.ndarray:
     # permute delta entries so kron(c, right) becomes the rank-1 outer
     # product vec(c) @ vec(right).T; kernel axes, if any, ride on the right
-    blocks = dm.reshape(u_p, v_p, u_q, v_q, -1).transpose(0, 2, 1, 3, 4)
-    return blocks.reshape(u_p * u_q, -1)
+    blocks = dm.reshape(*lead, u_p, v_p, u_q, v_q, -1).swapaxes(-4, -3)
+    return blocks.reshape(*lead, u_p * u_q, -1)
 
 
 def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter:

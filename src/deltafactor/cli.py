@@ -67,7 +67,7 @@ def _load_manifest(path) -> list[tuple[str, LayerShape]]:
         if not isinstance(name, str) or not name:
             raise ValueError(f"{path}: entry {i} has an empty name")
         if not isinstance(shape, list) or not all(
-                isinstance(d, int) and d > 0 for d in shape):
+                isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape):
             raise ValueError(f"{path}: entry {i} has invalid shape {shape!r}")
         if kind == "linear" and len(shape) == 2:
             entries.append((name, LayerShape("linear", shape[0], shape[1])))
@@ -195,12 +195,19 @@ def _verify_names(args) -> list[str]:
 def _cmd_verify_merge_ratio(args) -> int:
     worst_fail = False
     for name, opt, scale in itertools.product(_verify_names(args), args.opt, args.scale):
-        deviation = optim_harness.verify_merge_ratio(
-            name, scale, optimizer=opt, steps=args.steps, seed=args.seed,
-            eps=args.eps, weight_decay=args.weight_decay)
+        case = f"{name} {opt} ratio {scale!r}"
+        try:
+            deviation = optim_harness.verify_merge_ratio(
+                name, scale, optimizer=opt, steps=args.steps, seed=args.seed,
+                eps=args.eps, weight_decay=args.weight_decay)
+        except ValueError as exc:
+            # a run that diverges fails its own case; the sweep goes on
+            worst_fail = True
+            print(f"{case}: error: {exc} FAIL")
+            continue
         verdict = "PASS" if deviation < MERGE_RATIO_TOL else "FAIL"
         worst_fail |= verdict == "FAIL"
-        print(f"{name} {opt} ratio {scale!r}: max deviation: {deviation!r} {verdict}")
+        print(f"{case}: max deviation: {deviation!r} {verdict}")
     print(f"{'FAIL' if worst_fail else 'PASS'} (tolerance {MERGE_RATIO_TOL!r})")
     return 1 if worst_fail else 0
 

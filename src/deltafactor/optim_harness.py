@@ -14,6 +14,16 @@ the derivative.
 
 Conv layers run on tensor_core's im2col kernel and its two adjoints. A
 training step builds each delta once and reuses it in the next forward.
+
+Training runs on a leading member axis. The factors, deltas, merge ratios
+and learning rates of several members (the two twins of a merge-ratio
+check, or the one model of train()) stack on it, and the same forward,
+backward and family code runs once for all of them: numpy's matmul runs
+one GEMM per member, so each member's trace is bit for bit its own. The
+factors of every member, layer and role live in one flat buffer that the
+stacked adapters view, so an optimizer step is one set of array operations
+on that buffer, followed by one finite scan. gradient_check stacks the
+complex-step probes of a factor on the same axis.
 """
 
 from __future__ import annotations
@@ -61,6 +71,10 @@ ADAM_BETAS = (0.9, 0.999)
 # initial reconstructed-delta RMS in toy models; keeps large merge ratios in
 # the stable regime without freezing the factors
 INIT_DELTA_RMS = 0.02
+
+# complex-step probes per forward in gradient_check: bounds the stacked
+# forward's memory (the 81 probes of a Tucker core take 6 MB at once)
+PROBES_PER_FORWARD = 16
 
 LINEAR_DIMS = (16, 12, 8)
 LINEAR_SAMPLES = 64
@@ -151,29 +165,50 @@ def homogeneity_degree(adapter) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched forward / backward
+# forward / backward over a batch and any leading member axes
 
 
-def _forward(model: ToyModel, h: np.ndarray, deltas: list[np.ndarray]) -> list[tuple]:
-    """Per layer (input, w0 + gamma * deltas[i], im2col columns or None, output)."""
+def _forward(model: ToyModel, x: np.ndarray, deltas: list, gammas: list,
+             x_cols: np.ndarray | None = None, scratch: list | None = None) -> list[tuple]:
+    """Per layer (input, w0 + gamma * delta, im2col columns or None, output).
+
+    deltas[i] and gammas[i] may carry leading member axes; x and the base
+    layers are shared by every member. x_cols, the first layer's im2col
+    columns of x, are built here unless the caller passes them. A training
+    run passes scratch, one dict per layer that it keeps for all its steps,
+    for the conv buffers (tensor_core._buffer).
+    """
     saved = []
-    for layer, delta in zip(model.layers, deltas):
-        w_eff = layer.base_weight + layer.adapter.scale.gamma * delta
+    h, cols = x, x_cols
+    for i, (layer, delta, gamma) in enumerate(zip(model.layers, deltas, gammas)):
+        w_eff = layer.base_weight + gamma * delta
         if layer.adapter.layer.kind == "linear":
-            z, cols = h @ w_eff.T + layer.base_bias, None
+            z, cols = h @ w_eff.swapaxes(-1, -2) + layer.base_bias, None
         else:
-            z, cols = tensor_core._conv2d(w_eff, h)
-            z = z + layer.base_bias[:, None, None]
+            if cols is None:
+                cols = tensor_core._im2col(h, layer.adapter.layer.kernel,
+                                           scratch[i] if scratch else None)
+            z = tensor_core._conv_cols(w_eff, cols) + layer.base_bias[:, None, None]
         a = np.tanh(z) if layer.activation else z
         saved.append((h, w_eff, cols, a))
-        h = a
+        h, cols = a, None
     return saved
+
+
+def _gammas(model: ToyModel) -> list[float]:
+    return [layer.adapter.scale.gamma for layer in model.layers]
+
+
+def _input_cols(model: ToyModel, x: np.ndarray) -> np.ndarray | None:
+    """The first layer's im2col columns of x, for callers that run many forwards on one x."""
+    head = model.layers[0].adapter.layer
+    return tensor_core._im2col(x, head.kernel) if head.kind == "conv2d" else None
 
 
 def model_forward(model: ToyModel, x) -> np.ndarray:
     """Batched forward pass; x is (n, in) or (n, in, H, W)."""
     deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
-    return _forward(model, as_tensor(x), deltas)[-1][-1]
+    return _forward(model, as_tensor(x), deltas, _gammas(model))[-1][-1]
 
 
 def model_loss(model: ToyModel, x, target) -> float | complex:
@@ -187,22 +222,30 @@ def loss_and_grads(model: ToyModel, x, target):
     to arrays shaped like the factors themselves.
     """
     deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
-    return _loss_and_grads(model, as_tensor(x), as_tensor(target), deltas)
+    loss, grads = _loss_and_grads(model, as_tensor(x), None, as_tensor(target), deltas,
+                                  _gammas(model))
+    return float(loss), grads
 
 
-def _loss_and_grads(model: ToyModel, x: np.ndarray, target: np.ndarray,
-                    deltas: list[np.ndarray]):
-    """loss_and_grads on checked data, with deltas[i] = reconstruct(layer i's adapter).
+def _member_mse(pred: np.ndarray, target: np.ndarray):
+    """(pred - target, the MSE of each member): the mean over the axes pred shares with target."""
+    if pred.shape[pred.ndim - target.ndim:] != target.shape:
+        raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
+    diff = pred - target
+    return diff, np.mean(diff * diff, axis=tuple(range(pred.ndim - target.ndim, pred.ndim)))
 
-    The input gradient of the first layer is never used, so it is not taken.
+
+def _loss_and_grads(model: ToyModel, x: np.ndarray, x_cols: np.ndarray | None,
+                    target: np.ndarray, deltas: list, gammas: list, scratch: list | None = None):
+    """loss_and_grads on checked data, with deltas[i] = layer i's reconstructed delta.
+
+    With leading member axes on deltas and gammas, the losses and every
+    gradient carry them too; x_cols and scratch are as in _forward. The
+    input gradient of the first layer is never used, so it is not taken.
     """
-    saved = _forward(model, x, deltas)
-    h = saved[-1][-1]
-    if h.shape != target.shape:
-        raise ValueError(f"prediction shape {h.shape} != target shape {target.shape}")
-    diff = h - target
-    loss = float(np.mean(diff * diff))
-    d = (2.0 / diff.size) * diff
+    saved = _forward(model, x, deltas, gammas, x_cols, scratch)
+    diff, losses = _member_mse(saved[-1][-1], target)
+    d = (2.0 / target.size) * diff
     grads: list[dict[str, np.ndarray]] = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -210,15 +253,15 @@ def _loss_and_grads(model: ToyModel, x: np.ndarray, target: np.ndarray,
         if layer.activation:
             d = d * (1.0 - a * a)
         if cols is None:
-            g_w = d.T @ h_in
+            g_w = d.swapaxes(-1, -2) @ h_in
             if i:
                 d = d @ w_eff
         else:
             g_w = tensor_core._conv2d_weight_grad(d, cols, layer.adapter.layer.kernel)
             if i:
-                d = tensor_core._conv2d_input_grad(w_eff, d)
-        grads[i] = layer.adapter._vjp(layer.adapter.scale.gamma * g_w)
-    return loss, grads
+                d = tensor_core._conv2d_input_grad(w_eff, d, scratch[i] if scratch else None)
+        grads[i] = layer.adapter._vjp(gammas[i] * g_w)
+    return losses, grads
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +269,31 @@ def _loss_and_grads(model: ToyModel, x: np.ndarray, target: np.ndarray,
 
 
 class _Optimizer:
-    def __init__(self, cfg: OptimizerConfig):
+    """One update rule, applied in place to a flat parameter buffer.
+
+    lr holds a learning rate per buffer entry, or one for all; eps and the
+    weight decay come from cfg.
+    """
+
+    def __init__(self, cfg: OptimizerConfig, lr):
         self.cfg = cfg
+        self.lr = lr
         self.t = 0
 
-    def begin_step(self):
-        self.t += 1
-
-    def _direction(self, key, g):
+    def _direction(self, g):
         raise NotImplementedError
 
-    def update(self, layer_index: int, role: str, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-        lr = self.cfg.learning_rate
-        step = self._direction((layer_index, role), g)
-        new = p - lr * step
-        if self.cfg.weight_decay:
-            new = new - lr * self.cfg.weight_decay * p
-        return new
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """p -= lr * direction(g) + lr * weight_decay * p_old, in place."""
+        self.t += 1
+        decay = self.lr * self.cfg.weight_decay * p if self.cfg.weight_decay else None
+        p -= self.lr * self._direction(g)
+        if decay is not None:
+            p -= decay
 
 
 class _Sgd(_Optimizer):
-    def _direction(self, key, g):
+    def _direction(self, g):
         return g
 
 
@@ -258,37 +305,29 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 class _Adam(_Optimizer):
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.m: dict = {}
-        self.v: dict = {}
+    def __init__(self, cfg, lr):
+        super().__init__(cfg, lr)
+        self.m = self.v = None
 
-    def _direction(self, key, g):
+    def _direction(self, g):
         b1, b2 = ADAM_BETAS
-        m = self.m.get(key)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        else:
-            v = self.v[key]
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        self.m[key], self.v[key] = m, v
-        m_hat = m / (1 - b1 ** self.t)
-        v_hat = v / (1 - b2 ** self.t)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        m_hat = self.m / (1 - b1 ** self.t)
+        v_hat = self.v / (1 - b2 ** self.t)
         return _safe_ratio(m_hat, np.sqrt(v_hat) + self.cfg.eps)
 
 
 class _Adagrad(_Optimizer):
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self.acc: dict = {}
+    def __init__(self, cfg, lr):
+        super().__init__(cfg, lr)
+        self.acc = None
 
-    def _direction(self, key, g):
-        acc = self.acc.get(key)
-        acc = g * g if acc is None else acc + g * g
-        self.acc[key] = acc
-        return _safe_ratio(g, np.sqrt(acc) + self.cfg.eps)
+    def _direction(self, g):
+        self.acc = g * g if self.acc is None else self.acc + g * g
+        return _safe_ratio(g, np.sqrt(self.acc) + self.cfg.eps)
 
 
 _OPTIMIZER_TYPES = {"sgd": _Sgd, "adam": _Adam, "adagrad": _Adagrad}
@@ -362,31 +401,110 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
 def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int) -> TrainTrace:
     """Full-batch training of the adapter factors; the base stays frozen.
 
-    The input model is not mutated. Raises NumericalError if the loss goes
-    non-finite, reporting the step index.
+    The input model is not mutated. Raises NumericalError if the loss, a
+    factor or a delta goes non-finite, naming the step (and, for a factor
+    or a delta, the layer and the role).
+    """
+    return _train([model], [optimizer], dataset, steps, [None])[0]
+
+
+def _stack(models: list[ToyModel]) -> tuple[ToyModel, np.ndarray, list[tuple]]:
+    """The members' factors in one flat buffer, and a model of stacked views into it.
+
+    Checks once that the members share their layers, base weights and
+    factor shapes. Returns (model, buffer, blocks): the model's adapters
+    hold (members, *shape) views of the buffer, and blocks lists, layer by
+    layer and role by role, (layer, role, start, size) for the contiguous
+    block buffer[start:start + members * size] that holds that role.
+    """
+    first = models[0]
+    factors = [[layer.adapter.tensors() for layer in m.layers] for m in models]
+    for model, tensors in zip(models[1:], factors[1:]):
+        if len(model.layers) != len(first.layers) or not all(
+                type(a.adapter) is type(b.adapter) and a.adapter.layer == b.adapter.layer
+                and a.activation == b.activation
+                and np.array_equal(a.base_weight, b.base_weight)
+                and np.array_equal(a.base_bias, b.base_bias)
+                and {r: t.shape for r, t in ta.items()} == {r: t.shape for r, t in tb.items()}
+                for a, b, ta, tb in zip(first.layers, model.layers, factors[0], tensors)):
+            raise ValueError("stacked members must share their layers, base weights and factor shapes")
+    n = len(models)
+    roles = [(li, role) for li, tensors in enumerate(factors[0]) for role in tensors]
+    buf = np.concatenate([np.stack([m[li][role] for m in factors]) for li, role in roles],
+                         axis=None)
+    blocks, views, start = [], [{} for _ in first.layers], 0
+    for li, role in roles:
+        shape = factors[0][li][role].shape
+        size = math.prod(shape)
+        views[li][role] = buf[start:start + n * size].reshape(n, *shape)
+        blocks.append((li, role, start, size))
+        start += n * size
+    stacked = ToyModel([replace(layer, adapter=adapters._stacked(layer.adapter, v))
+                        for layer, v in zip(first.layers, views)])
+    return stacked, buf, blocks
+
+
+def _train(models: list[ToyModel], optimizers: list[OptimizerConfig], dataset, steps: int,
+           names: list[str | None]) -> list[TrainTrace]:
+    """train() for several members at once, stacked on a leading member axis.
+
+    The members share the base layers, the data, the optimizer kind, eps and
+    weight decay; they differ in their factors, merge ratio and learning
+    rate. Their factors live in one buffer (_stack), so one optimizer step
+    updates every member, layer and role in place. Structure is checked
+    once, when the stack is built; after each step one scan of the buffer
+    and one of each delta replace the per-factor checks of a rebuild. A
+    non-finite loss, factor or delta raises NumericalError naming the step,
+    the member (names[i], when given), the layer and the role. Every
+    member's trace equals, bit for bit, what it gives alone.
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    x, y = dataset
-    work = ToyModel([replace(layer) for layer in model.layers])
-    opt = _OPTIMIZER_TYPES[optimizer.kind](optimizer)
-    trace = TrainTrace()
-    xm, ym = as_tensor(x), as_tensor(y)
+    if len({(o.kind, o.eps, o.weight_decay) for o in optimizers}) != 1:
+        raise ValueError("stacked members must share the optimizer kind, eps and weight decay")
+    work, buf, blocks = _stack(models)
+    n = len(models)
+    gammas = [np.reshape([m.layers[li].adapter.scale.gamma for m in models],
+                         (n,) + (1,) * len(layer.adapter.layer.delta_shape))
+              for li, layer in enumerate(work.layers)]
+    rates = [o.learning_rate for o in optimizers]
+    opt = _OPTIMIZER_TYPES[optimizers[0].kind](
+        optimizers[0], np.concatenate([np.repeat(rates, size) for *_, size in blocks]))
+    x, y = (as_tensor(a) for a in dataset)
+    x_cols = _input_cols(work, x)
+    scratch = [{} for _ in work.layers]
+    traces = [TrainTrace() for _ in models]
+
+    def failure(what: str, step: int, member: int, where: str = "") -> NumericalError:
+        who = f" in {names[member]}" if names[member] else ""
+        return NumericalError(f"non-finite {what} at step {step}{who}{where}")
+
     # the deltas recorded after each update are the next step's forward deltas
-    deltas = [adapters.reconstruct(layer.adapter) for layer in work.layers]
+    deltas = [layer.adapter._delta() for layer in work.layers]
     for step_index in range(1, steps + 1):
-        loss, grads = _loss_and_grads(work, xm, ym, deltas)
-        if not math.isfinite(loss):
-            raise NumericalError(f"non-finite loss at step {step_index}")
-        opt.begin_step()
-        for li, layer in enumerate(work.layers):
-            new = {role: opt.update(li, role, p, grads[li][role])
-                   for role, p in layer.adapter.tensors().items()}
-            layer.adapter = replace(layer.adapter, **new)
-        deltas = [adapters.reconstruct(layer.adapter) for layer in work.layers]
-        trace.losses.append(loss)
-        trace.deltas.append(deltas)
-    return trace
+        losses, grads = _loss_and_grads(work, x, x_cols, y, deltas, gammas, scratch)
+        if not np.all(np.isfinite(losses)):
+            raise failure("loss", step_index, int(np.argmin(np.isfinite(losses))))
+        opt.step(buf, np.concatenate([grads[li][role] for li, role, *_ in blocks], axis=None))
+        if not np.all(np.isfinite(buf)):
+            bad = int(np.argmin(np.isfinite(buf)))
+            li, role, start, size = next(b for b in reversed(blocks) if b[2] <= bad)
+            raise failure("factor", step_index, (bad - start) // size,
+                          f": layer {li}, role {role!r}")
+        deltas = [layer.adapter._delta() for layer in work.layers]
+        for li, d in enumerate(deltas):
+            if not np.isfinite(d).all():
+                # finite factors whose product overflows: name the largest
+                m = int(np.argmin(np.isfinite(d).reshape(n, -1).all(axis=1)))
+                peaks = {role: float(np.max(np.abs(t[m])))
+                         for role, t in work.layers[li].adapter.tensors().items()}
+                role = max(peaks, key=peaks.get)
+                raise failure("delta", step_index, m, f": layer {li}, role {role!r} (finite "
+                              f"factors up to {peaks[role]:.3g} whose product overflows)")
+        for i, trace in enumerate(traces):
+            trace.losses.append(float(losses[i]))
+            trace.deltas.append([d[i] for d in deltas])
+    return traces
 
 
 def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0) -> float:
@@ -425,6 +543,8 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     where c is 2 for SGD and 1 for Adam/AdaGrad (with eps = 0). Returns the
     max over steps and layers of |s * delta_A - delta_B|, elementwise.
     Nonzero eps or weight_decay breaks the law; they serve as controls.
+    The twins train as one stacked run, so a diverging one raises
+    NumericalError naming it ("twin A" or "twin B").
     """
     if s <= 0:
         raise ValueError(f"merge ratio must be positive, got {s}")
@@ -447,44 +567,50 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     cfg_b = OptimizerConfig(optimizer, lr * s ** (c_exp / k), eps=eps,
                             weight_decay=weight_decay)
     data = toy_dataset(spec.conv, seed=ss[1])
-    trace_a = train(model_a, cfg_a, data, steps)
-    trace_b = train(model_b, cfg_b, data, steps)
-    worst = 0.0
-    for das, dbs in zip(trace_a.deltas, trace_b.deltas):
-        for da, db in zip(das, dbs):
-            worst = max(worst, float(np.max(np.abs(s * da - db))))
-    return worst
+    trace_a, trace_b = _train([model_a, model_b], [cfg_a, cfg_b], data, steps, ["twin A", "twin B"])
+    # each layer's deltas over all steps at once; np.max, unlike max(),
+    # carries a NaN deviation through
+    return float(np.max([np.max(np.abs(s * np.stack(da) - np.stack(db)))
+                         for da, db in zip(zip(*trace_a.deltas), zip(*trace_b.deltas))]))
 
 
 def gradient_check(algorithm: str, seed=0, step: float = 1e-30) -> dict[str, float]:
     """Complex-step check of every factor gradient.
 
-    Each factor element in turn is shifted by i * step and the loss is taken
-    once in complex128; Im L(x + i * step) / step is its derivative (Squire
-    & Trapp 1998). No two losses are subtracted, so nothing cancels and the
-    reference is exact to rounding for any small step. Returns the worst
+    Each factor element is shifted by i * step and the loss is taken once
+    in complex128; Im L(x + i * step) / step is its derivative (Squire &
+    Trapp 1998). No two losses are subtracted, so nothing cancels and the
+    reference is exact to rounding for any small step. The probes of a
+    factor run as members of stacked forwards, PROBES_PER_FORWARD at a
+    time, and the layers before the factor's run once per forward, for
+    all of its members. Returns the worst
     relative error |analytic - reference| / max(|reference|, |analytic|, 1e-8)
     per 'layer<i>.<role>' key. gamma is set away from 1 so the ratio chain
     rule is exercised too.
     """
     spec = HARNESS_ALGORITHMS[algorithm]
     model = build_toy_model(algorithm, seed=seed, ratio=1.3)
-    x, y = toy_dataset(spec.conv, seed=seed, samples=4 if not spec.conv else 2)
+    x, y = (as_tensor(a) for a in toy_dataset(spec.conv, seed=seed, samples=4 if not spec.conv else 2))
     _, grads = loss_and_grads(model, x, y)
+    deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
+    gammas, x_cols = _gammas(model), _input_cols(model, x)
     worst: dict[str, float] = {}
     for li, layer in enumerate(model.layers):
-        for role, param in layer.adapter.tensors().items():
+        tensors = layer.adapter.tensors()
+        for role, param in tensors.items():
+            # a stacked forward holds up to PROBES_PER_FORWARD probes of this
+            # factor: member p shifts its entry alone, the other factors are shared
+            shifts = (1j * step) * np.eye(param.size).reshape(param.size, *param.shape)
+            ref = np.empty(param.size)
+            for lo in range(0, param.size, PROBES_PER_FORWARD):
+                probes = param + shifts[lo:lo + PROBES_PER_FORWARD]
+                stacked = {r: probes if r == role else np.broadcast_to(t, (len(probes), *t.shape))
+                           for r, t in tensors.items()}
+                probe_deltas = list(deltas)
+                probe_deltas[li] = adapters._stacked(layer.adapter, stacked)._delta()
+                out = _forward(model, x, probe_deltas, gammas, x_cols)[-1][-1]
+                ref[lo:lo + len(probes)] = _member_mse(out, y)[1].imag / step
             analytic = grads[li][role].reshape(-1)
-            base = param.astype(np.complex128)
-            err = 0.0
-            for idx in range(param.size):
-                probe = base.copy()
-                probe.flat[idx] += 1j * step
-                layer.adapter = replace(layer.adapter, **{role: probe})
-                ref = model_loss(model, x, y).imag / step
-                an = float(analytic[idx])
-                denom = max(abs(ref), abs(an), 1e-8)
-                err = max(err, abs(an - ref) / denom)
-            layer.adapter = replace(layer.adapter, **{role: param})
-            worst[f"layer{li}.{role}"] = err
+            denom = np.maximum(np.maximum(np.abs(ref), np.abs(analytic)), 1e-8)
+            worst[f"layer{li}.{role}"] = float(np.max(np.abs(analytic - ref) / denom))
     return worst

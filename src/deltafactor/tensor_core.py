@@ -10,12 +10,14 @@ defined for real input only refuse it with ComplexInputError.
 
 There is one convolution kernel, _conv2d, on arrays its caller has checked;
 its two adjoints reuse its im2col columns, and conv2d is its checked entry.
+The private kernel and its adjoints also take a leading member axis on the
+kernel (and the image), for the training harness's stacked runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "ShapeError",
@@ -89,35 +91,84 @@ def unroll_conv(kernel) -> np.ndarray:
 def _conv2d(kernel: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """conv2d on arrays the caller has checked; returns (y, cols).
 
-    cols (in*k*k, n*h*w) are the im2col columns of every k x k window (n = 1
-    for one (in, H, W) image): rows run row-major over (in, k, k), as
-    unroll_conv lays out a kernel, and columns over (n, h, w).
+    kernel is (*lead, out, in, k, k); image is one (in, H, W), a batch
+    (n, in, H, W), or a batch with the kernel's leading member axes
+    (*lead, n, in, H, W). Each member runs its own GEMM, so a stack of
+    members gives bit for bit what one call per member gives. cols are the
+    image's _im2col columns.
     """
-    out_c, k = kernel.shape[0], kernel.shape[2]
-    windows = sliding_window_view(image, (k, k), axis=(-2, -1))
-    axes = (0, 3, 4, 1, 2) if image.ndim == 3 else (1, 4, 5, 0, 2, 3)
-    cols = windows.transpose(axes).reshape(kernel[0].size, -1)
-    y = kernel.reshape(out_c, -1) @ cols
-    h, w = windows.shape[-4:-2]
     if image.ndim == 3:
-        return y.reshape(out_c, h, w), cols
-    return y.reshape(out_c, image.shape[0], h, w).swapaxes(0, 1), cols
+        y, cols = _conv2d(kernel, image[None])
+        return y[..., 0, :, :, :], cols
+    cols = _im2col(image, kernel.shape[-1])
+    return _conv_cols(kernel, cols), cols
+
+
+def _im2col(image: np.ndarray, k: int, scratch: dict | None = None,
+            name: str = "cols") -> np.ndarray:
+    """Columns (*lead, in*k*k, n, h, w) of every k x k window of (*lead, n, in, H, W).
+
+    Rows run row-major over (in, k, k), as unroll_conv lays out a kernel.
+    The columns are written to _buffer(scratch, name, ...).
+    """
+    *lead, n, c, height, width = image.shape
+    *lead_s, s_n, s_c, s_h, s_w = image.strides
+    h, w = height - k + 1, width - k + 1
+    # the windows as a read-only view, axes already in column order
+    windows = as_strided(image, (*lead, c, k, k, n, h, w),
+                         (*lead_s, s_c, s_h, s_w, s_n, s_h, s_w), writeable=False)
+    cols = _buffer(scratch, name, (*lead, c * k * k, n, h, w), image.dtype)
+    cols.reshape(windows.shape)[...] = windows
+    return cols
+
+
+def _buffer(scratch: dict | None, name: str, shape: tuple, dtype, new=np.empty) -> np.ndarray:
+    """scratch[name] when it has this shape and dtype, else new(shape, dtype), kept there.
+
+    A caller that repeats a call on arrays of one shape (the steps of a
+    training run) passes the same scratch dict each time, so the call
+    writes to memory it already holds: a freshly allocated buffer of a few
+    hundred kilobytes page-faults on every call. With scratch None every
+    call allocates.
+    """
+    buf = None if scratch is None else scratch.get(name)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = new(shape, dtype)
+        if scratch is not None:
+            scratch[name] = buf
+    return buf
+
+
+def _conv_cols(kernel: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The convolution (*lead, n, out, h, w) of a kernel with _im2col columns: one GEMM per member."""
+    y = kernel.reshape(*kernel.shape[:-3], -1) @ cols.reshape(*cols.shape[:-3], -1)
+    return y.reshape(*y.shape[:-1], *cols.shape[-3:]).swapaxes(-4, -3)
 
 
 def _conv2d_weight_grad(dy: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """dL/dkernel of _conv2d from dy = dL/dy and the forward's columns: one GEMM."""
-    out_c = dy.shape[-3]
-    dy_rows = dy.reshape(out_c, -1) if dy.ndim == 3 else dy.swapaxes(0, 1).reshape(out_c, -1)
-    return (dy_rows @ cols.T).reshape(out_c, -1, k, k)
+    """dL/dkernel of _conv2d from dy = dL/dy and the forward's columns: one GEMM per member."""
+    if dy.ndim == 3:
+        dy = dy[None]
+    dy_rows = dy.swapaxes(-4, -3).reshape(*dy.shape[:-4], dy.shape[-3], -1)
+    grad = dy_rows @ cols.reshape(*cols.shape[:-3], -1).swapaxes(-1, -2)
+    return grad.reshape(*grad.shape[:-1], -1, k, k)
 
 
-def _conv2d_input_grad(kernel: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dL/dimage of _conv2d: the flipped, channel-swapped kernel over dy padded by k-1."""
-    p = kernel.shape[2] - 1
+def _conv2d_input_grad(kernel: np.ndarray, dy: np.ndarray, scratch: dict | None = None) -> np.ndarray:
+    """dL/dimage of _conv2d: the flipped, channel-swapped kernel over dy padded by k-1.
+
+    The padded dy and its columns are built in _buffer(scratch, ...); only
+    the interior of the padded buffer is ever written, so its border stays 0.
+    """
+    if dy.ndim == 3:
+        return _conv2d_input_grad(kernel, dy[None], scratch)[0]
+    p = kernel.shape[-1] - 1
     h, w = dy.shape[-2:]
-    padded = np.zeros((*dy.shape[:-2], h + 2 * p, w + 2 * p), dtype=np.result_type(kernel, dy))
+    padded = _buffer(scratch, "padded", (*dy.shape[:-2], h + 2 * p, w + 2 * p),
+                     np.result_type(kernel, dy), np.zeros)
     padded[..., p:p + h, p:p + w] = dy
-    return _conv2d(kernel[:, :, ::-1, ::-1].swapaxes(0, 1), padded)[0]
+    cols = _im2col(padded, p + 1, scratch, "padded_cols")
+    return _conv_cols(kernel[..., ::-1, ::-1].swapaxes(-4, -3), cols)
 
 
 def conv2d(kernel, image) -> np.ndarray:

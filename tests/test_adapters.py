@@ -771,6 +771,45 @@ class TestInvariantErrors:
                            up=np.zeros((8, 2)), down=np.zeros((2, 8)))
 
 
+class TestMemberAxis:
+    """Factors with a leading member axis, as the training harness stacks them."""
+
+    @staticmethod
+    def members(name):
+        # three members of one harness form: same shapes, different factors
+        return [oh.build_toy_model(name, seed=seed).layers for seed in (1, 2, 3)]
+
+    @pytest.mark.parametrize("name", sorted(oh.HARNESS_ALGORITHMS))
+    def test_stack_of_three_equals_each_member(self, name):
+        rng = np.random.default_rng(sorted(oh.HARNESS_ALGORITHMS).index(name))
+        for layers in zip(*self.members(name)):
+            each = [layer.adapter for layer in layers]
+            stacked = ad._stacked(each[0], {role: np.stack([a.tensors()[role] for a in each])
+                                            for role in each[0].tensors()})
+            g = rng.standard_normal((3, *each[0].layer.delta_shape))
+            delta, grads = stacked._delta(), stacked._vjp(g)
+            blocks = []
+            for block in stacked._blocks:
+                g_b = rng.standard_normal((3, *block.geometry.delta_shape))
+                blocks.append((g_b, block.dense(), block.vjp(g_b)))
+            for m, adapter in enumerate(each):
+                assert np.array_equal(delta[m], adapter._delta())
+                want = adapter._vjp(g[m])
+                assert set(grads) == set(want)
+                assert all(np.array_equal(grads[role][m], want[role]) for role in want)
+                for (g_b, dense, vjp), block in zip(blocks, adapter._blocks):
+                    assert np.array_equal(dense[m], block.dense())
+                    assert all(np.array_equal(vjp[role][m], value)
+                               for role, value in block.vjp(g_b[m]).items())
+
+    @pytest.mark.parametrize("name", sorted(oh.HARNESS_ALGORITHMS))
+    def test_constructors_refuse_a_stacked_factor(self, name):
+        adapter = self.members(name)[0][0].adapter
+        for role, value in adapter.tensors().items():
+            with pytest.raises(ad.InvariantError):
+                dataclasses.replace(adapter, **{role: np.stack([value, value])})
+
+
 class TestModelInit:
     def test_layers_get_distinct_streams(self):
         entries = [("a", LINEAR_64), ("b", LINEAR_64)]

@@ -269,6 +269,21 @@ class TestVerifyCommands:
         assert lines[1] == "lora adam ratio 1.0: max deviation: 0.0 PASS"
         assert lines[2] == "FAIL (tolerance 1e-08)"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_merge_ratio_diverging_case_fails_and_the_sweep_goes_on(self, capsys):
+        # SGD at ratio 100 overflows within 10 steps; the later cases still run
+        code, stdout, _ = run(capsys, "verify", "merge-ratio", "--algo", "lora",
+                              "--opt", "adam", "sgd", "adagrad", "--scale", "100",
+                              "--eps", "1e-8")
+        assert code == 1
+        lines = stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "lora adam ratio 100.0", "lora sgd ratio 100.0", "lora adagrad ratio 100.0"]
+        assert lines[1].startswith("lora sgd ratio 100.0: error: non-finite ")
+        assert " in twin A" in lines[1] and lines[1].endswith(" FAIL")
+        assert "max deviation: " in lines[2]
+        assert lines[-1] == "FAIL (tolerance 1e-08)"
+
     def test_homogeneity_single_algo(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "verify", "homogeneity", "--algo",
                               "loha", "--trials", "5")
@@ -559,6 +574,5 @@ class TestExitCodes:
                               "--manifest", str(manifest), "--dim", "1",
                               "--alpha", "1.0", "--out", str(tmp_path / "x.lwu"))
         assert code == 1
-        assert stderr.startswith("error: ")
-        assert "positive integers" in stderr
+        assert stderr == f"error: {manifest}: entry 0 has invalid shape [True, 4]\n"
         assert not (tmp_path / "x.lwu").exists()

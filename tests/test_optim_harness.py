@@ -191,14 +191,21 @@ class TestTrain:
         cfg = oh.OptimizerConfig(optimizer, oh.BASE_LR[optimizer])
         steps = 4
         trace = oh.train(model, cfg, data, steps)
-        opt = oh._OPTIMIZER_TYPES[optimizer](cfg)
+        # one optimizer per factor, where train steps them all as one buffer
         work = [layer.adapter for layer in model.layers]
+        opts = {(li, role): oh._OPTIMIZER_TYPES[optimizer](cfg, cfg.learning_rate)
+                for li, a in enumerate(work) for role in a.tensors()}
+
+        def stepped(li, role, p, g):
+            p = p.copy()
+            opts[li, role].step(p, g)
+            return p
+
         for step in range(steps):
             current = oh.ToyModel([oh.ToyLayer(l.base_weight, l.base_bias, a, l.activation)
                                    for l, a in zip(model.layers, work)])
             loss, grads = oh.loss_and_grads(current, *data)
-            opt.begin_step()
-            work = [dataclasses.replace(a, **{role: opt.update(li, role, p, grads[li][role])
+            work = [dataclasses.replace(a, **{role: stepped(li, role, p, grads[li][role])
                                               for role, p in a.tensors().items()})
                     for li, a in enumerate(work)]
             assert trace.losses[step] == loss
@@ -221,11 +228,52 @@ class TestTrain:
         with pytest.raises(NumericalError, match="step"):
             oh.train(model, oh.OptimizerConfig("sgd", 1e6), data, steps=50)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_delta_is_an_error(self):
+        # lr 1e300 keeps every factor finite, but up @ down overflows
+        model = oh.build_toy_model("lora", seed=1)
+        with pytest.raises(NumericalError, match=r"non-finite delta at step 1: layer 0, role"):
+            oh.train(model, oh.OptimizerConfig("sgd", 1e300), oh.toy_dataset(False, seed=1), 1)
+
     def test_rejects_non_positive_steps(self):
         model = oh.build_toy_model("lora", seed=0)
         data = oh.toy_dataset(conv=False, seed=0)
         with pytest.raises(ValueError, match="steps"):
             oh.train(model, oh.OptimizerConfig("sgd", 0.01), data, steps=0)
+
+
+class TestStackedRun:
+    """_train advances several members as one stacked run."""
+
+    @staticmethod
+    def pair(name, optimizer):
+        # two members on one base: different factors, ratios and rates
+        model = oh.build_toy_model(name, seed=13, ratio=4.0)
+        other = oh.ToyModel([
+            dataclasses.replace(l, adapter=adapters.scale_factors(dataclasses.replace(
+                l.adapter, scale=adapters.MergeScale(alpha=float(l.adapter.scale.dim),
+                                                     dim=l.adapter.scale.dim)), 1.25))
+            for l in model.layers])
+        lr = oh.BASE_LR[optimizer]
+        return [model, other], [oh.OptimizerConfig(optimizer, lr), oh.OptimizerConfig(optimizer, 0.5 * lr)]
+
+    @pytest.mark.parametrize("optimizer", oh.OPTIMIZERS)
+    @pytest.mark.parametrize("name", sorted(oh.HARNESS_ALGORITHMS))
+    def test_two_members_equal_two_single_runs(self, name, optimizer):
+        models, cfgs = self.pair(name, optimizer)
+        data = oh.toy_dataset(oh.HARNESS_ALGORITHMS[name].conv, seed=13)
+        stacked = oh._train(models, cfgs, data, 4, ["a", "b"])
+        for model, cfg, trace in zip(models, cfgs, stacked):
+            alone = oh.train(model, cfg, data, 4)
+            assert trace.losses == alone.losses
+            for got, want in zip(trace.deltas, alone.deltas):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_members_must_share_the_base(self):
+        models, cfgs = self.pair("lora", "sgd")
+        models[1] = oh.build_toy_model("lora", seed=14)
+        with pytest.raises(ValueError, match="share"):
+            oh._train(models, cfgs, oh.toy_dataset(False, seed=13), 1, ["a", "b"])
 
 
 class TestHomogeneityCheck:
@@ -271,6 +319,22 @@ class TestVerifyMergeRatio:
                                       eps=1e-8)
         assert clean < 1e-8
         assert dirty > 1e-4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_twin_is_named(self):
+        # twin B's learning rate is 1e148: its first step leaves the float range
+        with pytest.raises(NumericalError,
+                           match=r"non-finite factor at step 1 in twin B: layer \d, role '\w+'"):
+            oh.verify_merge_ratio("lora", 1e150, "sgd", steps=1)
+
+    def test_nan_deviation_is_not_dropped(self, monkeypatch):
+        # max(0.0, nan) is 0.0; the deviation must report the NaN instead
+        def fake_train(models, optimizers, dataset, steps, names):
+            first = [np.zeros((2, 2)), np.zeros((2, 2))]
+            return [oh.TrainTrace([0.0, 0.0], [first, [np.zeros((2, 2)), np.full((2, 2), np.nan)]]),
+                    oh.TrainTrace([0.0, 0.0], [first, first])]
+        monkeypatch.setattr(oh, "_train", fake_train)
+        assert np.isnan(oh.verify_merge_ratio("lora", 2.0, "sgd", steps=2))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError, match="positive"):

@@ -253,6 +253,32 @@ class TestConvAdjoints:
                                        rtol=1e-12, atol=1e-12)
 
 
+class TestConvMemberAxis:
+    """A leading member axis on the kernel (and the image) runs one GEMM per member."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shared_image", [False, True], ids=["stacked", "shared"])
+    @pytest.mark.parametrize("out_c,in_c,k,h,w", [(2, 3, 3, 5, 6), (4, 2, 2, 4, 4), (3, 1, 1, 2, 3)])
+    def test_stack_of_three_equals_each_member(self, complex_, shared_image, out_c, in_c, k, h, w):
+        rng = np.random.default_rng([out_c, in_c, k, h, w, int(complex_), int(shared_image)])
+        draw = TestConvAdjoints.draw
+        kernels = draw(rng, (3, out_c, in_c, k, k), complex_)
+        images = draw(rng, (4, in_c, h, w) if shared_image else (3, 4, in_c, h, w), complex_)
+        y, cols = tc._conv2d(kernels, images)
+        dy = draw(rng, y.shape, complex_)
+        grad_k = tc._conv2d_weight_grad(dy, cols, k)
+        scratch = {}
+        grad_x = tc._conv2d_input_grad(kernels, dy, scratch)
+        # a second call on the scratch it filled writes the same values
+        assert np.array_equal(tc._conv2d_input_grad(kernels, dy, scratch), grad_x)
+        for m in range(3):
+            image = images if shared_image else images[m]
+            y_m, cols_m = tc._conv2d(kernels[m], image)
+            assert np.array_equal(y[m], y_m)
+            assert np.array_equal(grad_k[m], tc._conv2d_weight_grad(dy[m], cols_m, k))
+            assert np.array_equal(grad_x[m], tc._conv2d_input_grad(kernels[m], dy[m]))
+
+
 class TestSvd:
     def test_diagonal_singular_values(self):
         _, s, _ = tc.svd(np.diag([3.0, 2.0, 1.0]))
