@@ -128,7 +128,7 @@ class LayerShape:
 def _store(obj, **arrays) -> None:
     # frozen dataclasses: coerce tensor fields once, at construction
     for name, value in arrays.items():
-        object.__setattr__(obj, name, as_tensor(value) if value is not None else None)
+        object.__setattr__(obj, name, as_tensor(value, name) if value is not None else None)
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -555,7 +555,7 @@ def reconstruct(adapter: Adapter) -> np.ndarray:
 
 
 def _check_base(layer: LayerShape, w0, bias) -> tuple[np.ndarray, np.ndarray]:
-    w0m, bv = as_tensor(w0), as_tensor(bias)
+    w0m, bv = as_tensor(w0, "base weight"), as_tensor(bias, "bias")
     if w0m.shape != layer.delta_shape:
         what = "weight" if layer.kind == "linear" else "kernel"
         raise ShapeError(f"base {what} shape {w0m.shape} != {layer.delta_shape}")
@@ -577,7 +577,7 @@ def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
     if shp.kind != "linear":
         raise ShapeError(f"forward_linear needs a linear layer, got {shp.kind}")
     w0m, bv = _check_base(shp, w0, bias)
-    xm = as_tensor(x)
+    xm = as_tensor(x, "input")
     if xm.ndim not in (1, 2) or xm.shape[-1] != shp.in_dim:
         raise ShapeError(f"input shape {xm.shape} != ({shp.in_dim},) or (n, {shp.in_dim})")
     cols = xm.T
@@ -600,14 +600,14 @@ def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
     if shp.kind != "conv2d":
         raise ShapeError(f"forward_conv needs a conv2d layer, got {shp.kind}")
     k0m, bv = _check_base(shp, k0, bias)
-    xm = as_tensor(x)
+    xm = as_tensor(x, "input")
     base = tensor_core.conv2d(k0m, xm)
     return base + bv[:, None, None] + adapter.scale.gamma * adapter._convolve(xm)
 
 
 def merge(adapter: Adapter, w0_new, lam: float = 1.0) -> np.ndarray:
     """w0_new + lam * gamma * delta; shapes must agree with the layer."""
-    wm = as_tensor(w0_new)
+    wm = as_tensor(w0_new, "weight")
     if not math.isfinite(lam):
         raise ValueError(f"merge weight must be finite, got {lam}")
     if wm.shape != adapter.layer.delta_shape:
@@ -668,6 +668,29 @@ def scale_factors(adapter: Adapter, c: float) -> Adapter:
     return replace(adapter, **{name: c * value for name, value in adapter.tensors().items()})
 
 
+def _fit_geometry(dm: np.ndarray) -> LayerShape:
+    """The layer of a dense delta: a (p, q) matrix or an (out, in, k, k) kernel stack."""
+    if dm.ndim == 2:
+        return LayerShape("linear", dm.shape[0], dm.shape[1])
+    if dm.ndim == 4:
+        if dm.shape[2] != dm.shape[3]:
+            raise ShapeError(f"kernel must be square, got shape {dm.shape}")
+        return LayerShape("conv2d", dm.shape[0], dm.shape[1], dm.shape[2])
+    raise ShapeError(f"delta must have rank 2 or 4, got shape {dm.shape}")
+
+
+def _svd_block(geometry: LayerShape, dense: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best rank-dim (up, down) of a block on `geometry`, by truncated SVD.
+
+    The block is fitted unrolled, (out, in*k*k) as _Block.dense lays it out;
+    up = U_r diag(S_r) and down = V_r^T, shaped as _Block stores it.
+    """
+    u, s, v = tensor_core.svd(dense.reshape(geometry.out_dim, -1))
+    up = u[:, :dim] * s[:dim]
+    down = np.ascontiguousarray(v[:, :dim].T).reshape(dim, *geometry.delta_shape[1:])
+    return up, down
+
+
 def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     """Best rank-dim fit of a dense delta, by truncated SVD.
 
@@ -675,24 +698,12 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     unrolled form). Factors are up = U_r diag(S_r), down = V_r^T; alpha is
     set to dim so gamma == 1 and merge() reproduces the fit directly.
     """
-    dm = as_tensor(delta)
-    if dm.ndim == 2:
-        layer = LayerShape("linear", dm.shape[0], dm.shape[1])
-        work = dm
-    elif dm.ndim == 4:
-        if dm.shape[2] != dm.shape[3]:
-            raise ShapeError(f"kernel must be square, got shape {dm.shape}")
-        layer = LayerShape("conv2d", dm.shape[0], dm.shape[1], dm.shape[2])
-        work = tensor_core.unroll_conv(dm)
-    else:
-        raise ShapeError(f"delta must have rank 2 or 4, got shape {dm.shape}")
-    if not 1 <= dim <= min(work.shape):
-        raise ValueError(f"dim {dim} out of range [1, {min(work.shape)}] for shape {dm.shape}")
-    u, s, v = tensor_core.svd(work)
-    up = u[:, :dim] * s[:dim]
-    down = np.ascontiguousarray(v[:, :dim].T)
-    if layer.kind == "conv2d":
-        down = down.reshape(dim, layer.in_dim, layer.kernel, layer.kernel)
+    dm = as_tensor(delta, "delta")
+    layer = _fit_geometry(dm)
+    full = min(layer.out_dim, layer.unrolled_in)
+    if not 1 <= dim <= full:
+        raise ValueError(f"dim {dim} out of range [1, {full}] for shape {dm.shape}")
+    up, down = _svd_block(layer, dm, dim)
     return LoraAdapter(layer, MergeScale(alpha=float(dim), dim=dim), up, down)
 
 
@@ -713,39 +724,26 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     With dim below the right block's maximal rank, the block is further
     truncated to up @ down by an inner SVD.
     """
-    dm = as_tensor(delta)
-    if dm.ndim == 2:
-        layer = LayerShape("linear", dm.shape[0], dm.shape[1])
-    elif dm.ndim == 4:
-        if dm.shape[2] != dm.shape[3]:
-            raise ShapeError(f"kernel must be square, got shape {dm.shape}")
-        layer = LayerShape("conv2d", dm.shape[0], dm.shape[1], dm.shape[2])
-    else:
-        raise ShapeError(f"delta must have rank 2 or 4, got shape {dm.shape}")
+    dm = as_tensor(delta, "delta")
+    layer = _fit_geometry(dm)
     u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
     u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
-    k = layer.kernel
-    rearranged = _nkp_rearrange(dm, u_p, v_p, u_q, v_q)
-    u, s, v = tensor_core.svd(rearranged)
+    right = LayerShape(layer.kind, v_p, v_q, layer.kernel)
+    u, s, v = tensor_core.svd(_nkp_rearrange(dm, u_p, v_p, u_q, v_q))
     c_vec = u[:, 0].copy()
     right_vec = s[0] * v[:, 0]
     nonzero = np.flatnonzero(c_vec)
     if nonzero.size and c_vec[nonzero[0]] < 0:
         c_vec, right_vec = -c_vec, -right_vec
     c = c_vec.reshape(u_p, u_q)
-    right_cols = v_q * k * k
-    block_rank = min(v_p, right_cols)
+    block_rank = min(right.out_dim, right.unrolled_in)
     if dim is None:
         dim = block_rank
+    scale = MergeScale(alpha=float(dim), dim=dim)
     if dim >= block_rank:
-        w2 = right_vec.reshape((v_p, v_q) if layer.kind == "linear" else (v_p, v_q, k, k))
-        return LokrAdapter(layer, MergeScale(alpha=float(dim), dim=dim), factor, c, w2=w2)
-    u2, s2, v2 = tensor_core.svd(right_vec.reshape(v_p, right_cols))
-    up = u2[:, :dim] * s2[:dim]
-    down = np.ascontiguousarray(v2[:, :dim].T)
-    if layer.kind == "conv2d":
-        down = down.reshape(dim, v_q, k, k)
-    return LokrAdapter(layer, MergeScale(alpha=float(dim), dim=dim), factor, c, up=up, down=down)
+        return LokrAdapter(layer, scale, factor, c, w2=right_vec.reshape(right.delta_shape))
+    up, down = _svd_block(right, right_vec, dim)
+    return LokrAdapter(layer, scale, factor, c, up=up, down=down)
 
 
 def init_model(entries, algorithm: str, dim: int, alpha: float, factor: int = -1,

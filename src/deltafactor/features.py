@@ -293,12 +293,6 @@ def feature_labels(records, field: str) -> list[str]:
 # score tables
 
 
-def _score_cell(path, line_no, name, cell, allow_empty=False):
-    if cell == "" and not allow_empty:
-        raise FeatureFileError(f"{path}: line {line_no}: empty {name} column")
-    return cell
-
-
 def load_scores(path) -> list[ScoreRecord]:
     """Read a score CSV with the fixed SCORE_COLUMNS header."""
     records = []
@@ -317,7 +311,8 @@ def load_scores(path) -> list[ScoreRecord]:
         for name, cell in (("checkpoint", checkpoint), ("category", category),
                            ("class", class_name), ("prompt_type", prompt_type),
                            ("metric", metric)):
-            _score_cell(path, line_no, name, cell)
+            if cell == "":
+                raise FeatureFileError(f"{path}: line {line_no}: empty {name} column")
         try:
             value = float(value_cell)
         except ValueError:

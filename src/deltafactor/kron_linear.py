@@ -61,8 +61,8 @@ def grouped_forward(c, b, a, h, counter: MacCounter | None = None) -> np.ndarray
     arbitrary leading batch axes. Returns an array with last extent
     u_p * v_p.
     """
-    cm, bm, am = as_tensor(c), as_tensor(b), as_tensor(a)
-    hm = as_tensor(h)
+    cm, bm, am = as_tensor(c, "c"), as_tensor(b, "b"), as_tensor(a, "a")
+    hm = as_tensor(h, "input")
     for name, mat in (("c", cm), ("b", bm), ("a", am)):
         if mat.ndim != 2:
             raise ShapeError(f"factor {name} must be a matrix, got shape {mat.shape}")
@@ -81,8 +81,8 @@ def grouped_forward(c, b, a, h, counter: MacCounter | None = None) -> np.ndarray
 
 def grouped_forward_full(c, w2, h, counter: MacCounter | None = None) -> np.ndarray:
     """grouped_forward with an unfactored right block w2: (v_p, v_q)."""
-    cm, wm = as_tensor(c), as_tensor(w2)
-    hm = as_tensor(h)
+    cm, wm = as_tensor(c, "c"), as_tensor(w2, "w2")
+    hm = as_tensor(h, "input")
     if cm.ndim != 2 or wm.ndim != 2:
         raise ShapeError(
             f"factors must be matrices, got shapes {cm.shape} and {wm.shape}"
@@ -98,8 +98,8 @@ def grouped_forward_full(c, w2, h, counter: MacCounter | None = None) -> np.ndar
 
 def dense_forward(c, b, a, h, counter: MacCounter | None = None) -> np.ndarray:
     """Reference path: materializes kron(C, B @ A) and applies it directly."""
-    cm, bm, am = as_tensor(c), as_tensor(b), as_tensor(a)
-    hm = as_tensor(h)
+    cm, bm, am = as_tensor(c, "c"), as_tensor(b, "b"), as_tensor(a, "a")
+    hm = as_tensor(h, "input")
     m = _batched_matmul(bm, am, counter)
     full = np.kron(cm, m)
     if counter is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_core import ShapeError, as_real_tensor, sym_eig
+from .tensor_core import ShapeError, as_tensor, sym_eig
 
 __all__ = [
     "MEASURES",
@@ -42,7 +42,7 @@ MEASURES = ("vendi", "intra_dissimilarity", "variance")
 
 
 def _vectors(a, name: str = "vectors") -> np.ndarray:
-    arr = as_real_tensor(a, name)
+    arr = as_tensor(a, name)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be a (n, d) array, got shape {arr.shape}")
     if arr.shape[0] < 1:
@@ -52,10 +52,19 @@ def _vectors(a, name: str = "vectors") -> np.ndarray:
 
 def _normalized(a, name: str = "vectors") -> np.ndarray:
     arr = _vectors(a, name)
-    norms = np.linalg.norm(arr, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm vector at row {int(zero[0])} of {name}")
+    # a row whose sum of squares left the float64 range (norm inf, or below
+    # sqrt(tiny), 0 included) is normalized after dividing it by its largest
+    # |entry|; every other row is as computed
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(arr, axis=1)
+    redo = np.flatnonzero((norms < np.sqrt(np.finfo(float).tiny)) | np.isinf(norms))
+    if redo.size:
+        peaks = np.max(np.abs(arr[redo]), axis=1)
+        if not peaks.all():
+            raise ValueError(f"zero-norm vector at row {int(redo[np.argmin(peaks)])} of {name}")
+        arr = arr.copy()
+        arr[redo] /= peaks[:, None]
+        norms[redo] = np.linalg.norm(arr[redo], axis=1)
     return arr / norms[:, None]
 
 
@@ -168,7 +177,7 @@ def grouped_vendi(vectors, labels, singletons: str) -> tuple[dict[str, float], f
 
 def gram_matrix(feature_map) -> np.ndarray:
     """Channel covariance G = F F^T / (C H W) of a (C, H, W) feature map."""
-    fm = as_real_tensor(feature_map, "feature map")
+    fm = as_tensor(feature_map, "feature map")
     if fm.ndim != 3:
         raise ShapeError(f"feature map must be (C, H, W), got shape {fm.shape}")
     c, h, w = fm.shape

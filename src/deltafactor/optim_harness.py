@@ -7,10 +7,14 @@ backprop to each layer's delta and on, through the adapter family's own
 vector-Jacobian product, to every factor tensor (Tucker cores included),
 and the three optimizers (Adam with fixed betas). Its three checks back
 the CLI's `verify merge-ratio`, `verify homogeneity` and `verify
-gradients`, which loop over the forms in HARNESS_ALGORITHMS. The forward
-path and the loss carry float64 or complex128 alike: a factor given an
+gradients`, which loop over the forms in HARNESS_ALGORITHMS.
+
+There is one forward, one loss and one gradient path, all private:
+_forward, _member_mse and _loss_and_grads, on data the public entry points
+have checked. They carry float64 or complex128 alike: a factor given an
 imaginary perturbation yields a complex loss whose imaginary part holds
-the derivative.
+the derivative, which is how gradient_check takes its reference. The
+public functions take real input only.
 
 Conv layers run on tensor_core's im2col kernel and its two adjoints. A
 training step builds each delta once and reuses it in the next forward.
@@ -45,10 +49,6 @@ __all__ = [
     "ToyLayer",
     "ToyModel",
     "TrainTrace",
-    "mse_loss",
-    "model_forward",
-    "model_loss",
-    "loss_and_grads",
     "homogeneity_degree",
     "train",
     "homogeneity_check",
@@ -75,6 +75,9 @@ INIT_DELTA_RMS = 0.02
 # complex-step probes per forward in gradient_check: bounds the stacked
 # forward's memory (the 81 probes of a Tucker core take 6 MB at once)
 PROBES_PER_FORWARD = 16
+
+# gradient_check's imaginary step h
+COMPLEX_STEP = 1e-30
 
 LINEAR_DIMS = (16, 12, 8)
 LINEAR_SAMPLES = 64
@@ -145,20 +148,6 @@ class TrainTrace:
     deltas: list[list[np.ndarray]] = field(default_factory=list)
 
 
-def mse_loss(pred, target) -> float | complex:
-    """Mean of squared elementwise error over every array element.
-
-    A float for real input. Complex input gives a complex value, since the
-    square is diff * diff and not |diff|^2: the loss stays analytic, as the
-    complex-step gradient check needs.
-    """
-    pm, tm = as_tensor(pred), as_tensor(target)
-    if pm.shape != tm.shape:
-        raise ValueError(f"prediction shape {pm.shape} != target shape {tm.shape}")
-    diff = pm - tm
-    return np.mean(diff * diff).item()
-
-
 def homogeneity_degree(adapter) -> int:
     """Number of factor tensors: scaling all by c scales the delta by c^k."""
     return len(adapter.tensors())
@@ -195,40 +184,18 @@ def _forward(model: ToyModel, x: np.ndarray, deltas: list, gammas: list,
     return saved
 
 
-def _gammas(model: ToyModel) -> list[float]:
-    return [layer.adapter.scale.gamma for layer in model.layers]
-
-
 def _input_cols(model: ToyModel, x: np.ndarray) -> np.ndarray | None:
     """The first layer's im2col columns of x, for callers that run many forwards on one x."""
     head = model.layers[0].adapter.layer
     return tensor_core._im2col(x, head.kernel) if head.kind == "conv2d" else None
 
 
-def model_forward(model: ToyModel, x) -> np.ndarray:
-    """Batched forward pass; x is (n, in) or (n, in, H, W)."""
-    deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
-    return _forward(model, as_tensor(x), deltas, _gammas(model))[-1][-1]
-
-
-def model_loss(model: ToyModel, x, target) -> float | complex:
-    return mse_loss(model_forward(model, x), target)
-
-
-def loss_and_grads(model: ToyModel, x, target):
-    """MSE loss and hand-derived gradients of every adapter factor.
-
-    Returns (loss, grads) where grads[i] maps the i-th layer's factor roles
-    to arrays shaped like the factors themselves.
-    """
-    deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
-    loss, grads = _loss_and_grads(model, as_tensor(x), None, as_tensor(target), deltas,
-                                  _gammas(model))
-    return float(loss), grads
-
-
 def _member_mse(pred: np.ndarray, target: np.ndarray):
-    """(pred - target, the MSE of each member): the mean over the axes pred shares with target."""
+    """(pred - target, the MSE of each member): the mean over the axes pred shares with target.
+
+    The square is diff * diff, not |diff|^2: a complex pred gives a loss
+    that stays analytic, as the complex-step check needs.
+    """
     if pred.shape[pred.ndim - target.ndim:] != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
@@ -237,7 +204,7 @@ def _member_mse(pred: np.ndarray, target: np.ndarray):
 
 def _loss_and_grads(model: ToyModel, x: np.ndarray, x_cols: np.ndarray | None,
                     target: np.ndarray, deltas: list, gammas: list, scratch: list | None = None):
-    """loss_and_grads on checked data, with deltas[i] = layer i's reconstructed delta.
+    """MSE loss and the gradients of every factor, grads[i] by role, with deltas[i] layer i's delta.
 
     With leading member axes on deltas and gammas, the losses and every
     gradient carry them too; x_cols and scratch are as in _forward. The
@@ -479,31 +446,33 @@ def _train(models: list[ToyModel], optimizers: list[OptimizerConfig], dataset, s
         who = f" in {names[member]}" if names[member] else ""
         return NumericalError(f"non-finite {what} at step {step}{who}{where}")
 
-    # the deltas recorded after each update are the next step's forward deltas
+    # the deltas recorded after each update are the next step's forward deltas;
+    # a diverging run is reported by the scans below, not by numpy's warnings
     deltas = [layer.adapter._delta() for layer in work.layers]
-    for step_index in range(1, steps + 1):
-        losses, grads = _loss_and_grads(work, x, x_cols, y, deltas, gammas, scratch)
-        if not np.all(np.isfinite(losses)):
-            raise failure("loss", step_index, int(np.argmin(np.isfinite(losses))))
-        opt.step(buf, np.concatenate([grads[li][role] for li, role, *_ in blocks], axis=None))
-        if not np.all(np.isfinite(buf)):
-            bad = int(np.argmin(np.isfinite(buf)))
-            li, role, start, size = next(b for b in reversed(blocks) if b[2] <= bad)
-            raise failure("factor", step_index, (bad - start) // size,
-                          f": layer {li}, role {role!r}")
-        deltas = [layer.adapter._delta() for layer in work.layers]
-        for li, d in enumerate(deltas):
-            if not np.isfinite(d).all():
-                # finite factors whose product overflows: name the largest
-                m = int(np.argmin(np.isfinite(d).reshape(n, -1).all(axis=1)))
-                peaks = {role: float(np.max(np.abs(t[m])))
-                         for role, t in work.layers[li].adapter.tensors().items()}
-                role = max(peaks, key=peaks.get)
-                raise failure("delta", step_index, m, f": layer {li}, role {role!r} (finite "
-                              f"factors up to {peaks[role]:.3g} whose product overflows)")
-        for i, trace in enumerate(traces):
-            trace.losses.append(float(losses[i]))
-            trace.deltas.append([d[i] for d in deltas])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_index in range(1, steps + 1):
+            losses, grads = _loss_and_grads(work, x, x_cols, y, deltas, gammas, scratch)
+            if not np.all(np.isfinite(losses)):
+                raise failure("loss", step_index, int(np.argmin(np.isfinite(losses))))
+            opt.step(buf, np.concatenate([grads[li][role] for li, role, *_ in blocks], axis=None))
+            if not np.all(np.isfinite(buf)):
+                bad = int(np.argmin(np.isfinite(buf)))
+                li, role, start, size = next(b for b in reversed(blocks) if b[2] <= bad)
+                raise failure("factor", step_index, (bad - start) // size,
+                              f": layer {li}, role {role!r}")
+            deltas = [layer.adapter._delta() for layer in work.layers]
+            for li, d in enumerate(deltas):
+                if not np.isfinite(d).all():
+                    # finite factors whose product overflows: name the largest
+                    m = int(np.argmin(np.isfinite(d).reshape(n, -1).all(axis=1)))
+                    peaks = {role: float(np.max(np.abs(t[m])))
+                             for role, t in work.layers[li].adapter.tensors().items()}
+                    role = max(peaks, key=peaks.get)
+                    raise failure("delta", step_index, m, f": layer {li}, role {role!r} (finite "
+                                  f"factors up to {peaks[role]:.3g} whose product overflows)")
+            for i, trace in enumerate(traces):
+                trace.losses.append(float(losses[i]))
+                trace.deltas.append([d[i] for d in deltas])
     return traces
 
 
@@ -512,11 +481,14 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
 
     k is the number of factor tensors (2 for lora and unfactored lokr, 3 for
     factored lokr and Tucker lora, 4 for loha). Exact in real arithmetic, so
-    the deviation is rounding noise. Raises ValueError for trials < 1, which
-    would check nothing.
+    the deviation is rounding noise. Raises ValueError for trials < 1, and
+    for c of 0 or 1, whose scaling is exact whatever k is: such a check
+    would measure nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if c in (0.0, 1.0):
+        raise ValueError(f"scale must not be 0 or 1, got {c}: c^k is then the same for every k")
     spec = HARNESS_ALGORITHMS[algorithm]
     shapes = [shape for shape, _ in toy_geometry(spec.conv)]
     worst = 0.0
@@ -574,33 +546,35 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
                          for da, db in zip(zip(*trace_a.deltas), zip(*trace_b.deltas))]))
 
 
-def gradient_check(algorithm: str, seed=0, step: float = 1e-30) -> dict[str, float]:
+def gradient_check(algorithm: str, seed=0) -> dict[str, float]:
     """Complex-step check of every factor gradient.
 
-    Each factor element is shifted by i * step and the loss is taken once
-    in complex128; Im L(x + i * step) / step is its derivative (Squire &
-    Trapp 1998). No two losses are subtracted, so nothing cancels and the
-    reference is exact to rounding for any small step. The probes of a
-    factor run as members of stacked forwards, PROBES_PER_FORWARD at a
-    time, and the layers before the factor's run once per forward, for
-    all of its members. Returns the worst
-    relative error |analytic - reference| / max(|reference|, |analytic|, 1e-8)
-    per 'layer<i>.<role>' key. gamma is set away from 1 so the ratio chain
-    rule is exercised too.
+    Each factor element is shifted by i * h (h = COMPLEX_STEP) and the
+    loss is taken once in complex128; Im L(x + i * h) / h is its derivative
+    (Squire & Trapp 1998). No two losses are subtracted, so nothing cancels
+    and the reference is exact to rounding for any small step. The probes
+    of a factor run as members of stacked forwards, PROBES_PER_FORWARD at a
+    time, and the layers before the factor's run once per forward, for all
+    of its members; the analytic gradients come from one _loss_and_grads
+    call on the same deltas and columns. Returns the worst relative error
+    |analytic - reference| / max(|reference|, |analytic|, 1e-8) per
+    'layer<i>.<role>' key. gamma is set away from 1 so the ratio chain rule
+    is exercised too.
     """
     spec = HARNESS_ALGORITHMS[algorithm]
     model = build_toy_model(algorithm, seed=seed, ratio=1.3)
-    x, y = (as_tensor(a) for a in toy_dataset(spec.conv, seed=seed, samples=4 if not spec.conv else 2))
-    _, grads = loss_and_grads(model, x, y)
+    x, y = toy_dataset(spec.conv, seed=seed, samples=2 if spec.conv else 4)
     deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
-    gammas, x_cols = _gammas(model), _input_cols(model, x)
+    gammas = [layer.adapter.scale.gamma for layer in model.layers]
+    x_cols = _input_cols(model, x)
+    _, grads = _loss_and_grads(model, x, x_cols, y, deltas, gammas)
     worst: dict[str, float] = {}
     for li, layer in enumerate(model.layers):
         tensors = layer.adapter.tensors()
         for role, param in tensors.items():
             # a stacked forward holds up to PROBES_PER_FORWARD probes of this
             # factor: member p shifts its entry alone, the other factors are shared
-            shifts = (1j * step) * np.eye(param.size).reshape(param.size, *param.shape)
+            shifts = (1j * COMPLEX_STEP) * np.eye(param.size).reshape(param.size, *param.shape)
             ref = np.empty(param.size)
             for lo in range(0, param.size, PROBES_PER_FORWARD):
                 probes = param + shifts[lo:lo + PROBES_PER_FORWARD]
@@ -609,7 +583,7 @@ def gradient_check(algorithm: str, seed=0, step: float = 1e-30) -> dict[str, flo
                 probe_deltas = list(deltas)
                 probe_deltas[li] = adapters._stacked(layer.adapter, stacked)._delta()
                 out = _forward(model, x, probe_deltas, gammas, x_cols)[-1][-1]
-                ref[lo:lo + len(probes)] = _member_mse(out, y)[1].imag / step
+                ref[lo:lo + len(probes)] = _member_mse(out, y)[1].imag / COMPLEX_STEP
             analytic = grads[li][role].reshape(-1)
             denom = np.maximum(np.maximum(np.abs(ref), np.abs(analytic)), 1e-8)
             worst[f"layer{li}.{role}"] = float(np.max(np.abs(analytic - ref) / denom))

@@ -2,16 +2,16 @@
 
 Row-major (C) memory order is the convention for every vectorization,
 unrolling, and regrouping operation in this package. The public functions
-accept array-likes, validate them to contiguous float64 (complex128 when
-the input is complex), and return numpy arrays; inputs are never mutated.
-Complex input exists for complex-step differentiation of real-analytic
-paths (products, Tucker contractions, convolutions); operations that are
-defined for real input only refuse it with ComplexInputError.
+take real input only: they accept array-likes, validate them to contiguous
+float64 (as_tensor; complex input raises ComplexInputError), and return
+numpy arrays; inputs are never mutated.
 
-There is one convolution kernel, _conv2d, on arrays its caller has checked;
-its two adjoints reuse its im2col columns, and conv2d is its checked entry.
-The private kernel and its adjoints also take a leading member axis on the
-kernel (and the image), for the training harness's stacked runs.
+There is one convolution kernel, _conv_cols of the _im2col columns, on
+arrays its caller has checked; its two adjoints reuse the columns, and
+conv2d is its checked entry. The private kernel and its adjoints take
+arrays as they are, complex ones included (the training harness's
+complex-step gradient check runs on them), and a leading member axis on
+the kernel (and the image), for the harness's stacked runs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "ComplexInputError",
     "SYM_EIG_MAX_SIZE",
     "as_tensor",
-    "as_real_tensor",
-    "unroll_conv",
     "conv2d",
     "svd",
     "numerical_rank",
@@ -49,23 +47,19 @@ class ComplexInputError(ValueError):
     """Complex input reached an operation defined for real input only."""
 
 
-def as_tensor(data) -> np.ndarray:
-    """Coerce to a C-contiguous array, rejecting NaN/Inf elements.
+def as_tensor(data, name: str = "tensor") -> np.ndarray:
+    """Coerce to a C-contiguous float64 array, rejecting NaN/Inf elements.
 
-    Complex input becomes complex128; every other input becomes float64.
+    Complex input raises ComplexInputError naming the argument: the public
+    operations are defined on real input, and casting would drop the
+    imaginary part.
     """
     arr = np.asarray(data)
-    arr = np.ascontiguousarray(arr, dtype=np.complex128 if arr.dtype.kind == "c" else np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite elements")
-    return arr
-
-
-def as_real_tensor(data, name: str = "tensor") -> np.ndarray:
-    """as_tensor for real-only operations: complex input raises ComplexInputError."""
-    arr = as_tensor(data)
     if arr.dtype.kind == "c":
         raise ComplexInputError(f"{name} is complex; this operation takes real input only")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor contains non-finite elements")
     return arr
 
 
@@ -74,42 +68,12 @@ def _require_rank(arr: np.ndarray, rank: int, name: str) -> None:
         raise ShapeError(f"{name} must have rank {rank}, got shape {arr.shape}")
 
 
-def unroll_conv(kernel) -> np.ndarray:
-    """Flatten a conv kernel stack (out, in, k, k) to a matrix (out, in*k*k).
-
-    Column index runs row-major over (in, k, k), so channel blocks stay
-    contiguous and each block holds one k x k kernel flattened row by row.
-    """
-    km = as_tensor(kernel)
-    _require_rank(km, 4, "kernel stack")
-    if km.shape[2] != km.shape[3]:
-        raise ShapeError(f"kernel must be square, got shape {km.shape}")
-    out_c = km.shape[0]
-    return km.reshape(out_c, -1)
-
-
-def _conv2d(kernel: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conv2d on arrays the caller has checked; returns (y, cols).
-
-    kernel is (*lead, out, in, k, k); image is one (in, H, W), a batch
-    (n, in, H, W), or a batch with the kernel's leading member axes
-    (*lead, n, in, H, W). Each member runs its own GEMM, so a stack of
-    members gives bit for bit what one call per member gives. cols are the
-    image's _im2col columns.
-    """
-    if image.ndim == 3:
-        y, cols = _conv2d(kernel, image[None])
-        return y[..., 0, :, :, :], cols
-    cols = _im2col(image, kernel.shape[-1])
-    return _conv_cols(kernel, cols), cols
-
-
 def _im2col(image: np.ndarray, k: int, scratch: dict | None = None,
             name: str = "cols") -> np.ndarray:
     """Columns (*lead, in*k*k, n, h, w) of every k x k window of (*lead, n, in, H, W).
 
-    Rows run row-major over (in, k, k), as unroll_conv lays out a kernel.
-    The columns are written to _buffer(scratch, name, ...).
+    Rows run row-major over (in, k, k), as kernel.reshape(out, -1) lays out
+    a kernel. The columns are written to _buffer(scratch, name, ...).
     """
     *lead, n, c, height, width = image.shape
     *lead_s, s_n, s_c, s_h, s_w = image.strides
@@ -146,7 +110,7 @@ def _conv_cols(kernel: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_weight_grad(dy: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """dL/dkernel of _conv2d from dy = dL/dy and the forward's columns: one GEMM per member."""
+    """dL/dkernel of the convolution from dy = dL/dy and the forward's columns: one GEMM per member."""
     if dy.ndim == 3:
         dy = dy[None]
     dy_rows = dy.swapaxes(-4, -3).reshape(*dy.shape[:-4], dy.shape[-3], -1)
@@ -155,7 +119,7 @@ def _conv2d_weight_grad(dy: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv2d_input_grad(kernel: np.ndarray, dy: np.ndarray, scratch: dict | None = None) -> np.ndarray:
-    """dL/dimage of _conv2d: the flipped, channel-swapped kernel over dy padded by k-1.
+    """dL/dimage of the convolution: the flipped, channel-swapped kernel over dy padded by k-1.
 
     The padded dy and its columns are built in _buffer(scratch, ...); only
     the interior of the padded buffer is ever written, so its border stays 0.
@@ -179,7 +143,7 @@ def conv2d(kernel, image) -> np.ndarray:
     unrolled kernel (out, in*k*k) with the image's im2col columns
     (in*k*k, n*h*w).
     """
-    km, xm = as_tensor(kernel), as_tensor(image)
+    km, xm = as_tensor(kernel, "kernel"), as_tensor(image, "image")
     _require_rank(km, 4, "kernel stack")
     if xm.ndim not in (3, 4):
         raise ShapeError(f"image must be (in, H, W) or (n, in, H, W), got shape {xm.shape}")
@@ -192,7 +156,8 @@ def conv2d(kernel, image) -> np.ndarray:
         )
     if xm.shape[-2] < k or xm.shape[-1] < k:
         raise ShapeError(f"image {xm.shape} smaller than kernel window {k}x{k}")
-    return _conv2d(km, xm)[0]
+    y = _conv_cols(km, _im2col(xm.reshape(-1, *xm.shape[-3:]), k))
+    return y if xm.ndim == 4 else y[0]
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,7 +167,7 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     descending, and orthonormal columns in U and V. Convergence failures of
     the underlying iteration are reported as NumericalError.
     """
-    am = as_tensor(a)
+    am = as_tensor(a, "matrix")
     _require_rank(am, 2, "matrix")
     try:
         u, s, vh = np.linalg.svd(am, full_matrices=False)
@@ -211,14 +176,12 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, np.ascontiguousarray(vh.T)
 
 
-def numerical_rank(a, rel_tol: float = 1e-10) -> int:
-    """Count singular values above rel_tol times the largest one."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+def numerical_rank(a) -> int:
+    """Count singular values above 1e-10 times the largest one."""
     _, s, _ = svd(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > 1e-10 * s[0]))
 
 
 def sym_eig(k) -> np.ndarray:
@@ -228,7 +191,7 @@ def sym_eig(k) -> np.ndarray:
     within 1e-10 (relative to its largest magnitude entry). Complex input
     raises ComplexInputError: the symmetry test and the solver are real.
     """
-    km = as_real_tensor(k, "matrix")
+    km = as_tensor(k, "matrix")
     _require_rank(km, 2, "matrix")
     if km.shape[0] != km.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {km.shape}")

@@ -269,9 +269,10 @@ class TestVerifyCommands:
         assert lines[1] == "lora adam ratio 1.0: max deviation: 0.0 PASS"
         assert lines[2] == "FAIL (tolerance 1e-08)"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_merge_ratio_diverging_case_fails_and_the_sweep_goes_on(self, capsys):
-        # SGD at ratio 100 overflows within 10 steps; the later cases still run
+        # SGD at ratio 100 overflows within 10 steps; the later cases still
+        # run, and the case's error line alone reports it (no numpy warning)
         code, stdout, _ = run(capsys, "verify", "merge-ratio", "--algo", "lora",
                               "--opt", "adam", "sgd", "adagrad", "--scale", "100",
                               "--eps", "1e-8")
@@ -304,6 +305,14 @@ class TestVerifyCommands:
         assert code == 1
         assert "PASS" not in stdout
         assert "error: trials must be positive" in stderr
+
+    @pytest.mark.parametrize("scale", ["0", "1"])
+    def test_homogeneity_vacuous_scale_is_an_error(self, capsys, scale):
+        code, stdout, stderr = run(capsys, "verify", "homogeneity", "--algo", "lora",
+                                   "--factor-scale", scale, "--trials", "2")
+        assert code == 1
+        assert "PASS" not in stdout
+        assert "error: scale must not be 0 or 1" in stderr
 
     def test_gradients_single_algo(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "verify", "gradients", "--algo", "lora")

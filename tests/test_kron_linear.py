@@ -81,6 +81,12 @@ class TestGroupedForward:
             grouped_forward(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)),
                             np.ones(4))
 
+    def test_rejects_complex(self):
+        with pytest.raises(tc.ComplexInputError, match="^b is complex"):
+            grouped_forward(np.ones((2, 2)), np.ones((2, 1)) * 1j, np.ones((1, 2)), np.ones(4))
+        with pytest.raises(tc.ComplexInputError, match="^input is complex"):
+            grouped_forward(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)), np.ones(4) + 0j)
+
     def test_rejects_vector_factor(self):
         with pytest.raises(tc.ShapeError, match="matrix"):
             grouped_forward(np.ones(2), np.ones((2, 1)), np.ones((1, 2)),

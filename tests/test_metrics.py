@@ -40,6 +40,37 @@ class TestAvgCosineSimilarity:
             mt.avg_cosine_similarity([E1], [[1.0, 0.0, 0.0]])
 
 
+class TestExtremeMagnitudes:
+    """Rows whose sum of squares leaves the float64 range normalize as their rescaled selves."""
+
+    HUGE = [[1e308, 1e308], [1e308, -1e308]]
+    UNIT = [[1.0, 1.0], [1.0, -1.0]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_rows(self):
+        huge, unit = self.HUGE, self.UNIT
+        assert mt.avg_cosine_similarity(huge, huge) == mt.avg_cosine_similarity(unit, unit)
+        assert mt.avg_cosine_similarity(huge, huge) == pytest.approx(0.5)
+        assert mt.vendi_score(huge) == mt.vendi_score(unit) == pytest.approx(2.0)
+        assert mt.text_image_alignment(huge, huge) == mt.text_image_alignment(unit, unit)
+        assert mt.text_image_alignment(huge, huge) == pytest.approx(1.0)
+
+    def test_tiny_row_is_not_zero(self):
+        got = mt.avg_cosine_similarity([[1e-200, 1e-200]], [E1])
+        assert got == mt.avg_cosine_similarity([[1.0, 1.0]], [E1]) == pytest.approx(DIAG[0])
+        with pytest.raises(ValueError, match="zero-norm vector at row 2 "):
+            mt.avg_cosine_similarity([[1e-200, 0.0], E1, [0.0, 0.0], [0.0, 0.0]], [E1])
+
+    def test_ordinary_rows_unchanged(self):
+        rows = np.random.default_rng(2).standard_normal((5, 3))
+        mixed = np.vstack([rows[:2], [[1e308, -1e308, 1e308], [0.0, 1e-300, 0.0]], rows[2:]])
+        got = mt._normalized(mixed)
+        want = rows / np.linalg.norm(rows, axis=1)[:, None]
+        assert np.array_equal(np.delete(got, [2, 3], axis=0), want)
+        np.testing.assert_allclose(got[2], np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0), rtol=1e-15)
+        assert np.array_equal(got[3], [0.0, 1.0, 0.0])
+
+
 class TestSquaredCentroidDistance:
     def test_identical_sets(self):
         rng = np.random.default_rng(0)

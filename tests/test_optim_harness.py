@@ -9,22 +9,36 @@ from deltafactor import optim_harness as oh
 from deltafactor.tensor_core import NumericalError
 
 
+def loss_and_grads(model, x, target):
+    """The harness's loss and factor gradients at the model's own deltas and ratios."""
+    deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
+    gammas = [layer.adapter.scale.gamma for layer in model.layers]
+    return oh._loss_and_grads(model, x, None, target, deltas, gammas)
+
+
 class TestMseLoss:
+    """_member_mse, the harness's one loss."""
+
     def test_zero_on_equal(self):
         x = np.random.default_rng(0).standard_normal((4, 3))
-        assert oh.mse_loss(x, x) == 0.0
+        assert oh._member_mse(x, x)[1] == 0.0
 
     def test_mean_of_squares(self):
-        assert oh.mse_loss([1.0, 3.0], [0.0, 1.0]) == pytest.approx(2.5)
+        diff, loss = oh._member_mse(np.array([1.0, 3.0]), np.array([0.0, 1.0]))
+        assert loss == 2.5
+        np.testing.assert_array_equal(diff, [1.0, 2.0])
+        # one loss per member of a leading axis
+        stacked = oh._member_mse(np.array([[1.0, 3.0], [0.0, 1.0]]), np.array([0.0, 1.0]))[1]
+        np.testing.assert_array_equal(stacked, [2.5, 0.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            oh.mse_loss(np.zeros(3), np.zeros(4))
+            oh._member_mse(np.zeros(3), np.zeros(4))
 
     def test_complex_input_stays_analytic(self):
         # d/dx mean((x - t)^2) = 2 (x - t) / n, read from the imaginary part
-        h = 1e-30
-        loss = oh.mse_loss([1.0 + 1j * h, 3.0], [0.0, 1.0])
+        h = oh.COMPLEX_STEP
+        loss = oh._member_mse(np.array([1.0 + 1j * h, 3.0]), np.array([0.0, 1.0]))[1]
         assert isinstance(loss, complex)
         assert loss.real == pytest.approx(2.5)
         assert loss.imag / h == pytest.approx(1.0)
@@ -63,8 +77,10 @@ class TestForwardAndGrads:
     def test_perfect_prediction_zeroes_gradients(self):
         model = oh.build_toy_model("lora", seed=3)
         x, _ = oh.toy_dataset(conv=False, seed=3, samples=8)
-        target = oh.model_forward(model, x)
-        loss, grads = oh.loss_and_grads(model, x, target)
+        deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]
+        gammas = [layer.adapter.scale.gamma for layer in model.layers]
+        target = oh._forward(model, x, deltas, gammas)[-1][-1]
+        loss, grads = oh._loss_and_grads(model, x, None, target, deltas, gammas)
         assert loss == 0.0
         for layer_grads in grads:
             for g in layer_grads.values():
@@ -80,18 +96,12 @@ class TestForwardAndGrads:
         model = oh.ToyModel([layer])
         x = np.array([[1.0, 2.0]])
         target = np.zeros((1, 2))
-        loss, grads = oh.loss_and_grads(model, x, target)
+        loss, grads = loss_and_grads(model, x, target)
         # pred = up @ down @ x = [2, 0]; loss = mean([4, 0]) = 2
         assert loss == pytest.approx(2.0)
         # d = [2, 0]; g_w = d^T x = [[2, 4], [0, 0]]
         np.testing.assert_allclose(grads[0]["up"], [[4.0], [0.0]])
         np.testing.assert_allclose(grads[0]["down"], [[2.0, 4.0]])
-
-    def test_model_loss_matches_loss_and_grads(self):
-        model = oh.build_toy_model("loha", seed=4)
-        x, y = oh.toy_dataset(conv=False, seed=4, samples=8)
-        loss, _ = oh.loss_and_grads(model, x, y)
-        assert oh.model_loss(model, x, y) == pytest.approx(loss, rel=1e-15)
 
     # seeds 1 and 3 give loha-tucker components, and seed 7 a loha component
     # of 9e-9, small enough that round-off in a difference quotient would show
@@ -143,7 +153,7 @@ class TestTrain:
         data = oh.toy_dataset(conv=False, seed=6)
         lr = 0.05
         trace = oh.train(model, oh.OptimizerConfig("sgd", lr), data, steps=1)
-        _, grads = oh.loss_and_grads(model, *data)
+        _, grads = loss_and_grads(model, *data)
         for li, layer in enumerate(model.layers):
             stepped = {role: p - lr * grads[li][role]
                        for role, p in layer.adapter.tensors().items()}
@@ -156,7 +166,7 @@ class TestTrain:
         data = oh.toy_dataset(conv=False, seed=6)
         lr, wd = 0.05, 0.01
         trace = oh.train(model, oh.OptimizerConfig("sgd", lr, weight_decay=wd), data, steps=1)
-        _, grads = oh.loss_and_grads(model, *data)
+        _, grads = loss_and_grads(model, *data)
         for li, layer in enumerate(model.layers):
             stepped = {role: p - lr * grads[li][role] - lr * wd * p
                        for role, p in layer.adapter.tensors().items()}
@@ -183,8 +193,8 @@ class TestTrain:
     @pytest.mark.parametrize("name", sorted(oh.HARNESS_ALGORITHMS))
     def test_matches_public_step_loop(self, name, optimizer):
         # train carries each step's recorded deltas into the next forward;
-        # a loop that rebuilds everything through the public functions on
-        # every step must give the same trace bit for bit
+        # a loop that rebuilds every adapter and delta on every step must
+        # give the same trace bit for bit
         spec = oh.HARNESS_ALGORITHMS[name]
         model = oh.build_toy_model(name, seed=13, ratio=4.0)
         data = oh.toy_dataset(spec.conv, seed=13)
@@ -204,7 +214,7 @@ class TestTrain:
         for step in range(steps):
             current = oh.ToyModel([oh.ToyLayer(l.base_weight, l.base_bias, a, l.activation)
                                    for l, a in zip(model.layers, work)])
-            loss, grads = oh.loss_and_grads(current, *data)
+            loss, grads = loss_and_grads(current, *data)
             work = [dataclasses.replace(a, **{role: stepped(li, role, p, grads[li][role])
                                               for role, p in a.tensors().items()})
                     for li, a in enumerate(work)]
@@ -221,14 +231,16 @@ class TestTrain:
             for role, t in layer.adapter.tensors().items():
                 np.testing.assert_array_equal(t, tensors[role])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a diverging run reports itself by its NumericalError alone: any numpy
+    # warning fails these tests
+    @pytest.mark.filterwarnings("error")
     def test_divergence_reports_step(self):
         model = oh.build_toy_model("lora", seed=10)
         data = oh.toy_dataset(conv=False, seed=10)
         with pytest.raises(NumericalError, match="step"):
             oh.train(model, oh.OptimizerConfig("sgd", 1e6), data, steps=50)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_delta_is_an_error(self):
         # lr 1e300 keeps every factor finite, but up @ down overflows
         model = oh.build_toy_model("lora", seed=1)
@@ -290,6 +302,12 @@ class TestHomogeneityCheck:
         with pytest.raises(ValueError, match="trials"):
             oh.homogeneity_check("lora", trials=trials)
 
+    @pytest.mark.parametrize("c", [0, 0.0, 1, 1.0])
+    def test_rejects_vacuous_scale(self, c):
+        # c^k is c for every k, and scaling by 0 or 1 is exact: nothing is checked
+        with pytest.raises(ValueError, match="scale must not be 0 or 1"):
+            oh.homogeneity_check("lora", c=c, trials=2)
+
 
 class TestVerifyMergeRatio:
     def test_unit_ratio_is_exact(self):
@@ -320,7 +338,7 @@ class TestVerifyMergeRatio:
         assert clean < 1e-8
         assert dirty > 1e-4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_diverging_twin_is_named(self):
         # twin B's learning rate is 1e148: its first step leaves the float range
         with pytest.raises(NumericalError,

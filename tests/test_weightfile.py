@@ -99,14 +99,11 @@ class TestRoundtrip:
         want = wf.MAGIC + struct.pack("<I", len(header)) + header + payload
         assert save_blob(model, tmp_path) == want
 
-    def test_rejects_complex_factor(self, tmp_path):
-        model = build_model()
-        adapter = model.entries["blk0.attn"]
-        model.entries["blk0.attn"] = dataclasses.replace(adapter, down=adapter.down + 1e-30j)
-        path = tmp_path / "m.lwu"
-        with pytest.raises(ComplexInputError, match="'blk0.attn' tensor 'down' is complex"):
-            wf.save_weights(model, path)
-        assert not path.exists()
+    def test_rejects_complex_factor(self):
+        # an adapter cannot hold a complex factor, so none reaches a .lwu file
+        adapter = build_model().entries["blk0.attn"]
+        with pytest.raises(ComplexInputError, match="^down is complex"):
+            dataclasses.replace(adapter, down=adapter.down + 1e-30j)
 
     def test_quantization_roundtrip_is_idempotent(self, tmp_path):
         model = build_model("lora", seed=9)
