@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kron_linear, tensor_core
-from .tensor_core import ShapeError, as_tensor
+from .tensor_core import NumericalError, ShapeError, as_tensor
 
 __all__ = [
     "ALGORITHMS",
@@ -679,31 +679,70 @@ def _fit_geometry(dm: np.ndarray) -> LayerShape:
     raise ShapeError(f"delta must have rank 2 or 4, got shape {dm.shape}")
 
 
-def _svd_block(geometry: LayerShape, dense: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-dim (up, down) of a block on `geometry`, by truncated SVD.
+def _gram_top(a: np.ndarray, r: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """The top-r singular vectors of a matrix on its shorter side, from its Gram matrix.
 
-    The block is fitted unrolled, (out, in*k*k) as _Block.dense lays it out;
-    up = U_r diag(S_r) and down = V_r^T, shaped as _Block stores it.
+    Returns (a / m, m, vectors). m is the power of two with
+    m <= max |a_ij| < 2m (1 for a zero matrix), so the scaling is exact and
+    the Gram matrix stays inside the float range for any finite a. The r
+    columns of vectors are the leading eigenvectors, descending, of the
+    Gram matrix of a / m on the shorter side: a's right singular vectors,
+    from (a / m).T @ (a / m), when a is tall or square; its left ones, from
+    (a / m) @ (a / m).T, when a is wide. A zero matrix gives the first r
+    unit vectors. The Gram matrix squares the spectrum and is rounded at
+    eps * sigma_1^2: singular values below sqrt(eps) * sigma_1 are not
+    resolved, and the top-r subspace is found to an angle of about
+    eps * sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2). A failed
+    eigendecomposition raises NumericalError.
     """
-    u, s, v = tensor_core.svd(dense.reshape(geometry.out_dim, -1))
-    up = u[:, :dim] * s[:dim]
-    down = np.ascontiguousarray(v[:, :dim].T).reshape(dim, *geometry.delta_shape[1:])
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
+        return a, 1.0, np.eye(min(a.shape), r)
+    m = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    scaled = a / m
+    gram = scaled.T @ scaled if a.shape[0] >= a.shape[1] else scaled @ scaled.T
+    try:
+        _, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
+    return scaled, m, vectors[:, ::-1][:, :r]
+
+
+def _fit_block(geometry: LayerShape, dense: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best rank-dim (up, down) of a block on `geometry`, from the Gram matrix on its shorter side.
+
+    The block is fitted unrolled, A = (out, in*k*k) as _Block.dense lays it
+    out, and down has orthonormal rows V_r^T, shaped as _Block stores it,
+    with up = A @ V_r (U_r diag(S_r) of the truncated SVD). V_r comes from
+    A^T A when A is tall or square; when A is wide, U_r comes from A A^T
+    and V_r is the orthonormal basis of A^T U_r. No step divides by a
+    singular value, so dim at or above the rank of A fits exactly.
+    """
+    scaled, m, vectors = _gram_top(dense.reshape(geometry.out_dim, -1), dim)
+    if scaled.shape[0] < scaled.shape[1]:
+        vectors = np.linalg.qr(scaled.T @ vectors)[0]
+    up = m * (scaled @ vectors)
+    down = np.ascontiguousarray(vectors.T).reshape(dim, *geometry.delta_shape[1:])
     return up, down
 
 
 def svd_fit_lora(delta, dim: int) -> LoraAdapter:
-    """Best rank-dim fit of a dense delta, by truncated SVD.
+    """Best rank-dim fit of a dense delta: the truncated SVD's, without a full SVD.
 
     Accepts a (p, q) matrix or an (out, in, k, k) kernel stack (fitted on its
-    unrolled form). Factors are up = U_r diag(S_r), down = V_r^T; alpha is
-    set to dim so gamma == 1 and merge() reproduces the fit directly.
+    unrolled form). Factors are up = U_r diag(S_r), down = V_r^T, with the
+    top-r singular vectors taken from the eigenvectors of the Gram matrix on
+    the shorter side (_fit_block); alpha is set to dim so gamma == 1 and
+    merge() reproduces the fit directly. Accuracy: the residual is the
+    truncated SVD's to rounding while sigma_r is well above
+    sqrt(eps) * sigma_1; singular values below that are not resolved.
     """
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
     full = min(layer.out_dim, layer.unrolled_in)
     if not 1 <= dim <= full:
         raise ValueError(f"dim {dim} out of range [1, {full}] for shape {dm.shape}")
-    up, down = _svd_block(layer, dm, dim)
+    up, down = _fit_block(layer, dm, dim)
     return LoraAdapter(layer, MergeScale(alpha=float(dim), dim=dim), up, down)
 
 
@@ -718,23 +757,28 @@ def _nkp_rearrange(dm: np.ndarray, u_p: int, v_p: int, u_q: int, v_q: int,
 def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter:
     """Nearest Kronecker-product fit of a dense delta.
 
-    Rearranges the delta so the best kron(c, right) pair is the leading
-    rank-1 term of an SVD. c comes out with unit Frobenius norm and its
-    first nonzero entry positive; the right block absorbs the magnitude.
-    With dim below the right block's maximal rank, the block is further
-    truncated to up @ down by an inner SVD.
+    Rearranges the delta to R = _nkp_rearrange(delta), so the best
+    kron(c, right) pair is R's leading rank-1 term: c is the top
+    eigenvector of R R^T (R's rows, u_p*u_q of them, are its shorter side)
+    and right = R^T c. c comes out with unit Frobenius norm and its first
+    nonzero entry positive (e_0 for a zero delta); the right block absorbs
+    the magnitude. With dim below the right block's maximal rank, the
+    block is further truncated to up @ down as svd_fit_lora truncates.
+    Accuracy: c is R's top left singular vector to an angle of about
+    eps * sigma_1^2 / (sigma_1^2 - sigma_2^2), sigma the singular values of R.
     """
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
     u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
     u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
     right = LayerShape(layer.kind, v_p, v_q, layer.kernel)
-    u, s, v = tensor_core.svd(_nkp_rearrange(dm, u_p, v_p, u_q, v_q))
-    c_vec = u[:, 0].copy()
-    right_vec = s[0] * v[:, 0]
+    # R^T is tall or square, so its Gram matrix is R R^T
+    scaled, m, vectors = _gram_top(_nkp_rearrange(dm, u_p, v_p, u_q, v_q).T, 1)
+    c_vec = vectors[:, 0]
     nonzero = np.flatnonzero(c_vec)
     if nonzero.size and c_vec[nonzero[0]] < 0:
-        c_vec, right_vec = -c_vec, -right_vec
+        c_vec = -c_vec
+    right_vec = m * (scaled @ c_vec)
     c = c_vec.reshape(u_p, u_q)
     block_rank = min(right.out_dim, right.unrolled_in)
     if dim is None:
@@ -742,7 +786,7 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     scale = MergeScale(alpha=float(dim), dim=dim)
     if dim >= block_rank:
         return LokrAdapter(layer, scale, factor, c, w2=right_vec.reshape(right.delta_shape))
-    up, down = _svd_block(right, right_vec, dim)
+    up, down = _fit_block(right, right_vec, dim)
     return LokrAdapter(layer, scale, factor, c, up=up, down=down)
 
 

@@ -169,10 +169,13 @@ def _cmd_adapter_fit(args) -> int:
     fits = {}
     for name, (shape, value) in entries.items():
         del shape  # geometry travels with the dense array itself
-        if args.algo == "lora":
-            fits[name] = svd_fit_lora(value, args.dim)
-        else:
-            fits[name] = nkp_fit_lokr(value, factor=args.factor, dim=args.dim)
+        try:
+            if args.algo == "lora":
+                fits[name] = svd_fit_lora(value, args.dim)
+            else:
+                fits[name] = nkp_fit_lokr(value, factor=args.factor, dim=args.dim)
+        except ValueError as exc:
+            raise ValueError(f"{args.delta}: layer {name!r}: {exc}") from exc
     dim = args.dim if args.dim is not None else max(
         ad.scale.dim for ad in fits.values())
     meta = ModelMeta(algorithm=args.algo, dim=dim, alpha=float(dim),

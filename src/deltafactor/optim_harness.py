@@ -481,9 +481,11 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
 
     k is the number of factor tensors (2 for lora and unfactored lokr, 3 for
     factored lokr and Tucker lora, 4 for loha). Exact in real arithmetic, so
-    the deviation is rounding noise. Raises ValueError for trials < 1, and
-    for c of 0 or 1, whose scaling is exact whatever k is: such a check
-    would measure nothing.
+    the deviation is rounding noise. Raises ValueError for trials < 1; for
+    c of 0 or 1, whose scaling is exact whatever k is; and, naming c and k,
+    when c^k or the largest entry of the scaled delta leaves the normal
+    float range, where c^k overflows or underflows and the check would
+    measure nothing. A deviation that is not a number raises too.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -491,6 +493,7 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
         raise ValueError(f"scale must not be 0 or 1, got {c}: c^k is then the same for every k")
     spec = HARNESS_ALGORITHMS[algorithm]
     shapes = [shape for shape, _ in toy_geometry(spec.conv)]
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     worst = 0.0
     children = _seed_seq(seed).spawn(trials)
     for i, child in enumerate(children):
@@ -498,10 +501,22 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
         ad = adapters.random_adapter(spec.algorithm, shape, spec.dim, alpha=spec.dim,
                                      factor=spec.factor, tucker=spec.tucker, seed=child)
         k = homogeneity_degree(ad)
-        expected = (c ** k) * adapters.reconstruct(ad)
+        try:
+            ck = c ** k
+        except OverflowError:
+            ck = math.inf
+        delta = adapters.reconstruct(ad)
+        peak = abs(ck) * float(np.max(np.abs(delta)))
+        if not (tiny <= abs(ck) <= huge and tiny <= peak <= huge):
+            raise ValueError(
+                f"scale c = {c!r} with k = {k} factors leaves the normal float range: "
+                f"c^k = {ck!r}, largest scaled delta entry {peak!r}")
+        expected = ck * delta
         got = adapters.reconstruct(adapters.scale_factors(ad, c))
-        denom = max(float(np.max(np.abs(expected))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(got - expected))) / denom)
+        deviation = float(np.max(np.abs(got - expected))) / peak
+        if math.isnan(deviation):
+            raise ValueError(f"scale c = {c!r} with k = {k} factors: the deviation is not a number")
+        worst = max(worst, deviation)
     return worst
 
 

@@ -1,4 +1,4 @@
-"""Dense tensor primitives: convolution and its adjoints, decompositions.
+"""Dense tensor primitives: convolution and its adjoints, numerical rank, eigenvalues.
 
 Row-major (C) memory order is the convention for every vectorization,
 unrolling, and regrouping operation in this package. The public functions
@@ -26,7 +26,6 @@ __all__ = [
     "SYM_EIG_MAX_SIZE",
     "as_tensor",
     "conv2d",
-    "svd",
     "numerical_rank",
     "sym_eig",
 ]
@@ -160,25 +159,19 @@ def conv2d(kernel, image) -> np.ndarray:
     return y if xm.ndim == 4 else y[0]
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition.
+def numerical_rank(a) -> int:
+    """Count singular values above 1e-10 times the largest one.
 
-    Returns (U, S, V) with A == U @ diag(S) @ V.T, singular values sorted
-    descending, and orthonormal columns in U and V. Convergence failures of
-    the underlying iteration are reported as NumericalError.
+    Takes a real matrix (complex input raises ComplexInputError) and
+    computes its singular values only. Convergence failures of the
+    underlying iteration are reported as NumericalError.
     """
     am = as_tensor(a, "matrix")
     _require_rank(am, 2, "matrix")
     try:
-        u, s, vh = np.linalg.svd(am, full_matrices=False)
+        s = np.linalg.svd(am, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from None
-    return u, s, np.ascontiguousarray(vh.T)
-
-
-def numerical_rank(a) -> int:
-    """Count singular values above 1e-10 times the largest one."""
-    _, s, _ = svd(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > 1e-10 * s[0]))

@@ -743,6 +743,164 @@ class TestNkpFitLokr:
         assert np.linalg.norm(ad.reconstruct(fit) - np.kron(c, w2)) < 1e-9
 
 
+EPS = np.finfo(np.float64).eps
+FIT_SHAPES = {"tall": (24, 12), "wide": (12, 30), "square": (16, 16),
+              "conv-wide": (6, 4, 3, 3), "conv-tall": (40, 2, 3, 3)}
+
+
+def spectrum_matrix(rng, p, q, spectrum):
+    """A (p, q) matrix with the named singular values; "gaussian" draws i.i.d. entries."""
+    n = min(p, q)
+    if spectrum == "gaussian":
+        return rng.standard_normal((p, q))
+    values = {
+        "rank3": lambda: np.r_[3.0, 2.0, 1.0, np.zeros(n - 3)],
+        "flat": lambda: np.ones(n),  # wholly degenerate: every cut is a tie
+        "decay1e-3": lambda: np.logspace(0, -3, n),
+        "decay1e-12": lambda: np.logspace(0, -12, n),
+    }[spectrum]()
+    u = np.linalg.qr(rng.standard_normal((p, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((q, n)))[0]
+    return (u * values) @ v.T
+
+
+def gram_excess(a, s, r):
+    """Bound on |fit residual|^2 - |SVD residual|^2 from the rounded Gram matrix.
+
+    Forming and solving the Gram matrix perturbs it by at most
+    eta = max(p, q) * eps * |a|_F^2 (Frobenius). The top-r subspace then
+    loses at most 2 r eta of captured energy, and to second order at most
+    eta^2 / (sigma_r^2 - sigma_{r+1}^2).
+    """
+    eta = max(a.shape) * EPS * np.sum(a * a)
+    gap = s[r - 1] ** 2 - (s[r] ** 2 if r < s.size else 0.0)
+    return min(2 * r * eta, eta ** 2 / gap if gap > 0 else np.inf), eta, gap
+
+
+class TestGramFit:
+    """The Gram-matrix fits against np.linalg.svd as the oracle."""
+
+    @staticmethod
+    def fit_and_oracle(shape, spectrum, seed):
+        p, q = shape[0], int(np.prod(shape[1:]))
+        a = spectrum_matrix(np.random.default_rng(seed), p, q, spectrum)
+        u, s, vh = np.linalg.svd(a)
+        return a, u, s, vh
+
+    @pytest.mark.parametrize("spectrum", ["rank3", "flat", "decay1e-3", "decay1e-12", "gaussian"])
+    @pytest.mark.parametrize("shape", FIT_SHAPES.values(), ids=FIT_SHAPES.keys())
+    def test_residual_matches_svd(self, shape, spectrum):
+        a, u, s, vh = self.fit_and_oracle(shape, spectrum, seed=60)
+        # the oracle's own rounding, read off its full-rank residual, and 8
+        # ulps of |delta|_F for the rounding of the fit's rank-r product
+        slack = np.linalg.norm(a - (u[:, :s.size] * s) @ vh[:s.size]) + 8 * EPS * np.linalg.norm(a)
+        for r in range(1, s.size + 1):
+            fit = ad.svd_fit_lora(a.reshape(shape), r)
+            got = np.linalg.norm(a - fit.up @ fit.down.reshape(r, -1))
+            want = np.linalg.norm(a - (u[:, :r] * s[:r]) @ vh[:r])
+            excess, _, _ = gram_excess(a, s, r)
+            assert want - slack <= got <= want + slack + excess / (got + want), (r, got, want)
+            if spectrum != "decay1e-12":
+                # every kept singular value is resolved: equal to rounding
+                assert abs(got - want) <= slack, (r, got, want)
+
+    @pytest.mark.parametrize("spectrum", ["rank3", "decay1e-3", "decay1e-12", "gaussian"])
+    @pytest.mark.parametrize("shape", FIT_SHAPES.values(), ids=FIT_SHAPES.keys())
+    def test_reconstruct_agrees_with_svd_truncation(self, shape, spectrum):
+        a, u, s, vh = self.fit_and_oracle(shape, spectrum, seed=61)
+        checked = 0
+        for r in range(1, s.size + 1):
+            excess, eta, gap = gram_excess(a, s, r)
+            if gap < 0.5 * s[r - 1] ** 2:
+                continue  # sigma_r does not clearly exceed sigma_{r+1}
+            fit = ad.reconstruct(ad.svd_fit_lora(a.reshape(shape), r)).reshape(a.shape)
+            truncated = (u[:, :r] * s[:r]) @ vh[:r]
+            # subspace angle eta / gap, seen through sigma_1, for both projectors
+            bound = 2 * s[0] * eta / gap + max(a.shape) * EPS * np.linalg.norm(a)
+            assert np.linalg.norm(fit - truncated) <= bound, r
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("shape", FIT_SHAPES.values(), ids=FIT_SHAPES.keys())
+    def test_factor_conventions(self, shape):
+        a, _, s, _ = self.fit_and_oracle(shape, "gaussian", seed=62)
+        n = s.size
+        for r in sorted({1, n // 2, n}):
+            fit = ad.svd_fit_lora(a.reshape(shape), r)
+            down = fit.down.reshape(r, -1)
+            # eigh and thin QR both return orthonormal columns to a few ulps per entry
+            np.testing.assert_allclose(down @ down.T, np.eye(r), rtol=0, atol=4 * n * EPS)
+            # up is delta @ down.T: the one GEMM, to its rounding bound
+            bound = 2 * a.shape[1] * EPS * (np.abs(a) @ np.abs(down.T))
+            assert np.all(np.abs(fit.up - a @ down.T) <= bound)
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e-310])
+    @pytest.mark.parametrize("shape", FIT_SHAPES.values(), ids=FIT_SHAPES.keys())
+    def test_extreme_magnitudes(self, shape, magnitude):
+        a, _, _, _ = self.fit_and_oracle(shape, "rank3", seed=63)
+        b = a * magnitude
+        fit = ad.svd_fit_lora(b.reshape(shape), 3)
+        down = fit.down.reshape(3, -1)
+        np.testing.assert_allclose(down @ down.T, np.eye(3), rtol=0, atol=64 * EPS)
+        # compare in unit scale; a subnormal input is itself rounded to
+        # 2^-1074, which is 5e-14 of an entry of 1e-310
+        got = (fit.up / magnitude) @ down
+        resolution = max(EPS, np.finfo(np.float64).smallest_subnormal / (magnitude * np.abs(a).max()))
+        assert np.linalg.norm(got - a) <= 64 * resolution * np.linalg.norm(a)
+
+    def test_zero_delta(self):
+        fit = ad.svd_fit_lora(np.zeros((5, 7)), 3)
+        np.testing.assert_array_equal(fit.up, 0.0)
+        np.testing.assert_array_equal(fit.down, np.eye(3, 7))
+
+
+class TestGramFitLokr:
+    SHAPES = [((16, 12), 4), ((12, 16), 4), ((16, 16), 2), ((8, 6, 3, 3), 2)]
+
+    @staticmethod
+    def rearranged(delta, factor):
+        u_p, v_p = ad.lokr_factor_dims(delta.shape[0], factor)
+        u_q, v_q = ad.lokr_factor_dims(delta.shape[1], factor)
+        return ad._nkp_rearrange(delta, u_p, v_p, u_q, v_q)
+
+    @pytest.mark.parametrize("shape,factor", SHAPES)
+    def test_c_unit_sign_and_right(self, shape, factor):
+        delta = np.random.default_rng(64).standard_normal(shape)
+        fit = ad.nkp_fit_lokr(delta, factor=factor)
+        c = fit.c.ravel()
+        rows = c.size
+        assert abs(np.linalg.norm(c) - 1.0) <= rows * EPS
+        assert c[np.flatnonzero(c)[0]] > 0
+        r = self.rearranged(delta, factor)
+        bound = 2 * rows * EPS * (np.abs(r.T) @ np.abs(c))
+        assert np.all(np.abs(fit.w2.ravel() - r.T @ c) <= bound)
+
+    @pytest.mark.parametrize("shape,factor", SHAPES)
+    def test_c_is_the_top_left_singular_vector(self, shape, factor):
+        delta = np.random.default_rng(65).standard_normal(shape)
+        r = self.rearranged(delta, factor)
+        u, s, vh = np.linalg.svd(r)
+        _, eta, gap = gram_excess(r, s, 1)
+        want = u[:, 0] * np.sign(u[np.flatnonzero(u[:, 0])[0], 0])
+        got = ad.nkp_fit_lokr(delta, factor=factor).c.ravel()
+        assert np.linalg.norm(got - want) <= 2 * eta / gap + max(r.shape) * EPS
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e-310])
+    def test_extreme_magnitudes(self, magnitude):
+        rng = np.random.default_rng(66)
+        c, w2 = rng.standard_normal((4, 4)), rng.standard_normal((8, 8))
+        delta = np.kron(c, w2)
+        fit = ad.nkp_fit_lokr(delta * magnitude, factor=4)
+        got = np.kron(fit.c, fit.w2 / magnitude)
+        resolution = max(EPS, np.finfo(np.float64).smallest_subnormal / (magnitude * np.abs(delta).max()))
+        assert np.linalg.norm(got - delta) <= 64 * resolution * np.linalg.norm(delta)
+
+    def test_zero_delta_keeps_first_unit_vector(self):
+        fit = ad.nkp_fit_lokr(np.zeros((8, 8)), factor=2)
+        np.testing.assert_array_equal(fit.c, [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(fit.w2, 0.0)
+
+
 class TestInvariantErrors:
     def test_lora_bad_up_shape(self):
         with pytest.raises(ad.InvariantError, match="up shape"):

@@ -207,6 +207,19 @@ class TestAdapterFlow:
         got = ad.reconstruct(fit.entries["lay"])
         np.testing.assert_allclose(got, delta, atol=1e-5, rtol=1e-4)
 
+    def test_fit_error_names_file_and_layer(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        source = tmp_path / "delta.lwu"
+        save_dense({"wide": (ad.LayerShape("linear", 8, 6), rng.standard_normal((8, 6))),
+                    "narrow": (ad.LayerShape("linear", 4, 6), rng.standard_normal((4, 6)))},
+                   source, algorithm="delta")
+        code, _, stderr = run(capsys, "adapter", "fit", "--algo", "lora",
+                              "--delta", str(source), "--dim", "5", "--out",
+                              str(tmp_path / "x.lwu"))
+        assert code == 1
+        assert stderr == (f"error: {source}: layer 'narrow': dim 5 out of range "
+                          "[1, 4] for shape (4, 6)\n")
+
     def test_fit_rejects_dense_weight_file(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 4, 4)
         source = tmp_path / "w.lwu"
@@ -313,6 +326,17 @@ class TestVerifyCommands:
         assert code == 1
         assert "PASS" not in stdout
         assert "error: scale must not be 0 or 1" in stderr
+
+    @pytest.mark.parametrize("algo,scale,k", [("lora", "1e200", 2), ("lora", "1e-170", 2),
+                                              ("loha", "1e-120", 4)])
+    def test_homogeneity_out_of_range_scale_is_an_error(self, capsys, algo, scale, k):
+        # c^k overflows (a traceback before) or underflows to 0 (a vacuous PASS before)
+        code, stdout, stderr = run(capsys, "verify", "homogeneity", "--algo", algo,
+                                   "--factor-scale", scale, "--trials", "2")
+        assert code == 1
+        assert "PASS" not in stdout
+        assert stderr.startswith(f"error: scale c = {float(scale)!r} with k = {k} factors "
+                                 "leaves the normal float range")
 
     def test_gradients_single_algo(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "verify", "gradients", "--algo", "lora")

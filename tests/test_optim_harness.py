@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -307,6 +308,33 @@ class TestHomogeneityCheck:
         # c^k is c for every k, and scaling by 0 or 1 is exact: nothing is checked
         with pytest.raises(ValueError, match="scale must not be 0 or 1"):
             oh.homogeneity_check("lora", c=c, trials=2)
+
+
+    @pytest.mark.parametrize("name,c,k", [("lora", 1e200, 2), ("lora", 1e-170, 2),
+                                          ("loha", 1e-120, 4), ("lora", 1e-154, 2)])
+    def test_rejects_scale_outside_the_normal_range(self, name, c, k):
+        # c^k or the scaled delta overflows, underflows to 0 or turns subnormal
+        message = re.escape(f"c = {c!r} with k = {k} factors leaves the normal float range")
+        with pytest.raises(ValueError, match=message):
+            oh.homogeneity_check(name, c=c, trials=2)
+
+    def test_scale_near_the_normal_range_is_checked(self):
+        # c^2 = 9e-308 is normal: the check runs and measures rounding
+        assert 0.0 < oh.homogeneity_check("lora", c=3e-154, trials=4, seed=0) < 1e-12
+
+    def test_nan_deviation_is_an_error(self, monkeypatch):
+        calls = []
+        real = oh.adapters.reconstruct
+
+        def reconstruct(adapter):
+            # the second call reconstructs the scaled factors
+            calls.append(adapter)
+            out = real(adapter)
+            return out if len(calls) % 2 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(oh.adapters, "reconstruct", reconstruct)
+        with pytest.raises(ValueError, match="not a number"):
+            oh.homogeneity_check("lora", c=2.0, trials=2)
 
 
 class TestVerifyMergeRatio:

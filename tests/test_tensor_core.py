@@ -294,33 +294,6 @@ class TestConvMemberAxis:
             assert np.array_equal(grad_x[m], tc._conv2d_input_grad(kernels[m], dy[m]))
 
 
-class TestSvd:
-    def test_diagonal_singular_values(self):
-        _, s, _ = tc.svd(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(s, [3.0, 2.0, 1.0])
-
-    def test_rank_one(self):
-        u = np.array([1.0, 2.0, -1.0])
-        v = np.array([0.5, 1.5])
-        _, s, _ = tc.svd(np.outer(u, v))
-        assert s[0] > 1e-8
-        assert np.all(s[1:] < 1e-12 * s[0])
-
-    def test_rejects_complex(self):
-        with pytest.raises(tc.ComplexInputError, match="^matrix"):
-            tc.svd(np.eye(2) * (1 + 1j))
-
-    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_reconstruction_and_orthonormality(self, m, n, seed):
-        a = np.random.default_rng(seed).standard_normal((m, n))
-        u, s, v = tc.svd(a)
-        np.testing.assert_allclose(u @ np.diag(s) @ v.T, a, atol=1e-10)
-        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-10)
-        np.testing.assert_allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-10)
-        assert np.all(np.diff(s) <= 1e-15)
-
-
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert tc.numerical_rank(np.zeros((4, 4))) == 0
@@ -328,11 +301,31 @@ class TestNumericalRank:
     def test_identity(self):
         assert tc.numerical_rank(np.eye(5)) == 5
 
+    def test_diagonal_singular_values(self):
+        assert tc.numerical_rank(np.diag([3.0, 2.0, 1.0])) == 3
+        assert tc.numerical_rank(np.diag([3.0, 2.0, 0.0])) == 2
+        # the cut is 1e-10 times the largest singular value
+        assert tc.numerical_rank(np.diag([1.0, 2e-10, 5e-11])) == 2
+
+    def test_rank_one(self):
+        u = np.array([1.0, 2.0, -1.0])
+        v = np.array([0.5, 1.5])
+        assert tc.numerical_rank(np.outer(u, v)) == 1
+
     def test_product_rank(self):
         rng = np.random.default_rng(7)
         b = rng.standard_normal((64, 8))
         a = rng.standard_normal((8, 64))
         assert tc.numerical_rank(b @ a) == 8
+
+    def test_rejects_complex(self):
+        with pytest.raises(tc.ComplexInputError, match="^matrix"):
+            tc.numerical_rank(np.eye(2) * (1 + 1j))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(tc.ShapeError, match="matrix must have rank 2"):
+            tc.numerical_rank(np.ones(shape))
 
 
 class TestSymEig:
