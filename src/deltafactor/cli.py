@@ -195,49 +195,58 @@ def _verify_names(args) -> list[str]:
     return list(optim_harness.HARNESS_ALGORITHMS)
 
 
+def _verdict(case: str, run) -> bool:
+    """Print one sweep case's verdict line; returns whether the case failed.
+
+    run() gives the measurement's text and whether it passed. A case that
+    raises fails alone: its error goes to stderr, as every CLI error does,
+    its verdict line names it, and the sweep goes on.
+    """
+    try:
+        text, passed = run()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"{case}: error: {exc} FAIL")
+        return True
+    print(f"{case}: {text} {'PASS' if passed else 'FAIL'}")
+    return not passed
+
+
 def _cmd_verify_merge_ratio(args) -> int:
-    worst_fail = False
+    failed = False
     for name, opt, scale in itertools.product(_verify_names(args), args.opt, args.scale):
-        case = f"{name} {opt} ratio {scale!r}"
-        try:
+        def run():
             deviation = optim_harness.verify_merge_ratio(
                 name, scale, optimizer=opt, steps=args.steps, seed=args.seed,
                 eps=args.eps, weight_decay=args.weight_decay)
-        except ValueError as exc:
-            # a run that diverges fails its own case; the sweep goes on
-            worst_fail = True
-            print(f"{case}: error: {exc} FAIL")
-            continue
-        verdict = "PASS" if deviation < MERGE_RATIO_TOL else "FAIL"
-        worst_fail |= verdict == "FAIL"
-        print(f"{case}: max deviation: {deviation!r} {verdict}")
-    print(f"{'FAIL' if worst_fail else 'PASS'} (tolerance {MERGE_RATIO_TOL!r})")
-    return 1 if worst_fail else 0
+            return f"max deviation: {deviation!r}", deviation < MERGE_RATIO_TOL
+        failed |= _verdict(f"{name} {opt} ratio {scale!r}", run)
+    print(f"{'FAIL' if failed else 'PASS'} (tolerance {MERGE_RATIO_TOL!r})")
+    return 1 if failed else 0
 
 
 def _cmd_verify_homogeneity(args) -> int:
-    worst_fail = False
+    failed = False
     for name in _verify_names(args):
-        deviation = optim_harness.homogeneity_check(
-            name, c=args.factor_scale, trials=args.trials, seed=args.seed)
-        verdict = "PASS" if deviation < HOMOGENEITY_TOL else "FAIL"
-        worst_fail |= verdict == "FAIL"
-        print(f"{name}: max relative deviation {deviation!r} {verdict}")
+        def run():
+            deviation = optim_harness.homogeneity_check(
+                name, c=args.factor_scale, trials=args.trials, seed=args.seed)
+            return f"max relative deviation {deviation!r}", deviation < HOMOGENEITY_TOL
+        failed |= _verdict(name, run)
     print(f"tolerance {HOMOGENEITY_TOL!r}")
-    return 1 if worst_fail else 0
+    return 1 if failed else 0
 
 
 def _cmd_verify_gradients(args) -> int:
-    worst_fail = False
+    failed = False
     for name in _verify_names(args):
-        errors = optim_harness.gradient_check(name, seed=args.seed)
-        peak = max(errors.values())
-        verdict = "PASS" if peak < GRADIENT_TOL else "FAIL"
-        worst_fail |= verdict == "FAIL"
-        print(f"{name}: max relative error {peak!r} over "
-              f"{len(errors)} factors {verdict}")
+        def run():
+            errors = optim_harness.gradient_check(name, seed=args.seed)
+            peak = max(errors.values())
+            return f"max relative error {peak!r} over {len(errors)} factors", peak < GRADIENT_TOL
+        failed |= _verdict(name, run)
     print(f"tolerance {GRADIENT_TOL!r}")
-    return 1 if worst_fail else 0
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

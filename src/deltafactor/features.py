@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import CategoryScore, ScoreRecord
+from .tensor_core import _require_finite
 
 __all__ = [
     "FeatureFileError",
@@ -107,13 +108,6 @@ class FeatureRecord:
             if not pairs:
                 raise ValueError(f"record {self.id!r}: maps may not be empty")
             object.__setattr__(self, "maps", tuple(pairs))
-
-
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite.ravel()))
-        raise ValueError(f"{what} holds a non-finite value at flat index {i}: {arr.flat[i]}")
 
 
 _NUMBER_TYPES = {int, float}

@@ -437,7 +437,8 @@ def _train(models: list[ToyModel], optimizers: list[OptimizerConfig], dataset, s
     rates = [o.learning_rate for o in optimizers]
     opt = _OPTIMIZER_TYPES[optimizers[0].kind](
         optimizers[0], np.concatenate([np.repeat(rates, size) for *_, size in blocks]))
-    x, y = (as_tensor(a) for a in dataset)
+    x_data, y_data = dataset
+    x, y = as_tensor(x_data, "dataset x"), as_tensor(y_data, "dataset y")
     x_cols = _input_cols(work, x)
     scratch = [{} for _ in work.layers]
     traces = [TrainTrace() for _ in models]

@@ -49,17 +49,24 @@ class ComplexInputError(ValueError):
 def as_tensor(data, name: str = "tensor") -> np.ndarray:
     """Coerce to a C-contiguous float64 array, rejecting NaN/Inf elements.
 
-    Complex input raises ComplexInputError naming the argument: the public
-    operations are defined on real input, and casting would drop the
-    imaginary part.
+    A non-finite element raises ValueError naming the argument, the first
+    bad flat index and its value. Complex input raises ComplexInputError
+    naming the argument: the public operations are defined on real input,
+    and casting would drop the imaginary part.
     """
     arr = np.asarray(data)
     if arr.dtype.kind == "c":
         raise ComplexInputError(f"{name} is complex; this operation takes real input only")
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite elements")
+    _require_finite(arr, name)
     return arr
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite, axis=None))
+        raise ValueError(f"{what} holds a non-finite value at flat index {i}: {arr.flat[i]}")
 
 
 def _require_rank(arr: np.ndarray, rank: int, name: str) -> None:

@@ -9,17 +9,30 @@ start. Tensors are stored at 32-bit precision and re-promoted to float64 on
 load; loading therefore reproduces exactly the float32 quantization of what
 was saved. Complex tensors cannot be stored: saving one raises
 ComplexInputError rather than dropping its imaginary part. A value that is
-not finite once cast to float32 (NaN, inf, or beyond the float32 range)
-raises WeightFileError before the file is opened, as loading would refuse it.
+not finite once cast to float32 (NaN, inf, or of magnitude 2^128 - 2^103 or
+more) raises WeightFileError, as loading would refuse it.
 
-Parsing is strict: every failure raises a WeightFileError subclass carrying
-the byte position, and no read ever leaves the declared bounds.
+Saving checks every tensor before the file is opened, so every refusal
+leaves the target as it was. It then writes the header and casts each
+tensor, one after another, into one reused float32 buffer that it writes
+from: a save holds the model plus one tensor in memory.
+
+Loading reads the 8-byte prefix and the header, then each tensor in header
+order: its declared span is read at its offset into one reused float32
+buffer, checked for finiteness there, and cast once to a new float64
+array. The file is never held whole, and it must be seekable: a pipe
+raises OSError (ESPIPE) naming it. A file that shrinks while it is read
+ends a read short and raises TruncatedPayloadError. Parsing is strict:
+every failure raises a WeightFileError subclass carrying the byte position,
+and no read ever leaves the declared bounds.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -77,13 +90,16 @@ def _layer_shape_fields(shape: LayerShape) -> list[int]:
     return [shape.out_dim, shape.in_dim]
 
 
-def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]
-            ) -> tuple[bytes, list[np.ndarray]]:
-    """The header bytes and the payload's float32 tensors, in file order.
+# the float32 rounding midpoint above the largest float32: a value of this
+# magnitude or more casts to inf, anything below it stays finite
+_F32_LIMIT = 2.0 ** 128 - 2.0 ** 103
+
+
+def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> bytes:
+    """The JSON header; the payload packs the tensors in this order.
 
     Every refusal happens here, before a file is opened.
     """
-    payload = []
     offset = 0
     layer_entries = []
     for name, shape, tensors in layers:
@@ -92,9 +108,8 @@ def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]
             if value.dtype.kind == "c":
                 raise ComplexInputError(
                     f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
-            with np.errstate(over="ignore"):
-                f4 = np.ascontiguousarray(value, dtype="<f4")
-            if not np.all(np.isfinite(f4)):
+            # NaN fails both comparisons
+            if not (value.min() > -_F32_LIMIT and value.max() < _F32_LIMIT):
                 raise WeightFileError(
                     f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
             tensor_entries.append({
@@ -102,10 +117,9 @@ def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]
                 "shape": list(value.shape),
                 "dtype": "f4",
                 "byte_offset": offset,
-                "byte_length": f4.nbytes,
+                "byte_length": 4 * value.size,
             })
-            payload.append(f4)
-            offset += f4.nbytes
+            offset += 4 * value.size
         layer_entries.append({
             "name": name,
             "kind": shape.kind,
@@ -113,18 +127,22 @@ def _encode(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]
             "tensors": tensor_entries,
         })
     header = dict(asdict(meta), layers=layer_entries)
-    return json.dumps(header, sort_keys=True).encode("utf-8"), payload
+    return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
 def _write(path, meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> None:
-    # one part after another; a C-contiguous array writes its own buffer, uncopied
-    header, payload = _encode(meta, layers)
+    header = _header(meta, layers)
+    # each tensor is cast into one float32 buffer and written from it
+    buf = np.empty(max((v.size for _, _, t in layers for v in t.values()), default=0), "<f4")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for f4 in payload:
-            fh.write(f4)
+        for _, _, tensors in layers:
+            for value in tensors.values():
+                f4 = buf[:value.size]
+                np.copyto(f4.reshape(value.shape), value, casting="unsafe")
+                fh.write(f4)
 
 
 def save_weights(model: AdapterModel, path) -> None:
@@ -188,13 +206,17 @@ def _parse_layer_shape(entry: dict, where: str) -> LayerShape:
     _fail(MalformedHeaderError, f"{where} has invalid kind/shape {kind!r}/{dims}", 8)
 
 
-def _parse_container(blob: bytes):
-    if blob[:4] != MAGIC:
-        _fail(BadMagicError, f"bad magic {blob[:4]!r}, expected {MAGIC!r}", 0)
-    if len(blob) < 8:
+def _parse_container(fh):
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    prefix = fh.read(8)
+    if prefix[:4] != MAGIC:
+        _fail(BadMagicError, f"bad magic {prefix[:4]!r}, expected {MAGIC!r}", 0)
+    if len(prefix) < 8:
         _fail(TruncatedPayloadError, "file ends before header length field", 4)
-    (header_len,) = struct.unpack_from("<I", blob, 4)
-    header_bytes = blob[8:8 + header_len]
+    (header_len,) = struct.unpack_from("<I", prefix, 4)
+    # never ask for more than the file holds: the length field is untrusted
+    header_bytes = fh.read(min(header_len, size - 8))
     if len(header_bytes) < header_len:
         _fail(TruncatedPayloadError,
               f"header declares {header_len} bytes but {len(header_bytes)} remain", 8)
@@ -223,8 +245,11 @@ def _parse_container(blob: bytes):
     except ValueError as exc:
         _fail(MalformedHeaderError, f"invalid metadata: {exc}", 8)
 
-    payload = blob[8 + header_len:]
     payload_base = 8 + header_len
+    payload_len = size - payload_base
+    # every tensor is read at its offset into this buffer, checked there and
+    # cast from it; it grows to the largest tensor read so far
+    buf = np.empty(0, dtype="<f4")
     layer_list = _require_key(header, "layers", list, "header")
     names = []
     layers = []
@@ -258,16 +283,23 @@ def _parse_container(blob: bytes):
             if offset < 0 or length != 4 * count:
                 _fail(MalformedHeaderError,
                       f"{twhere} length {length} does not match shape {tshape}", 8)
-            if offset + length > len(payload):
+            if offset + length > payload_len:
                 _fail(TruncatedPayloadError,
                       f"{twhere} spans [{offset}, {offset + length}) past payload "
-                      f"end {len(payload)}", payload_base + len(payload))
-            raw = payload[offset:offset + length]
-            values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(tshape)
-            if not np.all(np.isfinite(values)):
+                      f"end {payload_len}", payload_base + payload_len)
+            if count > buf.size:
+                buf = np.empty(count, dtype="<f4")
+            f4 = buf[:count]
+            fh.seek(payload_base + offset)
+            got = fh.readinto(f4)
+            if got < length:
+                _fail(TruncatedPayloadError,
+                      f"{twhere} ends {length - got} bytes short: the file shrank while "
+                      f"it was read", payload_base + offset + got)
+            if not np.all(np.isfinite(f4)):
                 _fail(WeightFileError, f"{twhere} holds non-finite values",
                       payload_base + offset)
-            tensors[role] = values
+            tensors[role] = f4.astype(np.float64).reshape(tshape)
             spans.append((offset, offset + length, twhere))
         layers.append((name, shape, tensors))
     if len(set(names)) != len(names):
@@ -277,16 +309,19 @@ def _parse_container(blob: bytes):
         if s1 < e0:
             _fail(OffsetOverlapError, f"{w1} overlaps {w0}", payload_base + s1)
     declared_end = max((end for _, end, _ in spans), default=0)
-    if declared_end < len(payload):
+    if declared_end < payload_len:
         _fail(WeightFileError,
-              f"{len(payload) - declared_end} trailing payload bytes",
+              f"{payload_len - declared_end} trailing payload bytes",
               payload_base + declared_end)
     return meta, layers
 
 
-def _read(path) -> bytes:
+def _read(path):
     with open(path, "rb") as fh:
-        return fh.read()
+        # the tensors are read at their offsets
+        if not fh.seekable():
+            raise OSError(errno.ESPIPE, os.strerror(errno.ESPIPE), str(path))
+        return _parse_container(fh)
 
 
 def _assemble_adapter(meta: ModelMeta, shape: LayerShape, tensors: dict):
@@ -299,7 +334,7 @@ def _assemble_adapter(meta: ModelMeta, shape: LayerShape, tensors: dict):
 
 def load_weights(path) -> AdapterModel:
     """Parse an adapter model file; see the module docstring for the format."""
-    meta, layers = _parse_container(_read(path))
+    meta, layers = _read(path)
     if meta.algorithm in _DENSE_ALGORITHMS:
         raise WeightFileError(
             f"file holds dense {meta.algorithm!r} tensors; use load_dense", 8)
@@ -310,7 +345,7 @@ def load_weights(path) -> AdapterModel:
 
 def load_dense(path):
     """Parse a dense tensor file -> (meta, {name: (LayerShape, array)})."""
-    meta, layers = _parse_container(_read(path))
+    meta, layers = _read(path)
     if meta.algorithm not in _DENSE_ALGORITHMS:
         raise WeightFileError(
             f"file holds a {meta.algorithm!r} adapter model; use load_weights", 8)

@@ -7,8 +7,9 @@ import pytest
 
 from deltafactor import adapters as ad
 from deltafactor import features as ft
+from deltafactor import optim_harness as oh
 from deltafactor.cli import cli_dispatch
-from deltafactor.tensor_core import SYM_EIG_MAX_SIZE
+from deltafactor.tensor_core import SYM_EIG_MAX_SIZE, NumericalError
 from deltafactor.weightfile import load_dense, load_weights, save_dense, save_weights
 
 
@@ -337,6 +338,34 @@ class TestVerifyCommands:
         assert "PASS" not in stdout
         assert stderr.startswith(f"error: scale c = {float(scale)!r} with k = {k} factors "
                                  "leaves the normal float range")
+
+    def test_homogeneity_sweep_goes_on_past_a_refused_case(self, capsys):
+        # loha-tucker has k = 6 factors, and 1e75^6 leaves the float range;
+        # the forms after it still get their verdicts
+        code, stdout, stderr = run(capsys, "verify", "homogeneity", "--factor-scale", "1e75",
+                                   "--trials", "2")
+        assert code == 1
+        lines = stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == list(oh.HARNESS_ALGORITHMS)
+        assert lines[5].startswith("loha-tucker: error: scale c = 1e+75 with k = 6 factors ")
+        assert lines[5].endswith(" FAIL")
+        assert all(line.endswith(" PASS") for line in lines[:5] + lines[6:7])
+        assert lines[-1] == "tolerance 1e-12"
+        assert stderr.startswith("error: scale c = 1e+75 with k = 6 factors ")
+
+    def test_gradients_sweep_goes_on_past_a_raising_case(self, capsys, monkeypatch):
+        def gradient_check(name, seed):
+            if name == "loha":
+                raise NumericalError("no convergence")
+            return {"layer0.up": 1e-12}
+        monkeypatch.setattr(oh, "gradient_check", gradient_check)
+        code, stdout, stderr = run(capsys, "verify", "gradients")
+        assert code == 1
+        lines = stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == list(oh.HARNESS_ALGORITHMS)
+        assert lines[1] == "loha: error: no convergence FAIL"
+        assert lines[2] == "lokr: max relative error 1e-12 over 1 factors PASS"
+        assert stderr == "error: no convergence\n"
 
     def test_gradients_single_algo(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "verify", "gradients", "--algo", "lora")

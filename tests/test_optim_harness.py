@@ -149,6 +149,14 @@ class TestTrain:
             for got, want in zip(step_deltas, starts):
                 np.testing.assert_array_equal(got, want)
 
+    def test_non_finite_dataset_is_named(self):
+        model = oh.build_toy_model("lora", seed=6)
+        x, y = oh.toy_dataset(conv=False, seed=6)
+        y = y.copy()
+        y.flat[5] = np.nan
+        with pytest.raises(ValueError, match=r"^dataset y holds a non-finite value at flat index 5"):
+            oh.train(model, oh.OptimizerConfig("sgd", 0.1), (x, y), steps=1)
+
     def test_single_sgd_step_closed_form(self):
         model = oh.build_toy_model("lora", seed=6)
         data = oh.toy_dataset(conv=False, seed=6)

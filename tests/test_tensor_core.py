@@ -67,6 +67,13 @@ class TestAsTensor:
         with pytest.raises(ValueError, match="non-finite"):
             tc.as_tensor([1.0, np.inf])
 
+    def test_non_finite_error_names_argument_index_and_value(self):
+        bad = np.zeros((2, 3))
+        bad[1, 0] = -np.inf
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^kernel holds a non-finite value at flat index 3: -inf$"):
+            tc.as_tensor(bad, "kernel")
+
     def test_real_tensor_refuses_complex(self):
         with pytest.raises(tc.ComplexInputError, match="^tensor is complex; .*real input only"):
             tc.as_tensor([1.0, 1j])

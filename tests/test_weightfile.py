@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 from types import SimpleNamespace
 
@@ -185,6 +186,115 @@ class TestDenseFiles:
             entries=model.entries)
         with pytest.raises(ValueError, match="save_dense"):
             wf.save_weights(bad, tmp_path / "x.lwu")
+
+
+def reference_decode(blob: bytes) -> list[tuple[str, str, np.ndarray]]:
+    """(layer, role, values) per header entry: frombuffer of its span, cast to float64."""
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + header_len])
+    base = 8 + header_len
+    out = []
+    for layer in header["layers"]:
+        for t in layer["tensors"]:
+            raw = blob[base + t["byte_offset"]:base + t["byte_offset"] + t["byte_length"]]
+            out.append((layer["name"], t["role"],
+                        np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t["shape"])))
+    return out
+
+
+def repack_reversed(blob: bytes) -> bytes:
+    """The same file with its tensors packed in the reverse of header order."""
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + header_len])
+    payload = blob[8 + header_len:]
+    entries = [t for layer in header["layers"] for t in layer["tensors"]]
+    parts = [payload[t["byte_offset"]:t["byte_offset"] + t["byte_length"]] for t in entries]
+    offset = 0
+    for t, part in zip(reversed(entries), reversed(parts)):
+        t["byte_offset"] = offset
+        offset += len(part)
+    hb = json.dumps(header).encode("utf-8")
+    return wf.MAGIC + struct.pack("<I", len(hb)) + hb + b"".join(reversed(parts))
+
+
+class TestLoadReadsAtOffsets:
+    """Loads read each tensor at its offset through one reused buffer.
+
+    In the reference tests the payload order is the reverse of the header
+    order, and a small tensor is read after a large one, so a buffer read
+    or sliced wrongly shows.
+    """
+
+    def test_load_dense(self, tmp_path):
+        rng = np.random.default_rng(11)
+        small = ad.LayerShape("linear", 2, 3)
+        entries = {"big": (CONV, rng.standard_normal(CONV.delta_shape)),
+                   "small": (small, rng.standard_normal(small.delta_shape)),
+                   "mid": (LINEAR, rng.standard_normal(LINEAR.delta_shape))}
+        path = tmp_path / "d.lwu"
+        wf.save_dense(entries, path)
+        blob = repack_reversed(path.read_bytes())
+        path.write_bytes(blob)
+        _, loaded = wf.load_dense(path)
+        want = reference_decode(blob)
+        assert [(name, role) for name, role, _ in want] == [
+            ("big", "delta"), ("small", "delta"), ("mid", "delta")]
+        for name, _, values in want:
+            got = loaded[name][1]
+            assert got.dtype == np.float64 and got.shape == values.shape
+            assert got.tobytes() == values.tobytes()
+
+    def test_load_weights(self, tmp_path):
+        layers = [("blk0.conv", CONV), ("blk1.attn", LINEAR)]
+        model = ad.AdapterModel(
+            meta=ad.ModelMeta(algorithm="loha", dim=2, alpha=2.0),
+            entries={name: ad.random_adapter("loha", shape, 2, 2.0,
+                                             tucker=shape.kind == "conv2d", seed=i)
+                     for i, (name, shape) in enumerate(layers)})
+        blob = repack_reversed(save_blob(model, tmp_path))
+        loaded = load_blob(blob, tmp_path)
+        want = reference_decode(blob)
+        sizes = [values.size for *_, values in want]
+        assert any(a > b for a, b in zip(sizes, sizes[1:]))
+        for name, role, values in want:
+            got = loaded.entries[name].tensors()[role]
+            assert got.dtype == np.float64 and got.shape == values.shape
+            assert got.tobytes() == values.tobytes()
+
+    def test_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        # the size is taken once, before the header is parsed; a file cut
+        # after that ends a read short, and the load refuses it. The file
+        # is larger than the reader's buffer, so the cut bytes are not
+        # already buffered.
+        path = tmp_path / "d.lwu"
+        big = ad.LayerShape("linear", 128, 128)
+        wf.save_dense({"a": (big, np.ones(big.delta_shape))}, path)
+        blob = path.read_bytes()
+
+        def cut_then_parse(text):
+            with open(path, "r+b") as fh:
+                fh.truncate(len(blob) - 4)
+            return json.loads(text)
+        monkeypatch.setattr(wf, "json", SimpleNamespace(loads=cut_then_parse,
+                                                         JSONDecodeError=json.JSONDecodeError))
+        with pytest.raises(wf.TruncatedPayloadError, match="4 bytes short") as info:
+            wf.load_dense(path)
+        assert info.value.position == len(blob) - 4
+
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_refused_naming_it(self, tmp_path):
+        blob = save_blob(build_model(), tmp_path)
+        r, w = os.pipe()
+        try:
+            os.write(w, blob)
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            with pytest.raises(OSError, match="Illegal seek") as info:
+                wf.load_weights(path)
+            assert info.value.filename == path
+        finally:
+            os.close(r)
 
 
 class TestMalformedCorpus:
@@ -444,6 +554,34 @@ class TestWriterRefusesNonFinite:
         with pytest.raises(wf.WeightFileError, match="'blk0.attn' tensor 'down' holds values"):
             wf.save_weights(model, path)
         assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("writer", ["save_dense", "save_weights"])
+    def test_float32_range_boundary(self, tmp_path, writer):
+        # values round to float32 max below the midpoint 2^128 - 2^104/2, to inf at it
+        limit = 2.0 ** 128 - 2.0 ** 103
+        f32_max = float(np.finfo(np.float32).max)
+
+        def save(value):
+            if writer == "save_dense":
+                wf.save_dense({"a": (LINEAR, value)}, path)
+                return wf.load_dense(path)[1]["a"][1]
+            layer = build_model(seed=4).entries["blk0.attn"]
+            model = ad.AdapterModel(meta=ad.ModelMeta(algorithm="lora", dim=2, alpha=2.0),
+                                    entries={"a": dataclasses.replace(layer, down=value)})
+            wf.save_weights(model, path)
+            return wf.load_weights(path).entries["a"].down
+
+        path = tmp_path / "x.lwu"
+        shape = LINEAR.delta_shape if writer == "save_dense" else (2, 6)
+        for sign in (1.0, -1.0):
+            value = np.zeros(shape)
+            value[1, 2] = sign * np.nextafter(limit, 0)
+            assert save(value)[1, 2] == sign * f32_max
+            kept = path.read_bytes()
+            value[1, 2] = sign * limit
+            with pytest.raises(wf.WeightFileError, match="'a' tensor '(delta|down)' holds values"):
+                save(value)
+            assert path.read_bytes() == kept
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_inf_and_nan(self, tmp_path, bad):
