@@ -106,7 +106,8 @@ class LayerShape:
     def __post_init__(self):
         if self.kind not in ("linear", "conv2d"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if any(isinstance(d, bool) or d < 1 for d in (self.out_dim, self.in_dim, self.kernel)):
+        if any(not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1
+               for d in (self.out_dim, self.in_dim, self.kernel)):
             raise ValueError(f"layer extents must be positive integers: {self}")
         if self.kind == "linear" and self.kernel != 1:
             raise ValueError("linear layers have no kernel extent")

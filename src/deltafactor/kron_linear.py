@@ -1,9 +1,12 @@
 """Grouped evaluation of Kronecker-factored linear maps.
 
-Applies (C kron B A) to a vector without materializing the Kronecker
-product: the input is regrouped into a (u_q, v_q) matrix, pushed through the
-small factors, transposed across groups, pushed through C, and regrouped
-back. Leading axes of the input are treated as batch axes.
+Applies (C kron W) to a vector without materializing the Kronecker
+product, with the right block W either factored as B @ A
+(grouped_forward) or whole (grouped_forward_full): the input is regrouped
+into a (u_q, v_q) matrix, pushed through the right block's factors,
+transposed across groups, pushed through C, and regrouped back. Leading
+axes of the input are treated as batch axes. An optional MacCounter
+tallies the multiply-adds of every product.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .tensor_core import ShapeError, as_tensor
 
-__all__ = ["MacCounter", "grouped_forward", "grouped_forward_full", "dense_forward"]
+__all__ = ["MacCounter", "grouped_forward", "grouped_forward_full"]
 
 
 @dataclass
@@ -38,20 +41,23 @@ def _batched_matmul(x: np.ndarray, w: np.ndarray, counter: MacCounter | None) ->
     return x @ w
 
 
-def _split_groups(h: np.ndarray, uq: int, vq: int) -> np.ndarray:
-    if h.ndim < 1:
-        raise ShapeError("input must have at least one axis")
-    if h.shape[-1] != uq * vq:
-        raise ShapeError(
-            f"input extent {h.shape[-1]} does not factor as {uq} * {vq}"
-        )
-    return h.reshape(h.shape[:-1] + (uq, vq))
+def _grouped(cm: np.ndarray, rights: tuple, hm: np.ndarray,
+             counter: MacCounter | None) -> np.ndarray:
+    """(C kron W) applied to hm, with W.T the product of `rights` in order.
 
-
-def _merge_groups(hc: np.ndarray, up: int, vp: int) -> np.ndarray:
-    # hc: (..., vp, up) -> (..., up*vp), interleaved as (up, vp)
-    out = np.swapaxes(hc, -1, -2)
-    return np.ascontiguousarray(out).reshape(out.shape[:-2] + (up * vp,))
+    rights is (a.T, b.T) for W = b @ a, or (w2.T,) for a whole W.
+    """
+    up, uq = cm.shape
+    vq, vp = rights[0].shape[0], rights[-1].shape[1]
+    if hm.shape[-1] != uq * vq:
+        raise ShapeError(f"input extent {hm.shape[-1]} does not factor as {uq} * {vq}")
+    h = hm.reshape(hm.shape[:-1] + (uq, vq))
+    for w in rights:
+        h = _batched_matmul(h, w, counter)  # ends at (..., uq, vp)
+    hc = _batched_matmul(np.swapaxes(h, -1, -2), cm.T, counter)  # (..., vp, up)
+    # (..., vp, up) -> (..., up*vp), interleaved as (up, vp)
+    out = np.ascontiguousarray(np.swapaxes(hc, -1, -2))
+    return out.reshape(out.shape[:-2] + (up * vp,))
 
 
 def grouped_forward(c, b, a, h, counter: MacCounter | None = None) -> np.ndarray:
@@ -68,15 +74,7 @@ def grouped_forward(c, b, a, h, counter: MacCounter | None = None) -> np.ndarray
             raise ShapeError(f"factor {name} must be a matrix, got shape {mat.shape}")
     if bm.shape[1] != am.shape[0]:
         raise ShapeError(f"inner extents differ: b {bm.shape} vs a {am.shape}")
-    up, uq = cm.shape
-    vp = bm.shape[0]
-    vq = am.shape[1]
-    hg = _split_groups(hm, uq, vq)            # (..., uq, vq)
-    ha = _batched_matmul(hg, am.T, counter)   # (..., uq, r)
-    hb = _batched_matmul(ha, bm.T, counter)   # (..., uq, vp)
-    hx = np.swapaxes(hb, -1, -2)              # (..., vp, uq)
-    hc = _batched_matmul(hx, cm.T, counter)   # (..., vp, up)
-    return _merge_groups(hc, up, vp)
+    return _grouped(cm, (am.T, bm.T), hm, counter)
 
 
 def grouped_forward_full(c, w2, h, counter: MacCounter | None = None) -> np.ndarray:
@@ -87,27 +85,4 @@ def grouped_forward_full(c, w2, h, counter: MacCounter | None = None) -> np.ndar
         raise ShapeError(
             f"factors must be matrices, got shapes {cm.shape} and {wm.shape}"
         )
-    up, uq = cm.shape
-    vp, vq = wm.shape
-    hg = _split_groups(hm, uq, vq)
-    hw = _batched_matmul(hg, wm.T, counter)   # (..., uq, vp)
-    hx = np.swapaxes(hw, -1, -2)
-    hc = _batched_matmul(hx, cm.T, counter)
-    return _merge_groups(hc, up, vp)
-
-
-def dense_forward(c, b, a, h, counter: MacCounter | None = None) -> np.ndarray:
-    """Reference path: materializes kron(C, B @ A) and applies it directly."""
-    cm, bm, am = as_tensor(c, "c"), as_tensor(b, "b"), as_tensor(a, "a")
-    hm = as_tensor(h, "input")
-    m = _batched_matmul(bm, am, counter)
-    full = np.kron(cm, m)
-    if counter is not None:
-        counter.add_elementwise(full.size)    # one multiply per Kronecker entry
-    batch = hm.reshape((-1, hm.shape[-1])) if hm.ndim > 1 else hm.reshape(1, -1)
-    if batch.shape[-1] != full.shape[1]:
-        raise ShapeError(
-            f"input extent {hm.shape[-1]} does not match operator {full.shape}"
-        )
-    out = _batched_matmul(batch, full.T, counter)
-    return out.reshape(hm.shape[:-1] + (full.shape[0],))
+    return _grouped(cm, (wm.T,), hm, counter)

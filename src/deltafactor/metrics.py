@@ -25,7 +25,6 @@ __all__ = [
     "squared_centroid_distance",
     "intra_dissimilarity",
     "variance_normalized",
-    "dissim_variance_identity_residual",
     "text_image_alignment",
     "vendi_score",
     "grouped_vendi",
@@ -108,14 +107,6 @@ def variance_normalized(a) -> float:
     na = _normalized(a)
     centered = na - na.mean(axis=0)
     return float(np.mean(np.sum(centered * centered, axis=1)))
-
-
-def dissim_variance_identity_residual(a, b) -> float:
-    """Residual of 1 - cossim(A, B) == 0.5 (||mean gap||^2 + Var A + Var B)."""
-    lhs = 1.0 - avg_cosine_similarity(a, b)
-    rhs = 0.5 * (squared_centroid_distance(a, b)
-                 + variance_normalized(a) + variance_normalized(b))
-    return abs(lhs - rhs)
 
 
 def text_image_alignment(images, texts) -> float:
@@ -359,7 +350,7 @@ def balance_repeats(sizes, target: int = 200) -> list[int]:
         raise ValueError("at least one class size is required")
     out = []
     for size in counts:
-        if not isinstance(size, (int, np.integer)) or size < 1:
+        if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
             raise ValueError(f"class sizes must be positive integers, got {size!r}")
         out.append(max(1, math.floor(target / size + 0.5)))
     return out

@@ -49,7 +49,6 @@ __all__ = [
     "ToyLayer",
     "ToyModel",
     "TrainTrace",
-    "homogeneity_degree",
     "train",
     "homogeneity_check",
     "verify_merge_ratio",
@@ -148,9 +147,18 @@ class TrainTrace:
     deltas: list[list[np.ndarray]] = field(default_factory=list)
 
 
-def homogeneity_degree(adapter) -> int:
+def _homogeneity_degree(adapter) -> int:
     """Number of factor tensors: scaling all by c scales the delta by c^k."""
     return len(adapter.tensors())
+
+
+def _spec(name: str) -> HarnessAlgo:
+    """The harness form of that name; an unknown name raises ValueError listing the known ones."""
+    try:
+        return HARNESS_ALGORITHMS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown harness form {name!r}, expected one of "
+                         f"{tuple(HARNESS_ALGORITHMS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +352,7 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
     The adapter merge ratio is set to `ratio` via alpha = ratio * dim; base
     weights and biases are frozen draws from the same seed.
     """
-    spec = HARNESS_ALGORITHMS[name]
+    spec = _spec(name)
     geometry = toy_geometry(spec.conv)
     ss = _seed_seq(seed).spawn(len(geometry) + 1)
     base_rng = np.random.default_rng(ss[0])
@@ -359,7 +367,7 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
         # normalize the starting delta to a fixed small RMS; the k-th root
         # spreads the correction evenly over the factor tensors
         rms = float(np.sqrt(np.mean(adapters.reconstruct(ad) ** 2)))
-        k = homogeneity_degree(ad)
+        k = _homogeneity_degree(ad)
         ad = adapters.scale_factors(ad, (INIT_DELTA_RMS / max(rms, 1e-300)) ** (1.0 / k))
         layers.append(ToyLayer(w0, b0, ad, act))
     return ToyModel(layers)
@@ -492,7 +500,7 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
         raise ValueError(f"trials must be positive, got {trials}")
     if c in (0.0, 1.0):
         raise ValueError(f"scale must not be 0 or 1, got {c}: c^k is then the same for every k")
-    spec = HARNESS_ALGORITHMS[algorithm]
+    spec = _spec(algorithm)
     shapes = [shape for shape, _ in toy_geometry(spec.conv)]
     tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     worst = 0.0
@@ -501,7 +509,7 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
         shape = shapes[i % len(shapes)]
         ad = adapters.random_adapter(spec.algorithm, shape, spec.dim, alpha=spec.dim,
                                      factor=spec.factor, tucker=spec.tucker, seed=child)
-        k = homogeneity_degree(ad)
+        k = _homogeneity_degree(ad)
         try:
             ck = c ** k
         except OverflowError:
@@ -538,10 +546,10 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
         raise ValueError(f"merge ratio must be positive, got {s}")
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    spec = HARNESS_ALGORITHMS[algorithm]
+    spec = _spec(algorithm)
     ss = _seed_seq(seed).spawn(2)
     model_a = build_toy_model(algorithm, seed=ss[0], ratio=s)
-    k = homogeneity_degree(model_a.layers[0].adapter)
+    k = _homogeneity_degree(model_a.layers[0].adapter)
     model_b = ToyModel([
         replace(l, adapter=adapters.scale_factors(
             replace(l.adapter, scale=MergeScale(alpha=float(l.adapter.scale.dim),
@@ -577,7 +585,7 @@ def gradient_check(algorithm: str, seed=0) -> dict[str, float]:
     'layer<i>.<role>' key. gamma is set away from 1 so the ratio chain rule
     is exercised too.
     """
-    spec = HARNESS_ALGORITHMS[algorithm]
+    spec = _spec(algorithm)
     model = build_toy_model(algorithm, seed=seed, ratio=1.3)
     x, y = toy_dataset(spec.conv, seed=seed, samples=2 if spec.conv else 4)
     deltas = [adapters.reconstruct(layer.adapter) for layer in model.layers]

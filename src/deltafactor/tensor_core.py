@@ -11,7 +11,9 @@ arrays its caller has checked; its two adjoints reuse the columns, and
 conv2d is its checked entry. The private kernel and its adjoints take
 arrays as they are, complex ones included (the training harness's
 complex-step gradient check runs on them), and a leading member axis on
-the kernel (and the image), for the harness's stacked runs.
+the kernel (and the image), for the harness's stacked runs. The adjoints
+take a batch of images, (n, ...) after any member axes, as the harness
+always passes one.
 """
 
 from __future__ import annotations
@@ -116,22 +118,22 @@ def _conv_cols(kernel: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_weight_grad(dy: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """dL/dkernel of the convolution from dy = dL/dy and the forward's columns: one GEMM per member."""
-    if dy.ndim == 3:
-        dy = dy[None]
+    """dL/dkernel of the convolution from dy = dL/dy (*lead, n, out, h, w) and the forward's columns.
+
+    One GEMM per member; the batch axis n is summed over.
+    """
     dy_rows = dy.swapaxes(-4, -3).reshape(*dy.shape[:-4], dy.shape[-3], -1)
     grad = dy_rows @ cols.reshape(*cols.shape[:-3], -1).swapaxes(-1, -2)
     return grad.reshape(*grad.shape[:-1], -1, k, k)
 
 
 def _conv2d_input_grad(kernel: np.ndarray, dy: np.ndarray, scratch: dict | None = None) -> np.ndarray:
-    """dL/dimage of the convolution: the flipped, channel-swapped kernel over dy padded by k-1.
+    """dL/dimage (*lead, n, in, H, W) of the convolution, from dy (*lead, n, out, h, w).
 
-    The padded dy and its columns are built in _buffer(scratch, ...); only
-    the interior of the padded buffer is ever written, so its border stays 0.
+    It is the flipped, channel-swapped kernel over dy padded by k-1. The
+    padded dy and its columns are built in _buffer(scratch, ...); only the
+    interior of the padded buffer is ever written, so its border stays 0.
     """
-    if dy.ndim == 3:
-        return _conv2d_input_grad(kernel, dy[None], scratch)[0]
     p = kernel.shape[-1] - 1
     h, w = dy.shape[-2:]
     padded = _buffer(scratch, "padded", (*dy.shape[:-2], h + 2 * p, w + 2 * p),

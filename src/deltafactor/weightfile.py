@@ -178,16 +178,12 @@ def save_dense(entries, path, algorithm: str = "delta",
     _write(path, meta, layers)
 
 
-def _fail(cls, message, position):
-    raise cls(message, position)
-
-
 def _require_key(entry: dict, key: str, kinds, where: str):
     if key not in entry:
-        _fail(MalformedHeaderError, f"{where} missing key {key!r}", 8)
+        raise MalformedHeaderError(f"{where} missing key {key!r}", 8)
     # JSON true/false load as bool, which Python counts as an int
     if not isinstance(entry[key], kinds) or isinstance(entry[key], bool):
-        _fail(MalformedHeaderError, f"{where} key {key!r} has wrong type", 8)
+        raise MalformedHeaderError(f"{where} key {key!r} has wrong type", 8)
     return entry[key]
 
 
@@ -195,15 +191,15 @@ def _parse_layer_shape(entry: dict, where: str) -> LayerShape:
     kind = _require_key(entry, "kind", str, where)
     dims = _require_key(entry, "shape", list, where)
     if not all(isinstance(d, int) and d > 0 for d in dims):
-        _fail(MalformedHeaderError, f"{where} has non-positive shape {dims}", 8)
+        raise MalformedHeaderError(f"{where} has non-positive shape {dims}", 8)
     try:
         if kind == "linear" and len(dims) == 2:
             return LayerShape("linear", dims[0], dims[1])
         if kind == "conv2d" and len(dims) == 3:
             return LayerShape("conv2d", dims[0], dims[1], dims[2])
     except ValueError as exc:
-        _fail(MalformedHeaderError, f"{where}: {exc}", 8)
-    _fail(MalformedHeaderError, f"{where} has invalid kind/shape {kind!r}/{dims}", 8)
+        raise MalformedHeaderError(f"{where}: {exc}", 8)
+    raise MalformedHeaderError(f"{where} has invalid kind/shape {kind!r}/{dims}", 8)
 
 
 def _parse_container(fh):
@@ -211,24 +207,24 @@ def _parse_container(fh):
     fh.seek(0)
     prefix = fh.read(8)
     if prefix[:4] != MAGIC:
-        _fail(BadMagicError, f"bad magic {prefix[:4]!r}, expected {MAGIC!r}", 0)
+        raise BadMagicError(f"bad magic {prefix[:4]!r}, expected {MAGIC!r}", 0)
     if len(prefix) < 8:
-        _fail(TruncatedPayloadError, "file ends before header length field", 4)
+        raise TruncatedPayloadError("file ends before header length field", 4)
     (header_len,) = struct.unpack_from("<I", prefix, 4)
     # never ask for more than the file holds: the length field is untrusted
     header_bytes = fh.read(min(header_len, size - 8))
     if len(header_bytes) < header_len:
-        _fail(TruncatedPayloadError,
-              f"header declares {header_len} bytes but {len(header_bytes)} remain", 8)
+        raise TruncatedPayloadError(
+            f"header declares {header_len} bytes but {len(header_bytes)} remain", 8)
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        _fail(MalformedHeaderError, f"header is not valid JSON: {exc}", 8)
+        raise MalformedHeaderError(f"header is not valid JSON: {exc}", 8)
     if not isinstance(header, dict):
-        _fail(MalformedHeaderError, "header must be a JSON object", 8)
+        raise MalformedHeaderError("header must be a JSON object", 8)
     version = _require_key(header, "format_version", int, "header")
     if version != FORMAT_VERSION:
-        _fail(MalformedHeaderError, f"unsupported format_version {version}", 8)
+        raise MalformedHeaderError(f"unsupported format_version {version}", 8)
     algorithm = _require_key(header, "algorithm", str, "header")
     dim = _require_key(header, "dim", int, "header")
     alpha = _require_key(header, "alpha", (int, float), "header")
@@ -236,14 +232,13 @@ def _parse_container(fh):
     seed = _require_key(header, "seed", int, "header")
     known = set(ALGORITHMS) | set(_DENSE_ALGORITHMS)
     if algorithm not in known:
-        _fail(MalformedHeaderError, f"unknown algorithm {algorithm!r}", 8)
+        raise MalformedHeaderError(f"unknown algorithm {algorithm!r}", 8)
     try:
         meta = ModelMeta(algorithm=algorithm, dim=dim, alpha=float(alpha),
                          factor=factor, seed=seed, format_version=version)
-        scale_probe = MergeScale(float(alpha), dim)
-        del scale_probe
+        MergeScale(float(alpha), dim)
     except ValueError as exc:
-        _fail(MalformedHeaderError, f"invalid metadata: {exc}", 8)
+        raise MalformedHeaderError(f"invalid metadata: {exc}", 8)
 
     payload_base = 8 + header_len
     payload_len = size - payload_base
@@ -257,7 +252,7 @@ def _parse_container(fh):
     for li, entry in enumerate(layer_list):
         where = f"layer {li}"
         if not isinstance(entry, dict):
-            _fail(MalformedHeaderError, f"{where} must be an object", 8)
+            raise MalformedHeaderError(f"{where} must be an object", 8)
         name = _require_key(entry, "name", str, where)
         names.append(name)
         shape = _parse_layer_shape(entry, where)
@@ -266,53 +261,53 @@ def _parse_container(fh):
         for ti, tentry in enumerate(tensor_list):
             twhere = f"{where} tensor {ti}"
             if not isinstance(tentry, dict):
-                _fail(MalformedHeaderError, f"{twhere} must be an object", 8)
+                raise MalformedHeaderError(f"{twhere} must be an object", 8)
             role = _require_key(tentry, "role", str, twhere)
             if role in tensors:
-                _fail(MalformedHeaderError, f"{twhere} repeats role {role!r}", 8)
+                raise MalformedHeaderError(f"{twhere} repeats role {role!r}", 8)
             tshape = _require_key(tentry, "shape", list, twhere)
             if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0
                        for d in tshape):
-                _fail(MalformedHeaderError, f"{twhere} has invalid shape {tshape}", 8)
+                raise MalformedHeaderError(f"{twhere} has invalid shape {tshape}", 8)
             dtype = _require_key(tentry, "dtype", str, twhere)
             if dtype != "f4":
-                _fail(MalformedHeaderError, f"{twhere} has unsupported dtype {dtype!r}", 8)
+                raise MalformedHeaderError(f"{twhere} has unsupported dtype {dtype!r}", 8)
             offset = _require_key(tentry, "byte_offset", int, twhere)
             length = _require_key(tentry, "byte_length", int, twhere)
             count = math.prod(tshape)
             if offset < 0 or length != 4 * count:
-                _fail(MalformedHeaderError,
-                      f"{twhere} length {length} does not match shape {tshape}", 8)
+                raise MalformedHeaderError(
+                    f"{twhere} length {length} does not match shape {tshape}", 8)
             if offset + length > payload_len:
-                _fail(TruncatedPayloadError,
-                      f"{twhere} spans [{offset}, {offset + length}) past payload "
-                      f"end {payload_len}", payload_base + payload_len)
+                raise TruncatedPayloadError(
+                    f"{twhere} spans [{offset}, {offset + length}) past payload "
+                    f"end {payload_len}", payload_base + payload_len)
             if count > buf.size:
                 buf = np.empty(count, dtype="<f4")
             f4 = buf[:count]
             fh.seek(payload_base + offset)
             got = fh.readinto(f4)
             if got < length:
-                _fail(TruncatedPayloadError,
-                      f"{twhere} ends {length - got} bytes short: the file shrank while "
-                      f"it was read", payload_base + offset + got)
+                raise TruncatedPayloadError(
+                    f"{twhere} ends {length - got} bytes short: the file shrank while "
+                    f"it was read", payload_base + offset + got)
             if not np.all(np.isfinite(f4)):
-                _fail(WeightFileError, f"{twhere} holds non-finite values",
-                      payload_base + offset)
+                raise WeightFileError(f"{twhere} holds non-finite values",
+                                      payload_base + offset)
             tensors[role] = f4.astype(np.float64).reshape(tshape)
             spans.append((offset, offset + length, twhere))
         layers.append((name, shape, tensors))
     if len(set(names)) != len(names):
-        _fail(MalformedHeaderError, "duplicate layer names", 8)
+        raise MalformedHeaderError("duplicate layer names", 8)
     spans.sort()
     for (s0, e0, w0), (s1, e1, w1) in zip(spans, spans[1:]):
         if s1 < e0:
-            _fail(OffsetOverlapError, f"{w1} overlaps {w0}", payload_base + s1)
+            raise OffsetOverlapError(f"{w1} overlaps {w0}", payload_base + s1)
     declared_end = max((end for _, end, _ in spans), default=0)
     if declared_end < payload_len:
-        _fail(WeightFileError,
-              f"{payload_len - declared_end} trailing payload bytes",
-              payload_base + declared_end)
+        raise WeightFileError(
+            f"{payload_len - declared_end} trailing payload bytes",
+            payload_base + declared_end)
     return meta, layers
 
 
@@ -329,7 +324,7 @@ def _assemble_adapter(meta: ModelMeta, shape: LayerShape, tensors: dict):
     try:
         return adapters._from_tensors(meta.algorithm, shape, scale, meta.factor, tensors)
     except ValueError as exc:
-        _fail(MalformedHeaderError, f"inconsistent adapter tensors: {exc}", 8)
+        raise MalformedHeaderError(f"inconsistent adapter tensors: {exc}", 8)
 
 
 def load_weights(path) -> AdapterModel:
@@ -353,11 +348,11 @@ def load_dense(path):
     entries = {}
     for name, shape, tensors in layers:
         if set(tensors) != {role}:
-            _fail(MalformedHeaderError,
-                  f"dense layer {name!r} must hold exactly one {role!r} tensor", 8)
+            raise MalformedHeaderError(
+                f"dense layer {name!r} must hold exactly one {role!r} tensor", 8)
         value = tensors[role]
         if value.shape != shape.delta_shape:
-            _fail(MalformedHeaderError,
-                  f"dense layer {name!r} tensor shape {value.shape} != {shape.delta_shape}", 8)
+            raise MalformedHeaderError(
+                f"dense layer {name!r} tensor shape {value.shape} != {shape.delta_shape}", 8)
         entries[name] = (shape, value)
     return meta, entries

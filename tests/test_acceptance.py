@@ -52,7 +52,7 @@ def test_a02_scale_homogeneity(report):
     worst = 0.0
     for algo, k in cases.items():
         model = oh.build_toy_model(algo, seed=1)
-        assert oh.homogeneity_degree(model.layers[0].adapter) == k
+        assert len(model.layers[0].adapter.tensors()) == k
         worst = max(worst, oh.homogeneity_check(algo, trials=100, seed=2))
     ok = worst < 1e-12
     report("A02 scale homogeneity", ok,
@@ -90,7 +90,7 @@ def test_a04_grouped_kronecker_forward(report):
         a = rng.standard_normal((r, vq))
         h = rng.standard_normal((int(rng.integers(1, 5)), uq * vq))
         got = kl.grouped_forward(c, b, a, h)
-        want = kl.dense_forward(c, b, a, h)
+        want = h @ np.kron(c, b @ a).T
         scale = max(1.0, float(np.max(np.abs(want))))
         worst = max(worst, float(np.max(np.abs(got - want))) / scale)
     ranks_ok = True
@@ -200,7 +200,11 @@ def test_a09_diversity_metrics(report):
         a = rng.standard_normal((int(rng.integers(3, 30)),
                                  int(rng.integers(2, 10)))) + 0.1
         b = rng.standard_normal((int(rng.integers(3, 30)), a.shape[1])) + 0.1
-        residual = max(residual, mt.dissim_variance_identity_residual(a, b))
+        # 1 - cossim(A, B) == 0.5 (||centroid gap||^2 + Var A + Var B)
+        lhs = 1.0 - mt.avg_cosine_similarity(a, b)
+        rhs = 0.5 * (mt.squared_centroid_distance(a, b)
+                     + mt.variance_normalized(a) + mt.variance_normalized(b))
+        residual = max(residual, abs(lhs - rhs))
     maps_a = [rng.standard_normal((3, 4, 4)), rng.standard_normal((5, 2, 2))]
     maps_b = [rng.standard_normal((3, 4, 4)), rng.standard_normal((5, 2, 2))]
     style_ok = (mt.style_loss(maps_a, maps_a) == 0.0

@@ -63,6 +63,19 @@ class TestLayerShape:
         with pytest.raises(ValueError, match="positive integers"):
             ad.LayerShape(kind, *extents)
 
+    @pytest.mark.parametrize("kind,extents", [
+        ("linear", (4.0, 3)), ("linear", ("4", 3)), ("linear", (4, None)),
+        ("linear", (np.float64(4), 3)), ("conv2d", (4, 3, 2.0)), ("linear", (4, 3, 1.0)),
+    ], ids=["float", "str", "none", "numpy-float", "float-kernel", "float-linear-kernel"])
+    def test_rejects_non_integer_extent(self, kind, extents):
+        with pytest.raises(ValueError, match="positive integers"):
+            ad.LayerShape(kind, *extents)
+
+    def test_accepts_numpy_integer_extents(self):
+        layer = ad.LayerShape("conv2d", np.int64(4), np.int32(3), np.uint8(3))
+        assert layer.delta_shape == (4, 3, 3, 3)
+        assert ad.reconstruct(ad.random_adapter("lora", layer, 2, alpha=2.0)).shape == (4, 3, 3, 3)
+
     def test_merge_scale_rejects_boolean_dim(self):
         with pytest.raises(ValueError, match="dim"):
             ad.MergeScale(alpha=1.0, dim=True)
@@ -575,6 +588,23 @@ class TestMergeCombine:
         with pytest.raises(tc.ComplexInputError, match="^weight is complex"):
             ad.merge(adapter, np.ones((48, 80)) * 1j)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_merge_rejects_non_finite_weight(self, lam):
+        adapter = ad.random_adapter("lora", LINEAR_RECT, 2, alpha=2.0, seed=28)
+        with pytest.raises(ValueError, match="merge weight must be finite"):
+            ad.merge(adapter, np.ones((48, 80)), lam)
+
+    def test_merge_rejects_wrong_base_shape(self):
+        adapter = ad.random_adapter("lora", LINEAR_RECT, 2, alpha=2.0, seed=28)
+        with pytest.raises(tc.ShapeError, match=r"weight shape \(80, 48\) != layer shape \(48, 80\)"):
+            ad.merge(adapter, np.ones((80, 48)))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_scale_factors_rejects_non_finite(self, c):
+        adapter = ad.random_adapter("lora", LINEAR_RECT, 2, alpha=2.0, seed=28)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            ad.scale_factors(adapter, c)
+
     def test_merge_is_pure(self):
         adapter = ad.random_adapter("lora", LINEAR_RECT, 2, alpha=2.0, seed=28)
         w0 = np.ones((48, 80))
@@ -703,6 +733,10 @@ class TestSvdFitLora:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ad.svd_fit_lora(np.zeros((4, 6)), 5)
+
+    def test_rejects_rank_three_delta(self):
+        with pytest.raises(tc.ShapeError, match=r"rank 2 or 4, got shape \(4, 3, 3\)"):
+            ad.svd_fit_lora(np.ones((4, 3, 3)), 1)
 
 
 class TestNkpFitLokr:

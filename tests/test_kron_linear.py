@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltafactor import tensor_core as tc
-from deltafactor.kron_linear import (
-    MacCounter,
-    dense_forward,
-    grouped_forward,
-    grouped_forward_full,
-)
+from deltafactor.kron_linear import MacCounter, grouped_forward, grouped_forward_full
 
 
 def dense_oracle(c, b, a, h):
@@ -122,22 +117,6 @@ class TestGroupedForwardFull:
                                    atol=1e-15)
 
 
-class TestDenseForward:
-    def test_agrees_with_grouped(self):
-        rng = np.random.default_rng(5)
-        c = rng.standard_normal((2, 2))
-        b = rng.standard_normal((4, 2))
-        a = rng.standard_normal((2, 4))
-        h = rng.standard_normal((3, 8))
-        np.testing.assert_allclose(dense_forward(c, b, a, h),
-                                   grouped_forward(c, b, a, h), atol=1e-11)
-
-    def test_rejects_bad_input_extent(self):
-        with pytest.raises(tc.ShapeError, match="does not match"):
-            dense_forward(np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2)),
-                          np.ones(5))
-
-
 class TestMacCounter:
     def test_grouped_needs_fewer_mults(self):
         rng = np.random.default_rng(6)
@@ -149,11 +128,12 @@ class TestMacCounter:
         a = rng.standard_normal((r, vq))
         h = rng.standard_normal(uq * vq)
         grouped = MacCounter()
-        dense = MacCounter()
         grouped_forward(c, b, a, h, counter=grouped)
-        dense_forward(c, b, a, h, counter=dense)
-        assert grouped.mults > 0
-        assert grouped.mults < dense.mults
+        np.testing.assert_allclose(grouped_forward(c, b, a, h), np.kron(c, b @ a) @ h,
+                                   atol=1e-12)
+        # dense: b @ a, one multiply per Kronecker entry, then the matvec
+        dense = vp * r * vq + 2 * (up * vp) * (uq * vq)
+        assert 0 < grouped.mults < dense
 
     def test_exact_grouped_count(self):
         # (uq, vq) @ a.T: uq*vq*r, then uq*r*vp, then vp*uq*up

@@ -107,21 +107,29 @@ class TestIntraDissimilarityAndVariance:
 
 
 class TestDissimVarianceIdentity:
+    @staticmethod
+    def residual(a, b):
+        # 1 - cossim(A, B) == 0.5 (||centroid gap||^2 + Var A + Var B)
+        lhs = 1.0 - mt.avg_cosine_similarity(a, b)
+        rhs = 0.5 * (mt.squared_centroid_distance(a, b)
+                     + mt.variance_normalized(a) + mt.variance_normalized(b))
+        return abs(lhs - rhs)
+
     def test_unit_singletons_polarization(self):
         # 1 - <u, v> == ||u - v||^2 / 2 for unit vectors
-        assert mt.dissim_variance_identity_residual([E1], [E2]) < 1e-15
+        assert self.residual([E1], [E2]) < 1e-15
 
     def test_same_set_reduces_to_variance(self):
         rng = np.random.default_rng(2)
         s = rng.standard_normal((10, 5))
-        assert mt.dissim_variance_identity_residual(s, s) < 1e-12
+        assert self.residual(s, s) < 1e-12
 
     def test_random_fifty_vector_sets(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.standard_normal((50, 8))
             b = rng.standard_normal((50, 8))
-            assert mt.dissim_variance_identity_residual(a, b) < 1e-10
+            assert self.residual(a, b) < 1e-10
 
 
 class TestTextImageAlignment:
@@ -488,6 +496,8 @@ class TestBalanceRepeats:
             mt.balance_repeats([0])
         with pytest.raises(ValueError, match="positive integers"):
             mt.balance_repeats([2.5])
+        with pytest.raises(ValueError, match="positive integers"):
+            mt.balance_repeats([True, 2])
 
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="target"):

@@ -236,14 +236,16 @@ class TestConvAdjoints:
         image = self.draw(rng, (in_c, h, w) if batch is None else (batch, in_c, h, w), complex_)
         y, cols = self.forward(kernel, image)
         dy = self.draw(rng, y.shape, complex_)
-        grad_k = tc._conv2d_weight_grad(dy, cols, k)
-        grad_x = tc._conv2d_input_grad(kernel, dy)
-        assert grad_k.shape == kernel.shape and grad_x.shape == image.shape
+        # the adjoints take a batch: a single image is a batch of one
+        dy_b, image_b = (dy, image) if batch else (dy[None], image[None])
+        grad_k = tc._conv2d_weight_grad(dy_b, cols, k)
+        grad_x = tc._conv2d_input_grad(kernel, dy_b)
+        assert grad_k.shape == kernel.shape and grad_x.shape == image_b.shape
         forward = np.sum(y * dy)
         magnitude = float(np.sum(tc.conv2d(np.abs(kernel), np.abs(image)) * np.abs(dy)))
         bound = self.ROUNDING_UNITS * self.UNIT * magnitude
         assert abs(np.sum(kernel * grad_k) - forward) <= bound
-        assert abs(np.sum(image * grad_x) - forward) <= bound
+        assert abs(np.sum(image_b * grad_x) - forward) <= bound
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_against_naive_oracles(self, complex_):
@@ -253,10 +255,10 @@ class TestConvAdjoints:
             image = self.draw(rng, (in_c, h, w), complex_)
             y, cols = self.forward(kernel, image)
             dy = self.draw(rng, y.shape, complex_)
-            np.testing.assert_allclose(tc._conv2d_weight_grad(dy, cols, k),
+            np.testing.assert_allclose(tc._conv2d_weight_grad(dy[None], cols, k),
                                        conv_weight_grad_oracle(dy, image, k),
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(tc._conv2d_input_grad(kernel, dy),
+            np.testing.assert_allclose(tc._conv2d_input_grad(kernel, dy[None])[0],
                                        conv_input_grad_oracle(kernel, dy),
                                        rtol=1e-12, atol=1e-12)
 

@@ -179,6 +179,18 @@ class TestDenseFiles:
             wf.save_dense({"a": (LINEAR, value)}, path)
         assert path.read_bytes() == b"kept"
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda t: t.update(role="weight"), "dense layer 'a' must hold exactly one 'delta' tensor"),
+        (lambda t: t.update(shape=[24]), r"dense layer 'a' tensor shape \(24,\) != \(4, 6\)"),
+    ], ids=["role", "shape"])
+    def test_load_rejects_inconsistent_layer(self, tmp_path, mutate, message):
+        path = tmp_path / "d.lwu"
+        wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, path)
+        blob = rewrite_header(path.read_bytes(), lambda h: mutate(h["layers"][0]["tensors"][0]))
+        path.write_bytes(blob)
+        with pytest.raises(wf.MalformedHeaderError, match=rf"^{message} \(byte 8\)$"):
+            wf.load_dense(path)
+
     def test_save_weights_rejects_dense_meta(self, tmp_path):
         model = build_model()
         bad = ad.AdapterModel(
@@ -380,6 +392,24 @@ class TestMalformedCorpus:
         model = ad.init_model([("a", ad.LayerShape("linear", 1, 4))], "lora", 1, alpha=1.0)
         blob = save_blob(model, tmp_path)
         with pytest.raises(wf.MalformedHeaderError, match=r"\(byte 8\)"):
+            load_blob(rewrite_header(blob, mutate), tmp_path)
+
+    def test_zero_layer_extent(self, tmp_path):
+        blob = save_blob(build_model(), tmp_path)
+        def zero(h):
+            h["layers"][0]["shape"] = [0, 4]
+        with pytest.raises(wf.MalformedHeaderError,
+                           match=r"^layer 0 has non-positive shape \[0, 4\] \(byte 8\)$"):
+            load_blob(rewrite_header(blob, zero), tmp_path)
+
+    @pytest.mark.parametrize("mutate,where", [
+        (lambda h: h["layers"].__setitem__(0, ["blk0.attn"]), "layer 0"),
+        (lambda h: h["layers"][1]["tensors"].__setitem__(0, "up"), "layer 1 tensor 0"),
+    ], ids=["layer", "tensor"])
+    def test_entry_not_an_object(self, tmp_path, mutate, where):
+        blob = save_blob(build_model(), tmp_path)
+        with pytest.raises(wf.MalformedHeaderError,
+                           match=rf"^{where} must be an object \(byte 8\)$"):
             load_blob(rewrite_header(blob, mutate), tmp_path)
 
     def test_unsupported_dtype(self, tmp_path):
