@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kron_linear, tensor_core
-from .tensor_core import NumericalError, ShapeError, as_tensor
+from .tensor_core import NumericalError, ShapeError, _is_count, as_tensor
 
 __all__ = [
     "ALGORITHMS",
@@ -84,7 +84,7 @@ class MergeScale:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
+        if not _is_count(self.dim):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
@@ -106,11 +106,30 @@ class LayerShape:
     def __post_init__(self):
         if self.kind not in ("linear", "conv2d"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if any(not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1
-               for d in (self.out_dim, self.in_dim, self.kernel)):
+        if not all(_is_count(d) for d in (self.out_dim, self.in_dim, self.kernel)):
             raise ValueError(f"layer extents must be positive integers: {self}")
         if self.kind == "linear" and self.kernel != 1:
             raise ValueError("linear layers have no kernel extent")
+
+    @classmethod
+    def from_json(cls, kind, shape, where: str) -> LayerShape:
+        """The layer of a JSON entry {"kind": kind, "shape": [out, in] or [out, in, k]}.
+
+        This is the one reader of that form (manifests, .lwu headers). A
+        shape that is not a list of positive integers, or one whose length
+        does not fit kind, raises ValueError starting with `where`.
+        """
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise ValueError(f"{where} has invalid shape {shape!r}")
+        if (kind, len(shape)) not in (("linear", 2), ("conv2d", 3)):
+            raise ValueError(f"{where}: kind {kind!r} does not fit shape {shape!r}")
+        return cls(kind, *shape)
+
+    @property
+    def json_shape(self) -> list[int]:
+        """The "shape" of the JSON form that from_json reads."""
+        extents = [self.out_dim, self.in_dim, self.kernel]
+        return extents if self.kind == "conv2d" else extents[:2]
 
     @property
     def unrolled_in(self) -> int:
@@ -528,10 +547,10 @@ def lokr_factor_dims(v: int, factor: int = -1) -> tuple[int, int]:
     split is as close to square as the divisors of v allow. The second
     element is always the larger one.
     """
-    if v < 1:
-        raise ValueError(f"extent must be positive, got {v}")
-    if factor == 0 or factor < -1:
-        raise ValueError(f"factor must be -1 or a positive integer, got {factor}")
+    if not _is_count(v):
+        raise ValueError(f"extent must be a positive integer, got {v!r}")
+    if factor != -1 and not _is_count(factor):
+        raise ValueError(f"factor must be -1 or a positive integer, got {factor!r}")
     bound = math.isqrt(v) if factor == -1 else min(factor, math.isqrt(v))
     for u in range(max(bound, 1), 0, -1):
         if v % u == 0:
@@ -741,8 +760,8 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
     full = min(layer.out_dim, layer.unrolled_in)
-    if not 1 <= dim <= full:
-        raise ValueError(f"dim {dim} out of range [1, {full}] for shape {dm.shape}")
+    if not (_is_count(dim) and dim <= full):
+        raise ValueError(f"dim {dim!r} out of range [1, {full}] for shape {dm.shape}")
     up, down = _fit_block(layer, dm, dim)
     return LoraAdapter(layer, MergeScale(alpha=float(dim), dim=dim), up, down)
 

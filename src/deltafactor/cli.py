@@ -63,19 +63,11 @@ def _load_manifest(path) -> list[tuple[str, LayerShape]]:
         if not isinstance(item, dict) or set(item) != {"name", "kind", "shape"}:
             raise ValueError(
                 f"{path}: entry {i} must have exactly the keys name, kind, shape")
-        name, kind, shape = item["name"], item["kind"], item["shape"]
+        name = item["name"]
         if not isinstance(name, str) or not name:
             raise ValueError(f"{path}: entry {i} has an empty name")
-        if not isinstance(shape, list) or not all(
-                isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape):
-            raise ValueError(f"{path}: entry {i} has invalid shape {shape!r}")
-        if kind == "linear" and len(shape) == 2:
-            entries.append((name, LayerShape("linear", shape[0], shape[1])))
-        elif kind == "conv2d" and len(shape) == 3:
-            entries.append((name, LayerShape("conv2d", shape[0], shape[1], shape[2])))
-        else:
-            raise ValueError(
-                f"{path}: entry {i}: kind {kind!r} does not fit shape {shape!r}")
+        entries.append((name, LayerShape.from_json(item["kind"], item["shape"],
+                                                   f"{path}: entry {i}")))
     return entries
 
 

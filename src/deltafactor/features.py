@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import CategoryScore, ScoreRecord
-from .tensor_core import _require_finite
+from .tensor_core import _is_count, _require_finite
 
 __all__ = [
     "FeatureFileError",
@@ -146,8 +146,7 @@ def _parse_maps(raw):
         if not isinstance(entry, dict) or set(entry) != _MAP_KEYS:
             raise ValueError(f"{where} must be an object with keys {sorted(_MAP_KEYS)}")
         dims = [entry[k] for k in ("c", "h", "w")]
-        if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0
-                   for d in dims):
+        if not all(_is_count(d) for d in dims):
             raise ValueError(f"{where} has non-positive dimensions {dims}")
         data = _check_numbers(entry["data"], f"{where} data")
         c, h, w = dims

@@ -29,9 +29,6 @@ class MacCounter:
     def add_matmul(self, batch: int, m: int, k: int, n: int) -> None:
         self.mults += batch * m * k * n
 
-    def add_elementwise(self, count: int) -> None:
-        self.mults += count
-
 
 def _batched_matmul(x: np.ndarray, w: np.ndarray, counter: MacCounter | None) -> np.ndarray:
     # x: (..., m, k), w: (k, n)
@@ -49,6 +46,8 @@ def _grouped(cm: np.ndarray, rights: tuple, hm: np.ndarray,
     """
     up, uq = cm.shape
     vq, vp = rights[0].shape[0], rights[-1].shape[1]
+    if hm.ndim == 0:
+        raise ShapeError("input must have at least one axis")
     if hm.shape[-1] != uq * vq:
         raise ShapeError(f"input extent {hm.shape[-1]} does not factor as {uq} * {vq}")
     h = hm.reshape(hm.shape[:-1] + (uq, vq))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_core import ShapeError, as_tensor, sym_eig
+from .tensor_core import ShapeError, _is_count, as_tensor, sym_eig
 
 __all__ = [
     "MEASURES",
@@ -199,8 +199,8 @@ def subsample(vectors, limit: int, seed=0) -> np.ndarray:
     Row order is preserved. Sets already within the limit come back whole.
     """
     arr = _vectors(vectors)
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+    if not _is_count(limit):
+        raise ValueError(f"limit must be positive, got {limit!r}")
     if arr.shape[0] <= limit:
         return arr.copy()
     rng = np.random.default_rng(seed)
@@ -343,14 +343,14 @@ def balance_repeats(sizes, target: int = 200) -> list[int]:
     integer targets and sizes that do not divide 2 * target, but the
     convention is fixed here).
     """
-    if target < 1:
-        raise ValueError(f"target must be positive, got {target}")
+    if not _is_count(target):
+        raise ValueError(f"target must be positive, got {target!r}")
     counts = list(sizes)
     if not counts:
         raise ValueError("at least one class size is required")
     out = []
     for size in counts:
-        if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 1:
+        if not _is_count(size):
             raise ValueError(f"class sizes must be positive integers, got {size!r}")
         out.append(max(1, math.floor(target / size + 0.5)))
     return out

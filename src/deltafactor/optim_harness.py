@@ -5,7 +5,10 @@ layer linear) are trained on fixed data with only the adapter factors as
 trainable parameters. Everything is written out explicitly: forward pass,
 backprop to each layer's delta and on, through the adapter family's own
 vector-Jacobian product, to every factor tensor (Tucker cores included),
-and the three optimizers (Adam with fixed betas). Its three checks back
+and the optimizer step. SGD, Adam (fixed betas) and AdaGrad share that
+one step, _Optimizer.step: AdaGrad's accumulator is Adam's second moment
+without decay or bias correction, and both divide through one guarded
+num / (sqrt(den) + eps). Its three checks back
 the CLI's `verify merge-ratio`, `verify homogeneity` and `verify
 gradients`, which loop over the forms in HARNESS_ALGORITHMS.
 
@@ -147,11 +150,6 @@ class TrainTrace:
     deltas: list[list[np.ndarray]] = field(default_factory=list)
 
 
-def _homogeneity_degree(adapter) -> int:
-    """Number of factor tensors: scaling all by c scales the delta by c^k."""
-    return len(adapter.tensors())
-
-
 def _spec(name: str) -> HarnessAlgo:
     """The harness form of that name; an unknown name raises ValueError listing the known ones."""
     try:
@@ -244,68 +242,44 @@ def _loss_and_grads(model: ToyModel, x: np.ndarray, x_cols: np.ndarray | None,
 
 
 class _Optimizer:
-    """One update rule, applied in place to a flat parameter buffer.
+    """SGD, Adam or AdaGrad as one update rule, applied in place to a flat parameter buffer.
 
-    lr holds a learning rate per buffer entry, or one for all; eps and the
-    weight decay come from cfg.
+    lr holds a learning rate per buffer entry, or one for all; the kind, eps
+    and the weight decay come from cfg. Adam keeps the moments m and v and
+    corrects their bias at step t; AdaGrad's accumulator is v with no decay
+    and no bias correction. Both take the direction num / (sqrt(den) + eps),
+    where a zero denominator (the moments of all-zero gradients) means a
+    zero direction.
     """
 
     def __init__(self, cfg: OptimizerConfig, lr):
         self.cfg = cfg
         self.lr = lr
         self.t = 0
-
-    def _direction(self, g):
-        raise NotImplementedError
+        self.m = self.v = 0.0
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
         """p -= lr * direction(g) + lr * weight_decay * p_old, in place."""
         self.t += 1
-        decay = self.lr * self.cfg.weight_decay * p if self.cfg.weight_decay else None
-        p -= self.lr * self._direction(g)
+        kind, eps, wd = self.cfg.kind, self.cfg.eps, self.cfg.weight_decay
+        decay = self.lr * wd * p if wd else None
+        if kind == "sgd":
+            direction = g
+        else:
+            if kind == "adam":
+                b1, b2 = ADAM_BETAS
+                self.m = b1 * self.m + (1 - b1) * g
+                self.v = b2 * self.v + (1 - b2) * g * g
+                num, den = self.m / (1 - b1 ** self.t), self.v / (1 - b2 ** self.t)
+            else:
+                self.v = self.v + g * g
+                num, den = g, self.v
+            den = np.sqrt(den) + eps
+            direction = np.zeros_like(num)
+            np.divide(num, den, out=direction, where=den > 0)
+        p -= self.lr * direction
         if decay is not None:
             p -= decay
-
-
-class _Sgd(_Optimizer):
-    def _direction(self, g):
-        return g
-
-
-def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # den == 0 implies num == 0 (moments of all-zero gradients); treat as no-op
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
-
-
-class _Adam(_Optimizer):
-    def __init__(self, cfg, lr):
-        super().__init__(cfg, lr)
-        self.m = self.v = None
-
-    def _direction(self, g):
-        b1, b2 = ADAM_BETAS
-        if self.m is None:
-            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
-        m_hat = self.m / (1 - b1 ** self.t)
-        v_hat = self.v / (1 - b2 ** self.t)
-        return _safe_ratio(m_hat, np.sqrt(v_hat) + self.cfg.eps)
-
-
-class _Adagrad(_Optimizer):
-    def __init__(self, cfg, lr):
-        super().__init__(cfg, lr)
-        self.acc = None
-
-    def _direction(self, g):
-        self.acc = g * g if self.acc is None else self.acc + g * g
-        return _safe_ratio(g, np.sqrt(self.acc) + self.cfg.eps)
-
-
-_OPTIMIZER_TYPES = {"sgd": _Sgd, "adam": _Adam, "adagrad": _Adagrad}
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +341,7 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
         # normalize the starting delta to a fixed small RMS; the k-th root
         # spreads the correction evenly over the factor tensors
         rms = float(np.sqrt(np.mean(adapters.reconstruct(ad) ** 2)))
-        k = _homogeneity_degree(ad)
+        k = len(ad.tensors())
         ad = adapters.scale_factors(ad, (INIT_DELTA_RMS / max(rms, 1e-300)) ** (1.0 / k))
         layers.append(ToyLayer(w0, b0, ad, act))
     return ToyModel(layers)
@@ -380,7 +354,7 @@ def train(model: ToyModel, optimizer: OptimizerConfig, dataset, steps: int) -> T
     factor or a delta goes non-finite, naming the step (and, for a factor
     or a delta, the layer and the role).
     """
-    return _train([model], [optimizer], dataset, steps, [None])[0]
+    return _train([model], optimizer, [optimizer.learning_rate], dataset, steps, [None])[0]
 
 
 def _stack(models: list[ToyModel]) -> tuple[ToyModel, np.ndarray, list[tuple]]:
@@ -419,13 +393,14 @@ def _stack(models: list[ToyModel]) -> tuple[ToyModel, np.ndarray, list[tuple]]:
     return stacked, buf, blocks
 
 
-def _train(models: list[ToyModel], optimizers: list[OptimizerConfig], dataset, steps: int,
-           names: list[str | None]) -> list[TrainTrace]:
+def _train(models: list[ToyModel], cfg: OptimizerConfig, rates: list[float], dataset,
+           steps: int, names: list[str | None]) -> list[TrainTrace]:
     """train() for several members at once, stacked on a leading member axis.
 
-    The members share the base layers, the data, the optimizer kind, eps and
-    weight decay; they differ in their factors, merge ratio and learning
-    rate. Their factors live in one buffer (_stack), so one optimizer step
+    The members share the base layers, the data and cfg's optimizer kind,
+    eps and weight decay; they differ in their factors, merge ratio and
+    learning rate, rates[i] for member i (cfg.learning_rate is not read).
+    Their factors live in one buffer (_stack), so one optimizer step
     updates every member, layer and role in place. Structure is checked
     once, when the stack is built; after each step one scan of the buffer
     and one of each delta replace the per-factor checks of a rebuild. A
@@ -433,18 +408,14 @@ def _train(models: list[ToyModel], optimizers: list[OptimizerConfig], dataset, s
     the member (names[i], when given), the layer and the role. Every
     member's trace equals, bit for bit, what it gives alone.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if len({(o.kind, o.eps, o.weight_decay) for o in optimizers}) != 1:
-        raise ValueError("stacked members must share the optimizer kind, eps and weight decay")
+    if not tensor_core._is_count(steps):
+        raise ValueError(f"steps must be positive, got {steps!r}")
     work, buf, blocks = _stack(models)
     n = len(models)
     gammas = [np.reshape([m.layers[li].adapter.scale.gamma for m in models],
                          (n,) + (1,) * len(layer.adapter.layer.delta_shape))
               for li, layer in enumerate(work.layers)]
-    rates = [o.learning_rate for o in optimizers]
-    opt = _OPTIMIZER_TYPES[optimizers[0].kind](
-        optimizers[0], np.concatenate([np.repeat(rates, size) for *_, size in blocks]))
+    opt = _Optimizer(cfg, np.concatenate([np.repeat(rates, size) for *_, size in blocks]))
     x_data, y_data = dataset
     x, y = as_tensor(x_data, "dataset x"), as_tensor(y_data, "dataset y")
     x_cols = _input_cols(work, x)
@@ -496,8 +467,8 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
     float range, where c^k overflows or underflows and the check would
     measure nothing. A deviation that is not a number raises too.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    if not tensor_core._is_count(trials):
+        raise ValueError(f"trials must be positive, got {trials!r}")
     if c in (0.0, 1.0):
         raise ValueError(f"scale must not be 0 or 1, got {c}: c^k is then the same for every k")
     spec = _spec(algorithm)
@@ -509,7 +480,7 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
         shape = shapes[i % len(shapes)]
         ad = adapters.random_adapter(spec.algorithm, shape, spec.dim, alpha=spec.dim,
                                      factor=spec.factor, tucker=spec.tucker, seed=child)
-        k = _homogeneity_degree(ad)
+        k = len(ad.tensors())
         try:
             ck = c ** k
         except OverflowError:
@@ -549,7 +520,7 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     spec = _spec(algorithm)
     ss = _seed_seq(seed).spawn(2)
     model_a = build_toy_model(algorithm, seed=ss[0], ratio=s)
-    k = _homogeneity_degree(model_a.layers[0].adapter)
+    k = len(model_a.layers[0].adapter.tensors())
     model_b = ToyModel([
         replace(l, adapter=adapters.scale_factors(
             replace(l.adapter, scale=MergeScale(alpha=float(l.adapter.scale.dim),
@@ -559,11 +530,10 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     ])
     lr = BASE_LR[optimizer]
     c_exp = C_EXPONENT[optimizer]
-    cfg_a = OptimizerConfig(optimizer, lr, eps=eps, weight_decay=weight_decay)
-    cfg_b = OptimizerConfig(optimizer, lr * s ** (c_exp / k), eps=eps,
-                            weight_decay=weight_decay)
+    cfg = OptimizerConfig(optimizer, lr, eps=eps, weight_decay=weight_decay)
     data = toy_dataset(spec.conv, seed=ss[1])
-    trace_a, trace_b = _train([model_a, model_b], [cfg_a, cfg_b], data, steps, ["twin A", "twin B"])
+    trace_a, trace_b = _train([model_a, model_b], cfg, [lr, lr * s ** (c_exp / k)], data, steps,
+                              ["twin A", "twin B"])
     # each layer's deltas over all steps at once; np.max, unlike max(),
     # carries a NaN deviation through
     return float(np.max([np.max(np.abs(s * np.stack(da) - np.stack(db)))

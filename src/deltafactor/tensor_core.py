@@ -49,7 +49,7 @@ class ComplexInputError(ValueError):
 
 
 def as_tensor(data, name: str = "tensor") -> np.ndarray:
-    """Coerce to a C-contiguous float64 array, rejecting NaN/Inf elements.
+    """Coerce to a C-contiguous float64 array of the same shape, rejecting NaN/Inf elements.
 
     A non-finite element raises ValueError naming the argument, the first
     bad flat index and its value. Complex input raises ComplexInputError
@@ -59,9 +59,15 @@ def as_tensor(data, name: str = "tensor") -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype.kind == "c":
         raise ComplexInputError(f"{name} is complex; this operation takes real input only")
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    # asarray, unlike ascontiguousarray, keeps a 0-d scalar 0-d
+    arr = np.asarray(arr, dtype=np.float64, order="C")
     _require_finite(arr, name)
     return arr
+
+
+def _is_count(value) -> bool:
+    """Whether value is a positive integer: an int or numpy integer >= 1, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:

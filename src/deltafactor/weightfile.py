@@ -40,7 +40,7 @@ import numpy as np
 
 from . import adapters
 from .adapters import ALGORITHMS, AdapterModel, LayerShape, MergeScale, ModelMeta
-from .tensor_core import ComplexInputError
+from .tensor_core import ComplexInputError, _is_count
 
 __all__ = [
     "MAGIC",
@@ -84,15 +84,16 @@ class OffsetOverlapError(WeightFileError):
     pass
 
 
-def _layer_shape_fields(shape: LayerShape) -> list[int]:
-    if shape.kind == "conv2d":
-        return [shape.out_dim, shape.in_dim, shape.kernel]
-    return [shape.out_dim, shape.in_dim]
-
-
 # the float32 rounding midpoint above the largest float32: a value of this
 # magnitude or more casts to inf, anything below it stays finite
 _F32_LIMIT = 2.0 ** 128 - 2.0 ** 103
+
+
+def _json_int(value) -> int:
+    # numpy integers, which LayerShape and MergeScale accept, are JSON integers
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> bytes:
@@ -123,11 +124,11 @@ def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
         layer_entries.append({
             "name": name,
             "kind": shape.kind,
-            "shape": _layer_shape_fields(shape),
+            "shape": shape.json_shape,
             "tensors": tensor_entries,
         })
     header = dict(asdict(meta), layers=layer_entries)
-    return json.dumps(header, sort_keys=True).encode("utf-8")
+    return json.dumps(header, sort_keys=True, default=_json_int).encode("utf-8")
 
 
 def _write(path, meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> None:
@@ -190,16 +191,10 @@ def _require_key(entry: dict, key: str, kinds, where: str):
 def _parse_layer_shape(entry: dict, where: str) -> LayerShape:
     kind = _require_key(entry, "kind", str, where)
     dims = _require_key(entry, "shape", list, where)
-    if not all(isinstance(d, int) and d > 0 for d in dims):
-        raise MalformedHeaderError(f"{where} has non-positive shape {dims}", 8)
     try:
-        if kind == "linear" and len(dims) == 2:
-            return LayerShape("linear", dims[0], dims[1])
-        if kind == "conv2d" and len(dims) == 3:
-            return LayerShape("conv2d", dims[0], dims[1], dims[2])
+        return LayerShape.from_json(kind, dims, where)
     except ValueError as exc:
-        raise MalformedHeaderError(f"{where}: {exc}", 8)
-    raise MalformedHeaderError(f"{where} has invalid kind/shape {kind!r}/{dims}", 8)
+        raise MalformedHeaderError(str(exc), 8)
 
 
 def _parse_container(fh):
@@ -266,8 +261,7 @@ def _parse_container(fh):
             if role in tensors:
                 raise MalformedHeaderError(f"{twhere} repeats role {role!r}", 8)
             tshape = _require_key(tentry, "shape", list, twhere)
-            if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0
-                       for d in tshape):
+            if not all(_is_count(d) for d in tshape):
                 raise MalformedHeaderError(f"{twhere} has invalid shape {tshape}", 8)
             dtype = _require_key(tentry, "dtype", str, twhere)
             if dtype != "f4":

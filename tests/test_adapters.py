@@ -43,6 +43,10 @@ class TestMergeScale:
         with pytest.raises(ValueError, match="alpha"):
             ad.MergeScale(alpha=-1.0, dim=2)
 
+    def test_accepts_numpy_integer_dim(self):
+        # as LayerShape accepts numpy integer extents
+        assert ad.MergeScale(alpha=1.0, dim=np.int64(4)).gamma == 0.25
+
 
 class TestLayerShape:
     def test_unrolled_in(self):
@@ -689,6 +693,14 @@ class TestLokrFactorDims:
         with pytest.raises(ValueError, match="factor"):
             ad.lokr_factor_dims(8, 0)
 
+    @pytest.mark.parametrize("v,factor,match", [
+        (2.5, -1, "extent"), (True, -1, "extent"), (np.float64(4), -1, "extent"),
+        (8, 2.5, "factor"), (8, True, "factor"),
+    ], ids=["float", "bool", "numpy-float", "float-factor", "bool-factor"])
+    def test_rejects_non_integer_args(self, v, factor, match):
+        with pytest.raises(ValueError, match=match):
+            ad.lokr_factor_dims(v, factor)
+
     def test_is_full_boundary(self):
         layer = ad.LayerShape("linear", 64, 64)
         assert ad.lokr_is_full(layer, 8, 8)
@@ -733,6 +745,11 @@ class TestSvdFitLora:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ad.svd_fit_lora(np.zeros((4, 6)), 5)
+
+    @pytest.mark.parametrize("dim", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_non_integer_rank(self, dim):
+        with pytest.raises(ValueError, match=f"dim {dim!r} out of range"):
+            ad.svd_fit_lora(np.ones((4, 6)), dim)
 
     def test_rejects_rank_three_delta(self):
         with pytest.raises(tc.ShapeError, match=r"rank 2 or 4, got shape \(4, 3, 3\)"):

@@ -322,6 +322,11 @@ class TestSubsample:
         with pytest.raises(ValueError, match="limit"):
             mt.subsample(np.ones((3, 2)), 0)
 
+    @pytest.mark.parametrize("limit", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_non_integer_limit(self, limit):
+        with pytest.raises(ValueError, match="limit"):
+            mt.subsample(np.ones((3, 2)), limit)
+
 
 class TestDiversityRatio:
     def test_same_set_is_one(self):
@@ -502,6 +507,12 @@ class TestBalanceRepeats:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="target"):
             mt.balance_repeats([5], target=0)
+
+    @pytest.mark.parametrize("target", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_non_integer_target(self, target):
+        # both gave [1]
+        with pytest.raises(ValueError, match="target"):
+            mt.balance_repeats([5], target=target)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):

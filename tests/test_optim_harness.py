@@ -182,6 +182,51 @@ class TestTrain:
             want = adapters.reconstruct(dataclasses.replace(layer.adapter, **stepped))
             assert np.array_equal(trace.deltas[0][li], want)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    @pytest.mark.parametrize("optimizer", ["adam", "adagrad"])
+    def test_two_adaptive_steps_closed_form(self, optimizer, eps, weight_decay):
+        # the moments written out per factor: Adam's m and v with bias
+        # correction at step t, AdaGrad's running sum v of g^2; the direction
+        # is num / (sqrt(den) + eps), and 0 where that denominator is 0. The
+        # first input feature is 0, so down[:, 0] of layer 0 gets a zero
+        # gradient at every step: with eps 0 its denominator is 0
+        model = oh.build_toy_model("lora", seed=6)
+        x, y = oh.toy_dataset(conv=False, seed=6)
+        x = x.copy()
+        x[:, 0] = 0.0
+        lr, (b1, b2) = 0.05, oh.ADAM_BETAS
+        cfg = oh.OptimizerConfig(optimizer, lr, eps=eps, weight_decay=weight_decay)
+        trace = oh.train(model, cfg, (x, y), steps=2)
+        params = [layer.adapter.tensors() for layer in model.layers]
+        m = [{role: np.zeros_like(p) for role, p in ps.items()} for ps in params]
+        v = [{role: np.zeros_like(p) for role, p in ps.items()} for ps in params]
+        current = model
+        for t in (1, 2):
+            loss, grads = loss_and_grads(current, x, y)
+            assert trace.losses[t - 1] == loss
+            assert not np.any(grads[0]["down"][:, 0])
+            for li, ps in enumerate(params):
+                for role, p in ps.items():
+                    g = grads[li][role]
+                    if optimizer == "adam":
+                        m[li][role] = b1 * m[li][role] + (1 - b1) * g
+                        v[li][role] = b2 * v[li][role] + (1 - b2) * g * g
+                        num = m[li][role] / (1 - b1 ** t)
+                        den = np.sqrt(v[li][role] / (1 - b2 ** t)) + eps
+                    else:
+                        v[li][role] = v[li][role] + g * g
+                        num, den = g, np.sqrt(v[li][role]) + eps
+                    direction = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+                    ps[role] = p - lr * direction - lr * weight_decay * p
+            current = oh.ToyModel([dataclasses.replace(layer, adapter=dataclasses.replace(
+                layer.adapter, **ps)) for layer, ps in zip(model.layers, params)])
+            for got, layer in zip(trace.deltas[t - 1], current.layers):
+                assert np.array_equal(got, adapters.reconstruct(layer.adapter))
+        if not weight_decay:
+            # the zero-gradient entries took zero steps
+            assert np.array_equal(params[0]["down"][:, 0], model.layers[0].adapter.down[:, 0])
+
     def test_training_reduces_loss(self):
         model = oh.build_toy_model("lora", seed=7)
         data = oh.toy_dataset(conv=False, seed=7)
@@ -212,7 +257,7 @@ class TestTrain:
         trace = oh.train(model, cfg, data, steps)
         # one optimizer per factor, where train steps them all as one buffer
         work = [layer.adapter for layer in model.layers]
-        opts = {(li, role): oh._OPTIMIZER_TYPES[optimizer](cfg, cfg.learning_rate)
+        opts = {(li, role): oh._Optimizer(cfg, cfg.learning_rate)
                 for li, a in enumerate(work) for role in a.tensors()}
 
         def stepped(li, role, p, g):
@@ -283,7 +328,7 @@ class TestStackedRun:
     def test_two_members_equal_two_single_runs(self, name, optimizer):
         models, cfgs = self.pair(name, optimizer)
         data = oh.toy_dataset(oh.HARNESS_ALGORITHMS[name].conv, seed=13)
-        stacked = oh._train(models, cfgs, data, 4, ["a", "b"])
+        stacked = oh._train(models, cfgs[0], [c.learning_rate for c in cfgs], data, 4, ["a", "b"])
         for model, cfg, trace in zip(models, cfgs, stacked):
             alone = oh.train(model, cfg, data, 4)
             assert trace.losses == alone.losses
@@ -294,7 +339,7 @@ class TestStackedRun:
         models, cfgs = self.pair("lora", "sgd")
         models[1] = oh.build_toy_model("lora", seed=14)
         with pytest.raises(ValueError, match="share"):
-            oh._train(models, cfgs, oh.toy_dataset(False, seed=13), 1, ["a", "b"])
+            oh._train(models, cfgs[0], [0.1, 0.1], oh.toy_dataset(False, seed=13), 1, ["a", "b"])
 
 
 class TestHomogeneityCheck:
@@ -306,7 +351,7 @@ class TestHomogeneityCheck:
     def test_non_integer_scale(self):
         assert oh.homogeneity_check("lora", c=1.7, trials=10, seed=1) < 1e-12
 
-    @pytest.mark.parametrize("trials", [0, -3])
+    @pytest.mark.parametrize("trials", [0, -3, True, 2.5])
     def test_rejects_empty_check(self, trials):
         with pytest.raises(ValueError, match="trials"):
             oh.homogeneity_check("lora", trials=trials)
@@ -383,7 +428,7 @@ class TestVerifyMergeRatio:
 
     def test_nan_deviation_is_not_dropped(self, monkeypatch):
         # max(0.0, nan) is 0.0; the deviation must report the NaN instead
-        def fake_train(models, optimizers, dataset, steps, names):
+        def fake_train(models, cfg, rates, dataset, steps, names):
             first = [np.zeros((2, 2)), np.zeros((2, 2))]
             return [oh.TrainTrace([0.0, 0.0], [first, [np.zeros((2, 2)), np.full((2, 2), np.nan)]]),
                     oh.TrainTrace([0.0, 0.0], [first, first])]
@@ -397,6 +442,11 @@ class TestVerifyMergeRatio:
             oh.verify_merge_ratio("lora", 2.0, "lion")
         with pytest.raises(ValueError, match="unknown harness form 'dora'"):
             oh.verify_merge_ratio("dora", 2.0)
+
+    @pytest.mark.parametrize("steps", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            oh.verify_merge_ratio("lora", 2.0, steps=steps)
 
     def test_nonzero_weight_decay_breaks_equivalence(self):
         # decay shrinks each factor by lr * wd, and the twin's learning rate

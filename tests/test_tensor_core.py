@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltafactor import adapters as ad
+from deltafactor import kron_linear as kl
+from deltafactor import metrics as mt
 from deltafactor import tensor_core as tc
 
 
@@ -55,6 +57,39 @@ def conv_input_grad_oracle(kernel, dy):
     return out
 
 
+# every public call that takes an array argument, with a Python float in
+# its place; where the geometry allows, a one-element vector there would be
+# accepted, so only a scalar that stays 0-d is refused
+_LORA_31 = ad.random_adapter("lora", ad.LayerShape("linear", 3, 1), 1, alpha=1.0)
+_LORA_CONV = ad.random_adapter("lora", ad.LayerShape("conv2d", 2, 1, 1), 1, alpha=1.0)
+_ONE = np.ones((1, 1))
+_VECTORS = np.eye(2)
+SCALAR_CALLS = {
+    "forward_linear-x": lambda v: ad.forward_linear(_LORA_31, np.ones((3, 1)), np.zeros(3), v),
+    "forward_conv-image": lambda v: ad.forward_conv(_LORA_CONV, np.ones((2, 1, 1, 1)),
+                                                    np.zeros(2), v),
+    "merge-weight": lambda v: ad.merge(_LORA_31, v),
+    "svd_fit_lora-delta": lambda v: ad.svd_fit_lora(v, 1),
+    "nkp_fit_lokr-delta": lambda v: ad.nkp_fit_lokr(v),
+    "grouped_forward-h": lambda v: kl.grouped_forward(_ONE, _ONE, _ONE, v),
+    "grouped_forward_full-h": lambda v: kl.grouped_forward_full(_ONE, _ONE, v),
+    "conv2d-image": lambda v: tc.conv2d(np.ones((1, 1, 1, 1)), v),
+    "numerical_rank-matrix": lambda v: tc.numerical_rank(v),
+    "sym_eig-matrix": lambda v: tc.sym_eig(v),
+    "avg_cosine_similarity-vectors": lambda v: mt.avg_cosine_similarity(v, _VECTORS),
+    "squared_centroid_distance-vectors": lambda v: mt.squared_centroid_distance(_VECTORS, v),
+    "intra_dissimilarity-vectors": lambda v: mt.intra_dissimilarity(v),
+    "variance_normalized-vectors": lambda v: mt.variance_normalized(v),
+    "text_image_alignment-vectors": lambda v: mt.text_image_alignment(v, _VECTORS),
+    "vendi_score-vectors": lambda v: mt.vendi_score(v),
+    "grouped_vendi-vectors": lambda v: mt.grouped_vendi(v, ["a"], "include"),
+    "subsample-vectors": lambda v: mt.subsample(v, 1),
+    "diversity_ratio-vectors": lambda v: mt.diversity_ratio(v, _VECTORS, "vendi"),
+    "gram_matrix-feature_map": lambda v: mt.gram_matrix(v),
+    "style_loss-feature_map": lambda v: mt.style_loss([v], [np.ones((1, 1, 1))]),
+}
+
+
 class TestAsTensor:
     def test_coerces_lists(self):
         arr = tc.as_tensor([[1, 2], [3, 4]])
@@ -87,6 +122,12 @@ class TestAsTensor:
         out[0, 0] = 7.0
         assert out.dtype == np.float64
         assert src[0, 0] == 1
+
+    @pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+    def test_every_public_function_refuses_a_scalar(self, call):
+        # as_tensor keeps a scalar 0-d, so no boundary mistakes it for a vector
+        with pytest.raises(tc.ShapeError):
+            call(2.0)
 
 
 class TestKronecker:

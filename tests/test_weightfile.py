@@ -74,6 +74,13 @@ class TestRoundtrip:
             for role in want:
                 np.testing.assert_array_equal(got[role], quantized(want[role]))
 
+    def test_numpy_integer_extents_and_dim(self, tmp_path):
+        # they save as the same bytes as Python integers
+        layer = ad.LayerShape("conv2d", np.int64(4), np.int32(3), np.uint8(3))
+        model = ad.init_model([("a", layer)], "lora", np.int64(2), alpha=2.0, seed=np.int64(5))
+        plain = ad.init_model([("a", CONV)], "lora", 2, alpha=2.0, seed=5)
+        assert save_blob(model, tmp_path) == save_blob(plain, tmp_path)
+
     def test_save_is_byte_stable(self, tmp_path):
         model = build_model("loha", seed=7)
         a = save_blob(model, tmp_path)
@@ -399,7 +406,7 @@ class TestMalformedCorpus:
         def zero(h):
             h["layers"][0]["shape"] = [0, 4]
         with pytest.raises(wf.MalformedHeaderError,
-                           match=r"^layer 0 has non-positive shape \[0, 4\] \(byte 8\)$"):
+                           match=r"^layer 0 has invalid shape \[0, 4\] \(byte 8\)$"):
             load_blob(rewrite_header(blob, zero), tmp_path)
 
     @pytest.mark.parametrize("mutate,where", [
