@@ -11,21 +11,19 @@ kernel axes between channel factors on both sides. The families are:
 * lokr = C (x) B: delta = kron(c, right), with the right block either
   stored whole (w2) or itself a rank-r block.
 
-Each family states its composition once, in its class: the shape check,
-the dense delta, the delta applied to a batch of inputs, the gradients of
-its factors, its rank bound and its seeded draw. The dense delta and the
-gradients also run on factors with a leading member axis (_stacked), which
-the training harness uses to advance several runs at once.
+Each family states its layout once, in a role table (_Family): its
+roles, in .lwu payload order; the order a seeded draw takes them in; the
+role init_adapter zeroes; and the shape of each role in each form. The
+shape check, tensors(), the seeded draw and the file reader all follow
+from it. lora and loha share one product of blocks (_BlockProduct) for the
+dense delta, the gradients, the rank bound and the factored linear
+forward; lokr keeps its Kronecker math. The dense delta and the gradients
+also run on factors with a leading member axis (_stacked), which the
+training harness uses to advance several runs at once.
 
-forward_linear runs every family in one column form: an input (or a batch
-of n) is the columns of x.T, and y = w0 @ cols + bias + gamma * delta @ cols
-with delta @ cols taken from the factors, never from the dense delta (lora:
-up @ (down @ cols); loha: the rank-r^2 face-splitting form; lokr: the
-grouped Kronecker product of kron_linear). forward_conv convolves an image
-(or a batch) with the base kernel and with each family's delta: lora as a
-chain of convolutions through its factors, loha and lokr as one convolution
-with the delta kernel, since elementwise and Kronecker structure do not
-commute with convolution.
+forward_linear applies every delta from its factors, never from the dense
+delta; forward_conv runs lora as a chain of convolutions through its
+factors and loha and lokr as one convolution with the delta kernel.
 
 Adapters are immutable; every operation returns new arrays. The merge
 ratio gamma = alpha / dim scales the delta wherever it is applied, but
@@ -145,25 +143,19 @@ class LayerShape:
         return (self.out_dim, self.in_dim)
 
 
-def _store(obj, **arrays) -> None:
-    # frozen dataclasses: coerce tensor fields once, at construction
-    for name, value in arrays.items():
-        object.__setattr__(obj, name, as_tensor(value, name) if value is not None else None)
-
-
-def _expect(cond: bool, message: str) -> None:
+def _expect(cond: bool, message: str, *args) -> None:
+    # the message is formatted only on failure: the checks run on every construction
     if not cond:
-        raise InvariantError(message)
+        raise InvariantError(message.format(*args))
 
 
 @dataclass(frozen=True)
 class _Block:
     """One factor block B on `geometry`, stored whole or at rank r.
 
-    Whole: w2, shaped geometry.delta_shape. Rank r: up (out, r) times down,
-    with down (r, in) on linear layers and (r, in, k, k) on conv ones, taken
-    unrolled; the Tucker form keeps down at (r, in) and moves the kernel
-    axes to a core (r, r, k, k). The field names are the role names.
+    Whole: w2. Rank r: up @ down, with down unrolled on conv layers; the
+    Tucker form moves the kernel axes from down to a core. shapes() states
+    the layout; the field names are the role names.
 
     dense and vjp also take factors with leading member axes, all with the
     same ones (the training harness's stacked runs): each member then runs
@@ -176,29 +168,15 @@ class _Block:
     core: np.ndarray | None = None
     w2: np.ndarray | None = None
 
-    def check(self, r: int) -> None:
-        shp, k = self.geometry, self.geometry.kernel
-        if self.w2 is not None:
-            _expect(self.up is None and self.down is None and self.core is None,
-                    "a whole block excludes factored fields")
-            _expect(self.w2.shape == shp.delta_shape,
-                    f"w2 shape {self.w2.shape} != {shp.delta_shape}")
-            return
-        _expect(self.up is not None and self.down is not None,
-                "a factored block requires up and down")
-        _expect(self.up.shape == (shp.out_dim, r), f"up shape {self.up.shape} != ({shp.out_dim}, {r})")
-        if self.core is None:
-            want = (r, *shp.delta_shape[1:])
-        else:
-            _expect(shp.kind == "conv2d", "Tucker core requires a conv2d layer")
-            _expect(self.core.shape == (r, r, k, k),
-                    f"core shape {self.core.shape} != ({r}, {r}, {k}, {k})")
-            want = (r, shp.in_dim)
-        _expect(self.down.shape == want, f"down shape {self.down.shape} != {want}")
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        roles = {"up": self.up, "down": self.down, "core": self.core, "w2": self.w2}
-        return {role: value for role, value in roles.items() if value is not None}
+    @staticmethod
+    def shapes(geometry: LayerShape, r: int, tucker: bool, whole: bool) -> dict[str, tuple]:
+        """Role -> shape of a block on geometry: whole, or at rank r, with a core if tucker."""
+        if whole:
+            return {"w2": geometry.delta_shape}
+        k = geometry.kernel
+        if tucker:
+            return {"up": (geometry.out_dim, r), "down": (r, geometry.in_dim), "core": (r, r, k, k)}
+        return {"up": (geometry.out_dim, r), "down": (r, *geometry.delta_shape[1:])}
 
     def dense(self) -> np.ndarray:
         if self.w2 is not None:
@@ -247,27 +225,6 @@ class _Block:
         bound = min(self.geometry.out_dim, self.geometry.unrolled_in)
         return bound if self.w2 is not None else min(self.up.shape[1], bound)
 
-    @classmethod
-    def draw(cls, geometry: LayerShape, r: int, normal, tucker: bool = False,
-             whole: bool = False, core_last: bool = False) -> _Block:
-        """B drawn by normal(shape) as up, then core and down (down, core if core_last)."""
-        shp, k = geometry, geometry.kernel
-        if whole:
-            return cls(shp, w2=normal(shp.delta_shape))
-        if not tucker:
-            return cls(shp, normal((shp.out_dim, r)), normal((r, *shp.delta_shape[1:])))
-        if core_last:
-            return cls(shp, normal((shp.out_dim, r)), normal((r, shp.in_dim)),
-                       normal((r, r, k, k)))
-        up, core = normal((shp.out_dim, r)), normal((r, r, k, k))
-        return cls(shp, up, normal((r, shp.in_dim)), core)
-
-
-def _check_blocks(adapter) -> None:
-    # check the factor blocks once, at construction
-    for block in adapter._blocks:
-        block.check(adapter.scale.dim)
-
 
 def _stacked(adapter, tensors: dict[str, np.ndarray]):
     """The adapter's family holding `tensors`, role -> factors with leading member axes.
@@ -281,13 +238,105 @@ def _stacked(adapter, tensors: dict[str, np.ndarray]):
     return out
 
 
-@dataclass(frozen=True)
-class LoraAdapter:
-    """lora = B: delta = up @ down (conv: unrolled, or Tucker with a (r, r, k, k) core).
+class _Family:
+    """The role table of a family, and what follows from it.
 
-    Shapes: up (out, r); down (r, in) for linear and Tucker forms,
-    (r, in, k, k) for the plain conv form; core (r, r, k, k) or None.
+    A family states its layout once, as class attributes: ROLES, its array
+    fields in declaration order (the order of tensors() and of .lwu
+    payloads); DRAW_ORDER, the order a seeded draw takes them in; ZEROED,
+    the roles init_adapter zeroes, the first that a form holds; and
+    _shapes(layer, dim, factor, tucker, whole), role -> shape of a form.
+    The constructor coerces the arrays and _check tests them against _shapes
+    of the form they hold (a core makes it Tucker, w2 whole); _build_adapter
+    draws _shapes in DRAW_ORDER.
     """
+
+    ROLES: tuple[str, ...]
+    DRAW_ORDER: tuple[str, ...]
+    ZEROED: tuple[str, ...]
+
+    def __post_init__(self):
+        # frozen dataclasses: coerce the arrays once, at construction
+        present = list(self.tensors())
+        for role in present:
+            object.__setattr__(self, role, as_tensor(getattr(self, role), role))
+        tucker = any(role.startswith("core") for role in present)
+        _expect(not tucker or self.layer.kind == "conv2d", "Tucker core requires a conv2d layer")
+        factor = getattr(self, "factor", -1)
+        self._check(present, self._shapes(self.layer, self.scale.dim, factor, tucker, "w2" in present))
+
+    def _check(self, present: list[str], want: dict[str, tuple]) -> None:
+        # only a whole block leaves roles out of its form
+        _expect(want.keys() >= set(present), "a whole block excludes factored fields")
+        missing = [role for role in want if role not in present]
+        _expect(not missing, "roles {} are missing alongside {}", missing, present)
+        for role, shape in want.items():
+            got = getattr(self, role).shape
+            _expect(got == shape, "{} shape {} != {}", role, got, shape)
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {role: value for role in self.ROLES if (value := getattr(self, role)) is not None}
+
+    def _convolve(self, image: np.ndarray) -> np.ndarray:
+        # elementwise and Kronecker products do not commute with convolution;
+        # the delta is built through reconstruct, the public step a trace reports
+        return tensor_core.conv2d(reconstruct(self), image)
+
+
+class _BlockProduct(_Family):
+    """delta = B1 * ... * Bn, the elementwise product of rank-r blocks on the layer.
+
+    Block i holds the roles up, down and core with SUFFIXES[i] appended.
+    lora is the one-block case, loha the two-block one.
+    """
+
+    SUFFIXES: tuple[str, ...]
+
+    @classmethod
+    def _shapes(cls, layer, dim, factor, tucker, whole) -> dict[str, tuple]:
+        block = _Block.shapes(layer, dim, tucker, whole=False)
+        return {role + s: shape for s in cls.SUFFIXES for role, shape in block.items()}
+
+    @cached_property
+    def _blocks(self) -> tuple[_Block, ...]:
+        return tuple(_Block(self.layer, getattr(self, "up" + s), getattr(self, "down" + s),
+                            getattr(self, "core" + s)) for s in self.SUFFIXES)
+
+    def _delta(self) -> np.ndarray:
+        # each product takes a fresh dense block as its left operand (see _Block.dense)
+        delta = self._blocks[-1].dense()
+        for block in reversed(self._blocks[:-1]):
+            delta = block.dense() * delta
+        return delta
+
+    def _apply(self, cols: np.ndarray) -> np.ndarray:
+        # face-splitting: (U1 V1 * U2 V2) x = (U1 (.)r U2)((V1 (.)r V2) x), where
+        # the row-wise Khatri-Rao products pair each rank index s of one block
+        # with each t of the next: columns of up, rows of down
+        up, down = self._blocks[0].up, self._blocks[0].down
+        for block in self._blocks[1:]:
+            up = (up[:, :, None] * block.up[:, None, :]).reshape(self.layer.out_dim, -1)
+            down = (down[:, None, :] * block.down[None, :, :]).reshape(up.shape[1], -1)
+        return up @ (down @ cols)
+
+    def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
+        # d(B1 * ... * Bn) = sum_i dBi * (the product of the other blocks)
+        out = {}
+        for i, (block, suffix) in enumerate(zip(self._blocks, self.SUFFIXES)):
+            g_i = g
+            for other in self._blocks[:i] + self._blocks[i + 1:]:
+                g_i = g_i * other.dense()
+            out.update({role + suffix: grad for role, grad in block.vjp(g_i).items()})
+        return out
+
+    def _rank_bound(self) -> int:
+        ranks = math.prod(block.rank_bound() for block in self._blocks)
+        return min(ranks, self.layer.out_dim, self.layer.unrolled_in)
+
+
+@dataclass(frozen=True)
+class LoraAdapter(_BlockProduct):
+    """lora = B: delta = up @ down (conv: unrolled, or Tucker with a (r, r, k, k) core)."""
 
     layer: LayerShape
     scale: MergeScale
@@ -295,22 +344,10 @@ class LoraAdapter:
     down: np.ndarray
     core: np.ndarray | None = None
 
-    def __post_init__(self):
-        _store(self, up=self.up, down=self.down, core=self.core)
-        _check_blocks(self)
-
-    @cached_property
-    def _blocks(self) -> tuple[_Block, ...]:
-        return (_Block(self.layer, self.up, self.down, self.core),)
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return self._blocks[0].tensors()
-
-    def _delta(self) -> np.ndarray:
-        return self._blocks[0].dense()
-
-    def _apply(self, cols: np.ndarray) -> np.ndarray:
-        return self.up @ (self.down @ cols)
+    ROLES = ("up", "down", "core")
+    DRAW_ORDER = ("up", "core", "down")
+    ZEROED = ("up",)
+    SUFFIXES = ("",)
 
     def _convolve(self, image: np.ndarray) -> np.ndarray:
         # k x k with down, then 1 x 1 with up; Tucker: 1 x 1, core k x k, 1 x 1
@@ -322,21 +359,9 @@ class LoraAdapter:
             mid = tensor_core.conv2d(self.core, mid)
         return tensor_core.conv2d(self.up.reshape(-1, r, 1, 1), mid)
 
-    def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
-        return self._blocks[0].vjp(g)
-
-    def _rank_bound(self) -> int:
-        return self._blocks[0].rank_bound()
-
-    @classmethod
-    def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LoraAdapter:
-        # zero_init zeroes up after drawing it, so the later draws do not move
-        b = _Block.draw(layer, scale.dim, normal, tucker)
-        return cls(layer, scale, np.zeros_like(b.up) if zero_init else b.up, b.down, b.core)
-
 
 @dataclass(frozen=True)
-class LohaAdapter:
+class LohaAdapter(_BlockProduct):
     """loha = B1 * B2: delta = (up1 @ down1) * (up2 @ down2), branches as in LoraAdapter."""
 
     layer: LayerShape
@@ -348,75 +373,19 @@ class LohaAdapter:
     core1: np.ndarray | None = None
     core2: np.ndarray | None = None
 
-    def __post_init__(self):
-        _store(
-            self, up1=self.up1, down1=self.down1, up2=self.up2, down2=self.down2,
-            core1=self.core1, core2=self.core2,
-        )
-        _expect(
-            (self.core1 is None) == (self.core2 is None),
-            "Tucker cores must be present on both branches or neither",
-        )
-        _check_blocks(self)
-
-    @cached_property
-    def _blocks(self) -> tuple[_Block, ...]:
-        return (_Block(self.layer, self.up1, self.down1, self.core1),
-                _Block(self.layer, self.up2, self.down2, self.core2))
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {"up1": self.up1, "down1": self.down1, "up2": self.up2, "down2": self.down2}
-        if self.core1 is not None:
-            out["core1"] = self.core1
-            out["core2"] = self.core2
-        return out
-
-    def _delta(self) -> np.ndarray:
-        b1, b2 = self._blocks
-        return b1.dense() * b2.dense()
-
-    def _apply(self, cols: np.ndarray) -> np.ndarray:
-        # face-splitting: (U1 V1 * U2 V2) x = (U1 (.)r U2)((V1 (.)r V2) x), where
-        # the row-wise Khatri-Rao products pair each rank index s of branch 1
-        # with each t of branch 2: columns of up, rows of down
-        up = (self.up1[:, :, None] * self.up2[:, None, :]).reshape(self.layer.out_dim, -1)
-        down = (self.down1[:, None, :] * self.down2[None, :, :]).reshape(up.shape[1], -1)
-        return up @ (down @ cols)
-
-    def _convolve(self, image: np.ndarray) -> np.ndarray:
-        # the Hadamard product does not commute with convolution; the delta
-        # is built through reconstruct, the public step a trace reports
-        return tensor_core.conv2d(reconstruct(self), image)
-
-    def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
-        # d(B1 * B2) = dB1 * B2 + B1 * dB2
-        b1, b2 = self._blocks
-        d1, d2 = b1.dense(), b2.dense()
-        return {f"{role}{i}": grad for i, grads in ((1, b1.vjp(g * d2)), (2, b2.vjp(g * d1)))
-                for role, grad in grads.items()}
-
-    def _rank_bound(self) -> int:
-        b1, b2 = self._blocks
-        return min(b1.rank_bound() * b2.rank_bound(), self.layer.out_dim, self.layer.unrolled_in)
-
-    @classmethod
-    def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LohaAdapter:
-        # each branch draws its Tucker core last
-        b1 = _Block.draw(layer, scale.dim, normal, tucker, core_last=True)
-        b2 = _Block.draw(layer, scale.dim, normal, tucker, core_last=True)
-        down2 = np.zeros_like(b2.down) if zero_init else b2.down
-        return cls(layer, scale, b1.up, b1.down, b2.up, down2, b1.core, b2.core)
+    ROLES = ("up1", "down1", "up2", "down2", "core1", "core2")
+    DRAW_ORDER = ("up1", "down1", "core1", "up2", "down2", "core2")
+    ZEROED = ("down2",)
+    SUFFIXES = ("1", "2")
 
 
 @dataclass(frozen=True)
-class LokrAdapter:
+class LokrAdapter(_Family):
     """lokr = C (x) B: delta = kron(c, right block), channel extents split by lokr_factor_dims.
 
     c is (u_p, u_q) where out = u_p * v_p and in = u_q * v_q. The right block
-    is either stored whole (w2: (v_p, v_q) or (v_p, v_q, k, k)) or factored
-    as up (v_p, r) @ down ((r, v_q) or (r, v_q, k, k)); the Tucker form adds
-    a (r, r, k, k) core with down (r, v_q). Kernel axes always ride on the
-    right block.
+    is a _Block on the (v_p, v_q) layer, kernel axes included, stored whole
+    (w2) or at rank dim.
     """
 
     layer: LayerShape
@@ -428,18 +397,28 @@ class LokrAdapter:
     down: np.ndarray | None = None
     core: np.ndarray | None = None
 
-    def __post_init__(self):
-        _store(self, c=self.c, w2=self.w2, up=self.up, down=self.down, core=self.core)
+    ROLES = ("c", "w2", "up", "down", "core")
+    DRAW_ORDER = ("c", "w2", "up", "core", "down")
+    ZEROED = ("w2", "down")
+
+    @staticmethod
+    def _shapes(layer, dim, factor, tucker, whole) -> dict[str, tuple]:
+        u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
+        u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
+        right = LayerShape(layer.kind, v_p, v_q, layer.kernel)
+        return {"c": (u_p, u_q), **_Block.shapes(right, dim, tucker, whole)}
+
+    def _check(self, present: list[str], want: dict[str, tuple]) -> None:
+        # c first, so that a bad split is named as one
         shp = self.layer
         _expect(self.c is not None and self.c.ndim == 2 and self.c.size > 0,
-                f"c must be a non-empty matrix, got shape {getattr(self.c, 'shape', None)}")
+                "c must be a non-empty matrix, got shape {}", getattr(self.c, "shape", None))
         u_p, u_q = self.c.shape
-        _expect(shp.out_dim % u_p == 0, f"out extent {shp.out_dim} not divisible by {u_p}")
-        _expect(shp.in_dim % u_q == 0, f"in extent {shp.in_dim} not divisible by {u_q}")
-        want = (lokr_factor_dims(shp.out_dim, self.factor)[0],
-                lokr_factor_dims(shp.in_dim, self.factor)[0])
-        _expect(self.c.shape == want, f"c shape {self.c.shape} != {want}, the split at factor {self.factor}")
-        _check_blocks(self)
+        _expect(shp.out_dim % u_p == 0, "out extent {} not divisible by {}", shp.out_dim, u_p)
+        _expect(shp.in_dim % u_q == 0, "in extent {} not divisible by {}", shp.in_dim, u_q)
+        _expect(self.c.shape == want["c"], "c shape {} != {}, the split at factor {}",
+                self.c.shape, want["c"], self.factor)
+        super()._check(present, want)
 
     @cached_property
     def _blocks(self) -> tuple[_Block, ...]:
@@ -451,9 +430,6 @@ class LokrAdapter:
     def block_dims(self) -> tuple[int, int, int, int]:
         u_p, u_q = self.c.shape[-2:]
         return u_p, self.layer.out_dim // u_p, u_q, self.layer.in_dim // u_q
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"c": self.c, **self._blocks[0].tensors()}
 
     def _delta(self) -> np.ndarray:
         # kron(c, right) as np.kron forms it, one product per entry, over any
@@ -469,11 +445,6 @@ class LokrAdapter:
         if self.w2 is not None:
             return kron_linear.grouped_forward_full(self.c, self.w2, cols.T).T
         return kron_linear.grouped_forward(self.c, self.up, self.down, cols.T).T
-
-    def _convolve(self, image: np.ndarray) -> np.ndarray:
-        # the Kronecker product does not commute with convolution; the delta
-        # is built through reconstruct, the public step a trace reports
-        return tensor_core.conv2d(reconstruct(self), image)
 
     def _vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         # delta[(i,p), (j,q), ...] = c[i,j] * B[p,q,...]: rearranged, g is
@@ -491,18 +462,6 @@ class LokrAdapter:
         return min(min(u_p, u_q) * self._blocks[0].rank_bound(),
                    self.layer.out_dim, self.layer.unrolled_in)
 
-    @classmethod
-    def _draw(cls, layer, scale, factor, tucker, normal, zero_init) -> LokrAdapter:
-        u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
-        u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
-        c = normal((u_p, u_q))
-        b = _Block.draw(LayerShape(layer.kind, v_p, v_q, layer.kernel), scale.dim, normal,
-                        tucker, whole=not tucker and lokr_is_full(layer, scale.dim, factor))
-        if zero_init:
-            role = "w2" if b.w2 is not None else "down"
-            b = replace(b, **{role: np.zeros_like(getattr(b, role))})
-        return cls(layer, scale, factor, c, b.w2, b.up, b.down, b.core)
-
 
 Adapter = LoraAdapter | LohaAdapter | LokrAdapter
 _FAMILIES = dict(zip(ALGORITHMS, (LoraAdapter, LohaAdapter, LokrAdapter)))
@@ -512,12 +471,9 @@ def _from_tensors(algorithm: str, layer: LayerShape, scale: MergeScale, factor: 
                   tensors: dict[str, np.ndarray]) -> Adapter:
     """Adapter of a family from the role -> tensor map that tensors() gives."""
     cls = _FAMILIES[algorithm]
-    roles = {f.name for f in fields(cls)} - {"layer", "scale", "factor"}
-    _expect(set(tensors) <= roles, f"roles {sorted(tensors)} do not form a {algorithm} adapter")
-    args = {role: tensors.get(role) for role in roles}
-    if cls is LokrAdapter:
-        args["factor"] = factor
-    return cls(layer, scale, **args)
+    _expect(set(tensors) <= set(cls.ROLES), "roles {} do not form a {} adapter", sorted(tensors), algorithm)
+    head = (factor,) if cls is LokrAdapter else ()
+    return cls(layer, scale, *head, **{role: tensors.get(role) for role in cls.ROLES})
 
 
 @dataclass(frozen=True)
@@ -552,10 +508,8 @@ def lokr_factor_dims(v: int, factor: int = -1) -> tuple[int, int]:
     if factor != -1 and not _is_count(factor):
         raise ValueError(f"factor must be -1 or a positive integer, got {factor!r}")
     bound = math.isqrt(v) if factor == -1 else min(factor, math.isqrt(v))
-    for u in range(max(bound, 1), 0, -1):
-        if v % u == 0:
-            return u, v // u
-    raise AssertionError("unreachable: 1 divides every extent")
+    # bound >= 1, and 1 divides every extent
+    return next((u, v // u) for u in range(bound, 0, -1) if v % u == 0)
 
 
 def lokr_is_full(layer: LayerShape, dim: int, factor: int = -1) -> bool:
@@ -653,20 +607,25 @@ def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init
     scale = MergeScale(alpha=alpha, dim=dim)
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(dim)
-
-    def normal(shape):
-        return rng.normal(0.0, std, size=shape)
-
-    return _FAMILIES[algorithm]._draw(layer, scale, factor, tucker, normal, zero_init)
+    cls = _FAMILIES[algorithm]
+    whole = cls is LokrAdapter and not tucker and lokr_is_full(layer, dim, factor)
+    shapes = cls._shapes(layer, dim, factor, tucker, whole)
+    tensors = {role: rng.normal(0.0, std, size=shapes[role])
+               for role in cls.DRAW_ORDER if role in shapes}
+    if zero_init:
+        # zeroed after it is drawn, so the later draws do not move
+        zeroed = next(role for role in cls.ZEROED if role in tensors)
+        tensors[zeroed] = np.zeros_like(tensors[zeroed])
+    return _from_tensors(algorithm, layer, scale, factor, tensors)
 
 
 def init_adapter(algorithm: str, layer: LayerShape, dim: int, alpha: float,
                  factor: int = -1, tucker: bool = False, seed=0) -> Adapter:
     """Fresh adapter with reconstruct() == 0.
 
-    Exactly one factor starts at zero (lora: up; loha: down2; lokr: down, or
-    w2 when the right block is unfactored); every other factor is drawn
-    i.i.d. Gaussian with mean 0 and std 1/sqrt(dim) from the given seed.
+    Exactly one factor, the family's ZEROED (lora: up; loha: down2; lokr: w2,
+    else down), starts at zero; every other is drawn i.i.d. Gaussian with
+    mean 0 and std 1/sqrt(dim) from the given seed, in DRAW_ORDER.
     """
     return _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init=True)
 
@@ -800,11 +759,10 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
         c_vec = -c_vec
     right_vec = m * (scaled @ c_vec)
     c = c_vec.reshape(u_p, u_q)
-    block_rank = min(right.out_dim, right.unrolled_in)
     if dim is None:
-        dim = block_rank
+        dim = min(right.out_dim, right.unrolled_in)
     scale = MergeScale(alpha=float(dim), dim=dim)
-    if dim >= block_rank:
+    if lokr_is_full(layer, dim, factor):
         return LokrAdapter(layer, scale, factor, c, w2=right_vec.reshape(right.delta_shape))
     up, down = _fit_block(right, right_vec, dim)
     return LokrAdapter(layer, scale, factor, c, up=up, down=down)

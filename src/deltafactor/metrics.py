@@ -3,7 +3,8 @@
 Vector metrics operate on (n, d) arrays of embeddings; rows are normalized
 to unit length first, and zero-norm rows are rejected. Gram/style metrics
 operate on raw (C, H, W) feature maps. Both take real input only; complex
-arrays raise ComplexInputError. Score tables are flat records that
+arrays raise ComplexInputError, and an empty set, a zero width or a zero
+map extent raises ShapeError. Score tables are flat records that
 can be rank-normalized per group and aggregated bottom-up.
 """
 
@@ -45,7 +46,9 @@ def _vectors(a, name: str = "vectors") -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be a (n, d) array, got shape {arr.shape}")
     if arr.shape[0] < 1:
-        raise ValueError(f"{name} must contain at least one vector")
+        raise ShapeError(f"{name} must contain at least one vector")
+    if arr.shape[1] < 1:
+        raise ShapeError(f"{name} must have a nonzero width, got shape {arr.shape}")
     return arr
 
 
@@ -171,6 +174,8 @@ def gram_matrix(feature_map) -> np.ndarray:
     fm = as_tensor(feature_map, "feature map")
     if fm.ndim != 3:
         raise ShapeError(f"feature map must be (C, H, W), got shape {fm.shape}")
+    if fm.size == 0:
+        raise ShapeError(f"feature map has a zero extent: {fm.shape}")
     c, h, w = fm.shape
     flat = fm.reshape(c, h * w)
     return (flat @ flat.T) / (c * h * w)
@@ -341,7 +346,8 @@ def balance_repeats(sizes, target: int = 200) -> list[int]:
     Each class of `size` images is repeated round(target / size) times, at
     least once, with halves rounded away from zero (no half ever arises for
     integer targets and sizes that do not divide 2 * target, but the
-    convention is fixed here).
+    convention is fixed here). The rounding is exact integer arithmetic, so
+    a target of any size works.
     """
     if not _is_count(target):
         raise ValueError(f"target must be positive, got {target!r}")
@@ -352,5 +358,5 @@ def balance_repeats(sizes, target: int = 200) -> list[int]:
     for size in counts:
         if not _is_count(size):
             raise ValueError(f"class sizes must be positive integers, got {size!r}")
-        out.append(max(1, math.floor(target / size + 0.5)))
+        out.append(max(1, (2 * target + size) // (2 * size)))
     return out

@@ -249,7 +249,8 @@ class _Optimizer:
     corrects their bias at step t; AdaGrad's accumulator is v with no decay
     and no bias correction. Both take the direction num / (sqrt(den) + eps),
     where a zero denominator (the moments of all-zero gradients) means a
-    zero direction.
+    zero direction; a NaN one, from a non-finite gradient, divides through,
+    so the step leaves a NaN that _train's scan of the buffer reports.
     """
 
     def __init__(self, cfg: OptimizerConfig, lr):
@@ -276,7 +277,7 @@ class _Optimizer:
                 num, den = g, self.v
             den = np.sqrt(den) + eps
             direction = np.zeros_like(num)
-            np.divide(num, den, out=direction, where=den > 0)
+            np.divide(num, den, out=direction, where=den != 0)
         p -= self.lr * direction
         if decay is not None:
             p -= decay

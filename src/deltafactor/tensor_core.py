@@ -155,7 +155,7 @@ def conv2d(kernel, image) -> np.ndarray:
     kernel: (out, in, k, k); image: (in, H, W) -> (out, H-k+1, W-k+1), or a
     batch (n, in, H, W) -> (n, out, H-k+1, W-k+1). Runs as one GEMM of the
     unrolled kernel (out, in*k*k) with the image's im2col columns
-    (in*k*k, n*h*w).
+    (in*k*k, n*h*w). A kernel stack with a zero extent raises ShapeError.
     """
     km, xm = as_tensor(kernel, "kernel"), as_tensor(image, "image")
     _require_rank(km, 4, "kernel stack")
@@ -163,6 +163,8 @@ def conv2d(kernel, image) -> np.ndarray:
         raise ShapeError(f"image must be (in, H, W) or (n, in, H, W), got shape {xm.shape}")
     if km.shape[2] != km.shape[3]:
         raise ShapeError(f"kernel must be square, got shape {km.shape}")
+    if km.size == 0:
+        raise ShapeError(f"kernel stack has a zero extent: {km.shape}")
     k = km.shape[2]
     if km.shape[1] != xm.shape[-3]:
         raise ShapeError(
@@ -195,18 +197,21 @@ def numerical_rank(a) -> int:
 def sym_eig(k) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending.
 
-    The input must be square, no larger than SYM_EIG_MAX_SIZE, and symmetric
-    within 1e-10 (relative to its largest magnitude entry). Complex input
-    raises ComplexInputError: the symmetry test and the solver are real.
+    The input must be square, non-empty, no larger than SYM_EIG_MAX_SIZE,
+    and symmetric within 1e-10 (relative to its largest magnitude entry).
+    Complex input raises ComplexInputError: the symmetry test and the
+    solver are real.
     """
     km = as_tensor(k, "matrix")
     _require_rank(km, 2, "matrix")
     if km.shape[0] != km.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {km.shape}")
     n = km.shape[0]
+    if n == 0:
+        raise ShapeError("matrix must not be empty")
     if n > SYM_EIG_MAX_SIZE:
         raise ShapeError(f"matrix size {n} exceeds eigensolver cap {SYM_EIG_MAX_SIZE}")
-    scale = max(1.0, float(np.max(np.abs(km)))) if km.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(km))))
     if float(np.max(np.abs(km - km.T))) > 1e-10 * scale:
         raise ShapeError("matrix is not symmetric within tolerance 1e-10")
     try:

@@ -161,6 +161,17 @@ class TestSeedContract:
                 expected = np.zeros_like(want[role]) if role == zeroed else want[role]
                 np.testing.assert_array_equal(value, expected, err_msg=role)
 
+    @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
+    def test_role_table(self, algorithm):
+        # the class tables state the pinned contract; ROLES are the array
+        # fields in declaration order, the order of tensors()
+        cls = ad._FAMILIES[algorithm]
+        assert cls.DRAW_ORDER == DRAW_ORDER[algorithm]
+        assert cls.ZEROED[-1] == ZEROED[algorithm]
+        arrays = [f.name for f in dataclasses.fields(cls) if f.name not in ("layer", "scale", "factor")]
+        assert cls.ROLES == tuple(arrays)
+        assert sorted(cls.ROLES) == sorted(DRAW_ORDER[algorithm])
+
 
 class TestReconstruct:
     def test_lora_is_up_down(self):
@@ -983,6 +994,24 @@ class TestInvariantErrors:
         with pytest.raises(ad.InvariantError, match=r"c shape \(8, 8\) != \(4, 4\)"):
             ad.LokrAdapter(layer, ad.MergeScale(alpha=2.0, dim=2), 4,
                            c=np.ones((8, 8)), w2=np.ones((8, 8)))
+
+    @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
+    def test_tucker_core_on_a_linear_layer(self, algorithm):
+        # each family's plain linear form plus a (r, r, 1, 1) core on every branch
+        adapter = ad.random_adapter(algorithm, LINEAR_RECT, 2, alpha=2.0, factor=4, seed=0)
+        cores = {role: np.ones((2, 2, 1, 1)) for role in adapter.ROLES if role.startswith("core")}
+        with pytest.raises(ad.InvariantError, match="^Tucker core requires a conv2d layer$"):
+            dataclasses.replace(adapter, **cores)
+
+    @pytest.mark.parametrize("role", ["core1", "core2"])
+    def test_loha_core_on_one_branch(self, role):
+        plain = ad.random_adapter("loha", CONV_SMALL, 3, alpha=3.0, seed=0)
+        tucker = ad.random_adapter("loha", CONV_SMALL, 3, alpha=3.0, tucker=True, seed=0)
+        other = {"core1": "core2", "core2": "core1"}[role]
+        with pytest.raises(ad.InvariantError, match=rf"^roles \['{role}'\] are missing"):
+            dataclasses.replace(tucker, **{role: None})
+        with pytest.raises(ad.InvariantError, match=rf"^roles \['{other}'\] are missing"):
+            dataclasses.replace(plain, **{role: getattr(tucker, role)})
 
     def test_lokr_full_excludes_factored(self):
         layer = ad.LayerShape("linear", 64, 64)

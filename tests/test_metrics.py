@@ -476,6 +476,33 @@ class TestAggregateScores:
             mt.aggregate_scores(records)
 
 
+ZERO_WIDTH = np.zeros((3, 0))
+
+
+class TestEmptyInputs:
+    @pytest.mark.parametrize("fn", [
+        mt.vendi_score, mt.intra_dissimilarity, mt.variance_normalized,
+        lambda a: mt.avg_cosine_similarity(a, a),
+        lambda a: mt.squared_centroid_distance(a, a),
+        lambda a: mt.text_image_alignment(a, a),
+        lambda a: mt.grouped_vendi(a, ["x"] * len(a), singletons="include"),
+        lambda a: mt.diversity_ratio(a, a, "vendi"),
+        lambda a: mt.subsample(a, 2),
+    ], ids=["vendi", "intra", "variance", "cossim", "centroid", "alignment", "grouped",
+            "ratio", "subsample"])
+    @pytest.mark.parametrize("vectors", [ZERO_WIDTH, np.zeros((0, 3))], ids=["width0", "rows0"])
+    def test_vector_metrics(self, fn, vectors):
+        with pytest.raises(ShapeError, match="width|at least one vector"):
+            fn(vectors)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_feature_maps(self, shape):
+        with pytest.raises(ShapeError, match="zero extent"):
+            mt.gram_matrix(np.zeros(shape))
+        with pytest.raises(ShapeError, match="zero extent"):
+            mt.style_loss([np.zeros(shape)], [np.zeros(shape)])
+
+
 class TestBalanceRepeats:
     def test_toy_sizes(self):
         assert mt.balance_repeats([12, 10, 7]) == [17, 20, 29]
@@ -507,6 +534,18 @@ class TestBalanceRepeats:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError, match="target"):
             mt.balance_repeats([5], target=0)
+
+    def test_targets_beyond_float_range_round_exactly(self):
+        target = 10 ** 400 + 7
+        assert mt.balance_repeats([1, 2, 3, 10 ** 399], target) == [
+            target, target // 2 + 1, (target + 1) // 3, 10]
+
+    def test_exact_rounding_matches_half_away(self):
+        # the float rounding it replaced, where floats hold every value exactly
+        sizes = list(range(1, 40))
+        for target in range(1, 120):
+            want = [max(1, math.floor(target / size + 0.5)) for size in sizes]
+            assert mt.balance_repeats(sizes, target) == want
 
     @pytest.mark.parametrize("target", [True, 2.5], ids=["bool", "float"])
     def test_rejects_non_integer_target(self, target):

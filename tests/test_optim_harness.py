@@ -301,6 +301,16 @@ class TestTrain:
         with pytest.raises(NumericalError, match=r"non-finite delta at step 1: layer 0, role"):
             oh.train(model, oh.OptimizerConfig("sgd", 1e300), oh.toy_dataset(False, seed=1), 1)
 
+    @pytest.mark.parametrize("optimizer", oh.OPTIMIZERS)
+    def test_non_finite_gradient_is_not_a_zero_step(self, optimizer):
+        # the step carries a NaN or inf gradient into the factors, where the
+        # buffer scan raises; a zero step would hide it
+        p = np.ones(3)
+        with np.errstate(invalid="ignore"):
+            oh._Optimizer(oh.OptimizerConfig(optimizer, 0.1), 0.1).step(p, np.array([np.nan, np.inf, 0.0]))
+        assert not np.isfinite(p[:2]).any()
+        assert p[2] == 1.0
+
     def test_rejects_non_positive_steps(self):
         model = oh.build_toy_model("lora", seed=0)
         data = oh.toy_dataset(conv=False, seed=0)

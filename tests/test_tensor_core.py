@@ -237,6 +237,16 @@ class TestConv2d:
         with pytest.raises(tc.ShapeError, match="smaller"):
             tc.conv2d(np.ones((1, 1, 3, 3)), np.ones((1, 2, 2)))
 
+    @pytest.mark.parametrize("kernel,image", [
+        ((0, 2, 3, 3), (2, 5, 5)), ((2, 0, 3, 3), (0, 5, 5)), ((2, 2, 0, 0), (2, 5, 5)),
+    ], ids=["out0", "in0", "k0"])
+    def test_rejects_zero_extent(self, kernel, image):
+        with pytest.raises(tc.ShapeError, match="zero extent"):
+            tc.conv2d(np.zeros(kernel), np.zeros(image))
+
+    def test_empty_batch(self):
+        assert tc.conv2d(np.ones((2, 3, 3, 3)), np.ones((0, 3, 5, 5))).shape == (0, 2, 3, 3)
+
     def test_rejects_complex(self):
         with pytest.raises(tc.ComplexInputError, match="^kernel"):
             tc.conv2d(np.ones((1, 1, 1, 1)) + 0j, np.ones((1, 2, 2)))
@@ -403,6 +413,10 @@ class TestSymEig:
         # complex-symmetric is not Hermitian; a real solver would misread it
         with pytest.raises(tc.ComplexInputError):
             tc.sym_eig([[1.0, 1j], [1j, 1.0]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(tc.ShapeError, match="empty"):
+            tc.sym_eig(np.zeros((0, 0)))
 
     def test_size_cap(self):
         n = tc.SYM_EIG_MAX_SIZE + 1
