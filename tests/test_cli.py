@@ -148,6 +148,24 @@ class TestAdapterFlow:
         assert code == 1
         assert "missing from the base" in stderr
 
+    def test_merge_rejects_other_geometry(self, tmp_path, capsys):
+        layer = ad.LayerShape("linear", 6, 4)
+        model = ad.AdapterModel(
+            meta=ad.ModelMeta(algorithm="lora", dim=2, alpha=2.0),
+            entries={"a": ad.random_adapter("lora", layer, 2, alpha=2.0)})
+        weights = tmp_path / "w.lwu"
+        save_weights(model, weights)
+        base = tmp_path / "base.lwu"
+        other = ad.LayerShape("linear", 4, 6)
+        save_dense({"a": (other, np.zeros(other.delta_shape))}, base, algorithm="dense")
+        code, _, stderr = run(capsys, "adapter", "merge", "--weights",
+                              str(weights), "--base", str(base), "--out",
+                              str(tmp_path / "x.lwu"))
+        assert code == 1
+        assert "layer 'a': adapter geometry" in stderr
+        assert "does not match base geometry" in stderr
+        assert not (tmp_path / "x.lwu").exists()
+
     def test_merge_rejects_delta_base(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 6, 4)
         model = ad.AdapterModel(
@@ -527,6 +545,22 @@ class TestMetricsCommands:
         assert code == 1
         assert "differ in layers" in stderr
 
+    def test_style_record_count_mismatch(self, tmp_path, capsys):
+        rec = ft.FeatureRecord(id="a0", class_name="c", maps=(("conv1", np.ones((1, 1, 1))),))
+        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        ft.write_features([rec], pa)
+        ft.write_features([rec, rec], pb)
+        code, _, stderr = run(capsys, "metrics", "style", "--a", str(pa), "--b", str(pb))
+        assert code == 1
+        assert "record count mismatch: 1 vs 2" in stderr
+
+    def test_style_requires_map_records(self, tmp_path, capsys):
+        pa = write_vectors(tmp_path, "a", [[1.0, 0.0]])
+        pb = write_vectors(tmp_path, "b", [[0.0, 1.0]])
+        code, _, stderr = run(capsys, "metrics", "style", "--a", str(pa), "--b", str(pb))
+        assert code == 1
+        assert "style comparison requires feature map records" in stderr
+
     def test_diversity_ratio(self, tmp_path, capsys):
         cls = write_vectors(tmp_path, "cls", np.eye(4)[:2].tolist())
         whole = write_vectors(tmp_path, "whole", np.eye(4).tolist())
@@ -627,6 +661,22 @@ class TestExitCodes:
                               str(tmp_path / "x.lwu"))
         assert code == 1
         assert "manifest" in stderr
+
+    @pytest.mark.parametrize("text,message", [
+        ("[{", "invalid JSON"),
+        ('[{"name": "a", "kind": "linear", "shape": [2, 2], "bias": true}]',
+         "entry 0 must have exactly the keys name, kind, shape"),
+        ('[{"name": "", "kind": "linear", "shape": [2, 2]}]', "entry 0 has an empty name"),
+    ], ids=["json", "keys", "name"])
+    def test_manifest_refusals_name_the_file(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text, encoding="utf-8")
+        code, _, stderr = run(capsys, "adapter", "init", "--algo", "lora",
+                              "--manifest", str(manifest), "--dim", "1",
+                              "--alpha", "1.0", "--out", str(tmp_path / "x.lwu"))
+        assert code == 1
+        assert stderr.startswith(f"error: {manifest}: {message}")
+        assert not (tmp_path / "x.lwu").exists()
 
     def test_boolean_manifest_extent_is_one(self, tmp_path, capsys):
         # JSON true is a Python int; it must not pass as an extent of 1

@@ -47,6 +47,14 @@ class TestFeatureRecord:
         with pytest.raises(ValueError, match="subclass"):
             vector_record(subclass="")
 
+    def test_map_layer_names_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="empty feature map layer name"):
+            ft.FeatureRecord(id="r", class_name="c", maps=(("", np.ones((1, 1, 1))),))
+
+    def test_maps_may_not_be_empty(self):
+        with pytest.raises(ValueError, match="maps may not be empty"):
+            ft.FeatureRecord(id="r", class_name="c", maps=())
+
 
 class TestFeatureRoundtrip:
     def test_vector_records(self, tmp_path):
@@ -164,6 +172,50 @@ class TestLoadFeatureErrors:
         path = self.write_lines(
             tmp_path, json.dumps({"class": "c", "vector": [1.0]}))
         with pytest.raises(ft.FeatureFileError, match="line 1"):
+            ft.load_features(path)
+
+    def test_line_must_hold_an_object(self, tmp_path):
+        path = self.write_lines(tmp_path, "[1.0, 2.0]")
+        with pytest.raises(ft.FeatureFileError, match="line 1: each line must hold a JSON object"):
+            ft.load_features(path)
+
+    @pytest.mark.parametrize("vector", [[], 1.0, "1.0"])
+    def test_vector_must_be_a_non_empty_list(self, tmp_path, vector):
+        path = self.write_lines(tmp_path, json.dumps({"id": "a", "class": "c", "vector": vector}))
+        with pytest.raises(ft.FeatureFileError,
+                           match="line 1: vector must be a non-empty list of numbers"):
+            ft.load_features(path)
+
+    @pytest.mark.parametrize("maps", [[], {}, None])
+    def test_maps_must_be_a_non_empty_list(self, tmp_path, maps):
+        path = self.write_lines(tmp_path, json.dumps({"id": "a", "class": "c", "maps": maps}))
+        with pytest.raises(ft.FeatureFileError, match="line 1: maps must be a non-empty list"):
+            ft.load_features(path)
+
+    @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -1, 1), (1, 1, True), (1.0, 1, 1)])
+    def test_map_dimensions_must_be_positive_integers(self, tmp_path, dims):
+        c, h, w = dims
+        path = self.write_lines(tmp_path, json.dumps(
+            {"id": "a", "class": "c",
+             "maps": [{"layer": "l", "c": c, "h": h, "w": w, "data": [1.0]}]}))
+        with pytest.raises(ft.FeatureFileError, match="line 1: map 0 has non-positive dimensions"):
+            ft.load_features(path)
+
+    def test_vector_and_maps_together(self, tmp_path):
+        path = self.write_lines(
+            tmp_path,
+            json.dumps({"id": "a", "class": "c", "vector": [1.0]}),
+            json.dumps({"id": "b", "class": "c", "vector": [1.0],
+                        "maps": [{"layer": "l", "c": 1, "h": 1, "w": 1, "data": [1.0]}]}))
+        with pytest.raises(ft.FeatureFileError, match="line 2: "):
+            ft.load_features(path)
+
+    def test_neither_vector_nor_maps(self, tmp_path):
+        path = self.write_lines(
+            tmp_path,
+            json.dumps({"id": "a", "class": "c", "vector": [1.0]}),
+            json.dumps({"id": "b", "class": "c"}))
+        with pytest.raises(ft.FeatureFileError, match="line 2: "):
             ft.load_features(path)
 
 

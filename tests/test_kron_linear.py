@@ -116,6 +116,11 @@ class TestGroupedForwardFull:
         np.testing.assert_allclose(grouped_forward_full(np.eye(2), np.eye(3), h), h,
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("c,w2", [(np.ones(2), np.eye(3)), (np.eye(2), np.ones((3, 3, 1)))])
+    def test_rejects_non_matrix_factors(self, c, w2):
+        with pytest.raises(tc.ShapeError, match="factors must be matrices"):
+            grouped_forward_full(c, w2, np.ones(6))
+
 
 class TestMacCounter:
     def test_grouped_needs_fewer_mults(self):

@@ -80,6 +80,10 @@ class TestSquaredCentroidDistance:
     def test_orthogonal_singletons(self):
         assert mt.squared_centroid_distance([E1], [E2]) == pytest.approx(2.0)
 
+    def test_rejects_width_mismatch(self):
+        with pytest.raises(ShapeError, match="vector widths differ"):
+            mt.squared_centroid_distance([E1], [[1.0, 0.0, 0.0]])
+
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(1)
         s = rng.standard_normal((6, 4))
@@ -294,6 +298,10 @@ class TestGramAndStyle:
     def test_layer_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="layer count"):
             mt.style_loss([np.ones((2, 2, 2))], [])
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            mt.style_loss([], [])
 
 
 class TestSubsample:
