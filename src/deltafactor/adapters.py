@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -403,10 +403,8 @@ class LokrAdapter(_Family):
 
     @staticmethod
     def _shapes(layer, dim, factor, tucker, whole) -> dict[str, tuple]:
-        u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
-        u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
-        right = LayerShape(layer.kind, v_p, v_q, layer.kernel)
-        return {"c": (u_p, u_q), **_Block.shapes(right, dim, tucker, whole)}
+        c_shape, right = _lokr_split(layer, factor)
+        return {"c": c_shape, **_Block.shapes(right, dim, tucker, whole)}
 
     def _check(self, present: list[str], want: dict[str, tuple]) -> None:
         # c first, so that a bad split is named as one
@@ -422,8 +420,8 @@ class LokrAdapter(_Family):
 
     @cached_property
     def _blocks(self) -> tuple[_Block, ...]:
-        _, v_p, _, v_q = self.block_dims
-        right = LayerShape(self.layer.kind, v_p, v_q, self.layer.kernel)
+        # _check holds c to the split, so the right block has its layer
+        _, right = _lokr_split(self.layer, self.factor)
         return (_Block(right, self.up, self.down, self.core, self.w2),)
 
     @property
@@ -512,15 +510,27 @@ def lokr_factor_dims(v: int, factor: int = -1) -> tuple[int, int]:
     return next((u, v // u) for u in range(bound, 0, -1) if v % u == 0)
 
 
+@lru_cache(maxsize=256, typed=True)
+def _lokr_split(layer: LayerShape, factor: int) -> tuple[tuple[int, int], LayerShape]:
+    """(c shape (u_p, u_q), right block layer (v_p, v_q, k)) of a lokr adapter on layer.
+
+    Each extent splits by lokr_factor_dims; the kernel axes ride on the
+    right block. A draw, a construction and a fit ask for the same split
+    several times, so it is computed once per layer and factor.
+    """
+    u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
+    u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
+    return (u_p, u_q), LayerShape(layer.kind, v_p, v_q, layer.kernel)
+
+
 def lokr_is_full(layer: LayerShape, dim: int, factor: int = -1) -> bool:
     """Whether a lokr adapter stores its right block whole at this dim.
 
     The right block is left unfactored when dim reaches the block's own
     maximal rank min(v_p, v_q * k^2); smaller dims factor it as up @ down.
     """
-    _, v_p = lokr_factor_dims(layer.out_dim, factor)
-    _, v_q = lokr_factor_dims(layer.in_dim, factor)
-    return dim >= min(v_p, v_q * layer.kernel * layer.kernel)
+    _, right = _lokr_split(layer, factor)
+    return dim >= min(right.out_dim, right.unrolled_in)
 
 
 def reconstruct(adapter: Adapter) -> np.ndarray:
@@ -748,11 +758,10 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     """
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
-    u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
-    u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
-    right = LayerShape(layer.kind, v_p, v_q, layer.kernel)
+    (u_p, u_q), right = _lokr_split(layer, factor)
     # R^T is tall or square, so its Gram matrix is R R^T
-    scaled, m, vectors = _gram_top(_nkp_rearrange(dm, u_p, v_p, u_q, v_q).T, 1)
+    grid = _nkp_rearrange(dm, u_p, right.out_dim, u_q, right.in_dim)
+    scaled, m, vectors = _gram_top(grid.T, 1)
     c_vec = vectors[:, 0]
     nonzero = np.flatnonzero(c_vec)
     if nonzero.size and c_vec[nonzero[0]] < 0:

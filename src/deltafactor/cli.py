@@ -34,6 +34,7 @@ from .adapters import (
     svd_fit_lora,
 )
 from .features import (
+    LABEL_FIELDS,
     feature_labels,
     feature_matrix,
     load_features,
@@ -448,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = met_sub.add_parser("vendi", help="effective diversity score")
     p.add_argument("--features", required=True)
-    p.add_argument("--group-by", choices=("id", "class", "checkpoint",
-                                          "category", "subclass", "prompt_type"),
-                   default=None)
+    p.add_argument("--group-by", choices=tuple(LABEL_FIELDS), default=None)
     p.add_argument("--singletons", choices=("skip", "include"), default=None)
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--subsample-seed", type=int, default=0)

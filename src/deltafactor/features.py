@@ -1,10 +1,10 @@
 """File I/O for feature records and score tables.
 
-Feature records travel as JSON lines: one object per line with an `id`, a
-`class` label, optional checkpoint/category/subclass/prompt_type labels,
-and exactly one of `vector` (flat list of floats) or `maps` (a list of
-{layer, c, h, w, data} objects holding row-major feature maps). Score
-tables are plain CSV with a fixed header. All parse failures raise
+Feature records travel as JSON lines: one object per line with the labels
+of LABEL_FIELDS (JSON key -> FeatureRecord field; `id` and `class` are
+required) and exactly one of `vector` (flat list of floats) or `maps` (a
+list of {layer, c, h, w, data} objects holding row-major feature maps).
+Score tables are plain CSV with a fixed header. All parse failures raise
 FeatureFileError naming the file and line.
 """
 
@@ -43,8 +43,7 @@ LABEL_FIELDS = {
     "subclass": "subclass",
     "prompt_type": "prompt_type",
 }
-_OPTIONAL_KEYS = ("checkpoint", "category", "subclass", "prompt_type")
-_RECORD_KEYS = {"id", "class", "vector", "maps", *_OPTIONAL_KEYS}
+_RECORD_KEYS = {*LABEL_FIELDS, "vector", "maps"}
 _MAP_KEYS = {"layer", "c", "h", "w", "data"}
 
 SCORE_COLUMNS = ("checkpoint", "category", "class", "subclass",
@@ -74,14 +73,12 @@ class FeatureRecord:
     maps: tuple[tuple[str, np.ndarray], ...] | None = None
 
     def __post_init__(self):
-        for field in ("id", "class_name"):
+        for field in LABEL_FIELDS.values():
             label = getattr(self, field)
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"{field} must be a non-empty string, got {label!r}")
-        for field in _OPTIONAL_KEYS:
-            label = getattr(self, LABEL_FIELDS.get(field, field))
-            if label is not None and (not isinstance(label, str) or not label):
-                raise ValueError(f"{field} must be None or a non-empty string")
+            required = field in ("id", "class_name")
+            if (required or label is not None) and not (isinstance(label, str) and label):
+                raise ValueError(f"{field} must be {'' if required else 'None or '}"
+                                 f"a non-empty string, got {label!r}")
         if (self.vector is None) == (self.maps is None):
             raise ValueError(f"record {self.id!r} needs exactly one of vector/maps")
         if self.vector is not None:
@@ -162,25 +159,11 @@ def _parse_record(obj) -> FeatureRecord:
     unknown = set(obj) - _RECORD_KEYS
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
-    if "vector" in obj and "maps" in obj:
-        raise ValueError("record carries both vector and maps")
-    vector = None
-    maps = None
-    if "vector" in obj:
-        vector = _check_numbers(obj["vector"], "vector")
-    elif "maps" in obj:
-        maps = _parse_maps(obj["maps"])
-    else:
-        raise ValueError("record carries neither vector nor maps")
+    # FeatureRecord checks the labels and that exactly one payload is present
     return FeatureRecord(
-        id=obj.get("id"),
-        class_name=obj.get("class"),
-        checkpoint=obj.get("checkpoint"),
-        category=obj.get("category"),
-        subclass=obj.get("subclass"),
-        prompt_type=obj.get("prompt_type"),
-        vector=vector,
-        maps=maps,
+        **{field: obj.get(key) for key, field in LABEL_FIELDS.items()},
+        vector=_check_numbers(obj["vector"], "vector") if "vector" in obj else None,
+        maps=_parse_maps(obj["maps"]) if "maps" in obj else None,
     )
 
 
@@ -237,11 +220,8 @@ def load_features(path) -> list[FeatureRecord]:
 
 
 def _record_json(rec: FeatureRecord) -> dict:
-    obj = {"id": rec.id, "class": rec.class_name}
-    for key in _OPTIONAL_KEYS:
-        value = getattr(rec, LABEL_FIELDS[key])
-        if value is not None:
-            obj[key] = value
+    obj = {key: value for key, field in LABEL_FIELDS.items()
+           if (value := getattr(rec, field)) is not None}
     if rec.vector is not None:
         obj["vector"] = rec.vector.tolist()
     else:

@@ -38,9 +38,6 @@ __all__ = [
     "balance_repeats",
 ]
 
-MEASURES = ("vendi", "intra_dissimilarity", "variance")
-
-
 def _vectors(a, name: str = "vectors") -> np.ndarray:
     arr = as_tensor(a, name)
     if arr.ndim != 2:
@@ -133,7 +130,11 @@ def vendi_score(a) -> float:
     time. The eigensolver's size cap (SYM_EIG_MAX_SIZE) therefore applies
     to min(n, d): groups of any size score while d is within it.
     """
-    na = _normalized(a)
+    return _vendi(_normalized(a))
+
+
+def _vendi(na: np.ndarray) -> float:
+    # vendi_score of rows that _normalized already gave
     n, d = na.shape
     kernel = na @ na.T if n <= d else na.T @ na
     values = sym_eig(kernel / n)
@@ -147,12 +148,13 @@ def grouped_vendi(vectors, labels, singletons: str) -> tuple[dict[str, float], f
     """Per-group vendi scores plus their mean, grouping rows by label.
 
     singletons must be 'skip' (drop groups of one) or 'include' (a single
-    vector scores exactly 1). There is no default; callers choose.
+    vector scores exactly 1). There is no default; callers choose. Rows are
+    normalized once, row by row, so a group scores as vendi_score scores it.
     """
-    arr = _vectors(vectors)
+    na = _normalized(vectors)
     tags = list(labels)
-    if len(tags) != arr.shape[0]:
-        raise ValueError(f"{len(tags)} labels for {arr.shape[0]} vectors")
+    if len(tags) != na.shape[0]:
+        raise ValueError(f"{len(tags)} labels for {na.shape[0]} vectors")
     if singletons not in ("skip", "include"):
         raise ValueError(f"singletons must be 'skip' or 'include', got {singletons!r}")
     rows = defaultdict(list)
@@ -163,7 +165,7 @@ def grouped_vendi(vectors, labels, singletons: str) -> tuple[dict[str, float], f
         idx = rows[tag]
         if len(idx) == 1 and singletons == "skip":
             continue
-        scores[tag] = vendi_score(arr[idx])
+        scores[tag] = _vendi(na[idx])
     if not scores:
         raise ValueError("no groups left to score (all singletons skipped)")
     return scores, float(np.mean(list(scores.values())))
@@ -213,16 +215,19 @@ def subsample(vectors, limit: int, seed=0) -> np.ndarray:
     return arr[keep].copy()
 
 
+_MEASURE_FNS = {
+    "vendi": vendi_score,
+    "intra_dissimilarity": intra_dissimilarity,
+    "variance": variance_normalized,
+}
+MEASURES = tuple(_MEASURE_FNS)
+
+
 def diversity_ratio(class_vectors, dataset_vectors, measure: str) -> float:
     """Class diversity relative to whole-dataset diversity, same measure."""
-    fns = {
-        "vendi": vendi_score,
-        "intra_dissimilarity": intra_dissimilarity,
-        "variance": variance_normalized,
-    }
-    if measure not in fns:
+    if measure not in _MEASURE_FNS:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    fn = fns[measure]
+    fn = _MEASURE_FNS[measure]
     denom = fn(dataset_vectors)
     if denom == 0.0:
         raise ValueError("dataset diversity is zero; ratio undefined")

@@ -125,8 +125,10 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZERS}")
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        if self.eps < 0 or self.weight_decay < 0:
-            raise ValueError("eps and weight_decay must be non-negative")
+        # NaN fails the comparison; an infinite eps would zero every step
+        if not (0 <= self.eps < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ValueError(f"eps and weight_decay must be finite and non-negative, "
+                             f"got {self.eps} and {self.weight_decay}")
 
 
 @dataclass

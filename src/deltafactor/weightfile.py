@@ -99,11 +99,15 @@ def _json_int(value) -> int:
 def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> bytes:
     """The JSON header; the payload packs the tensors in this order.
 
-    Every refusal happens here, before a file is opened.
+    Every refusal of the container happens here, before a file is opened:
+    the metadata gets the reader's own check, on the JSON it will read.
     """
+    _parse_meta(json.loads(json.dumps(asdict(meta), default=_json_int)))
     offset = 0
     layer_entries = []
     for name, shape, tensors in layers:
+        if not isinstance(name, str):
+            raise MalformedHeaderError(f"layer name {name!r} is not a string", 8)
         tensor_entries = []
         for role, value in tensors.items():
             if value.dtype.kind == "c":
@@ -131,8 +135,7 @@ def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
     return json.dumps(header, sort_keys=True, default=_json_int).encode("utf-8")
 
 
-def _write(path, meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> None:
-    header = _header(meta, layers)
+def _write(path, header: bytes, layers: list[tuple[str, LayerShape, dict]]) -> None:
     # each tensor is cast into one float32 buffer and written from it
     buf = np.empty(max((v.size for _, _, t in layers for v in t.values()), default=0), "<f4")
     with open(path, "wb") as fh:
@@ -147,11 +150,24 @@ def _write(path, meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) ->
 
 
 def save_weights(model: AdapterModel, path) -> None:
-    """Serialize an adapter model; tensors are stored as little-endian f32."""
-    if model.meta.algorithm in _DENSE_ALGORITHMS:
+    """Serialize an adapter model; tensors are stored as little-endian f32.
+
+    Each entry must load back as itself: assembled under the model's meta
+    as load_weights assembles it, it must hold its roles and shapes and
+    keep its gamma. A model that fails this raises MalformedHeaderError.
+    """
+    meta = model.meta
+    if meta.algorithm in _DENSE_ALGORITHMS:
         raise ValueError("use save_dense for dense tensor files")
     layers = [(name, ad.layer, ad.tensors()) for name, ad in model.entries.items()]
-    _write(path, model.meta, layers)
+    header = _header(meta, layers)
+    for (name, shape, tensors), ad in zip(layers, model.entries.values()):
+        gamma = _assemble_adapter(meta, shape, tensors).scale.gamma
+        if gamma != ad.scale.gamma:
+            raise MalformedHeaderError(
+                f"layer {name!r} has gamma {ad.scale.gamma!r} but would load with "
+                f"{gamma!r}, from the model's alpha {meta.alpha!r} and dim {meta.dim!r}", 8)
+    _write(path, header, layers)
 
 
 def save_dense(entries, path, algorithm: str = "delta",
@@ -176,7 +192,7 @@ def save_dense(entries, path, algorithm: str = "delta",
         if arr.shape != shape.delta_shape:
             raise ValueError(f"layer {name!r}: array shape {arr.shape} != {shape.delta_shape}")
         layers.append((name, shape, {role: arr}))
-    _write(path, meta, layers)
+    _write(path, _header(meta, layers), layers)
 
 
 def _require_key(entry: dict, key: str, kinds, where: str):
@@ -195,6 +211,27 @@ def _parse_layer_shape(entry: dict, where: str) -> LayerShape:
         return LayerShape.from_json(kind, dims, where)
     except ValueError as exc:
         raise MalformedHeaderError(str(exc), 8)
+
+
+def _parse_meta(header: dict) -> ModelMeta:
+    """The model metadata of a parsed header; the writers check theirs here too."""
+    version = _require_key(header, "format_version", int, "header")
+    if version != FORMAT_VERSION:
+        raise MalformedHeaderError(f"unsupported format_version {version}", 8)
+    algorithm = _require_key(header, "algorithm", str, "header")
+    dim = _require_key(header, "dim", int, "header")
+    alpha = _require_key(header, "alpha", (int, float), "header")
+    factor = _require_key(header, "factor", int, "header")
+    seed = _require_key(header, "seed", int, "header")
+    if algorithm not in ALGORITHMS and algorithm not in _DENSE_ALGORITHMS:
+        raise MalformedHeaderError(f"unknown algorithm {algorithm!r}", 8)
+    try:
+        MergeScale(float(alpha), dim)
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer alpha beyond float range
+        raise MalformedHeaderError(f"invalid metadata: {exc}", 8)
+    return ModelMeta(algorithm=algorithm, dim=dim, alpha=float(alpha),
+                     factor=factor, seed=seed, format_version=version)
 
 
 def _parse_container(fh):
@@ -217,23 +254,7 @@ def _parse_container(fh):
         raise MalformedHeaderError(f"header is not valid JSON: {exc}", 8)
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object", 8)
-    version = _require_key(header, "format_version", int, "header")
-    if version != FORMAT_VERSION:
-        raise MalformedHeaderError(f"unsupported format_version {version}", 8)
-    algorithm = _require_key(header, "algorithm", str, "header")
-    dim = _require_key(header, "dim", int, "header")
-    alpha = _require_key(header, "alpha", (int, float), "header")
-    factor = _require_key(header, "factor", int, "header")
-    seed = _require_key(header, "seed", int, "header")
-    known = set(ALGORITHMS) | set(_DENSE_ALGORITHMS)
-    if algorithm not in known:
-        raise MalformedHeaderError(f"unknown algorithm {algorithm!r}", 8)
-    try:
-        meta = ModelMeta(algorithm=algorithm, dim=dim, alpha=float(alpha),
-                         factor=factor, seed=seed, format_version=version)
-        MergeScale(float(alpha), dim)
-    except ValueError as exc:
-        raise MalformedHeaderError(f"invalid metadata: {exc}", 8)
+    meta = _parse_meta(header)
 
     payload_base = 8 + header_len
     payload_len = size - payload_base
@@ -293,15 +314,17 @@ def _parse_container(fh):
         layers.append((name, shape, tensors))
     if len(set(names)) != len(names):
         raise MalformedHeaderError("duplicate layer names", 8)
-    spans.sort()
-    for (s0, e0, w0), (s1, e1, w1) in zip(spans, spans[1:]):
-        if s1 < e0:
-            raise OffsetOverlapError(f"{w1} overlaps {w0}", payload_base + s1)
-    declared_end = max((end for _, end, _ in spans), default=0)
-    if declared_end < payload_len:
-        raise WeightFileError(
-            f"{payload_len - declared_end} trailing payload bytes",
-            payload_base + declared_end)
+    # the spans must tile the payload: no overlap, no gap, nothing after them
+    end, before = 0, None
+    for start, stop, where in sorted(spans):
+        if start < end:
+            raise OffsetOverlapError(f"{where} overlaps {before}", payload_base + start)
+        if start > end:
+            raise WeightFileError(f"{start - end} undeclared payload bytes before {where}",
+                                  payload_base + end)
+        end, before = stop, where
+    if end < payload_len:
+        raise WeightFileError(f"{payload_len - end} trailing payload bytes", payload_base + end)
     return meta, layers
 
 

@@ -266,6 +266,16 @@ class TestVerifyCommands:
         assert code == 1
         assert "FAIL" in stdout
 
+    @pytest.mark.parametrize("flag", ["--eps", "--weight-decay"])
+    def test_merge_ratio_non_finite_control_fails(self, capsys, flag):
+        # infinite eps would zero every step, and both runs would agree vacuously
+        code, stdout, stderr = run(capsys, "verify", "merge-ratio", "--algo", "lora",
+                                   "--opt", "adam", "--steps", "5", flag, "inf")
+        assert code == 1
+        assert "finite and non-negative" in stderr
+        assert stdout.splitlines()[-1] == "FAIL (tolerance 1e-08)"
+        assert "PASS" not in stdout
+
     def test_merge_ratio_one_line_per_case(self, capsys):
         code, stdout, _ = run(capsys, "verify", "merge-ratio", "--algo", "lokr",
                               "--opt", "sgd", "adagrad", "--scale", "0.25", "16",

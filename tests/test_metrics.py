@@ -248,6 +248,19 @@ class TestGroupedVendi:
         with pytest.raises(ValueError, match="labels"):
             mt.grouped_vendi([[1.0, 0.0]], ["a", "b"], singletons="skip")
 
+    def test_zero_row_of_a_skipped_singleton_is_refused(self):
+        # the rows are checked as one set, before any group is skipped
+        with pytest.raises(ValueError, match="zero-norm vector at row 2 of vectors"):
+            mt.grouped_vendi([E1, E2, [0.0, 0.0]], ["a", "a", "b"], singletons="skip")
+
+    def test_each_group_scores_as_alone(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((9, 4)) * 10.0 ** rng.integers(-200, 200, (9, 1))
+        tags = ["a", "b", "c"] * 3
+        scores, _ = mt.grouped_vendi(x, tags, singletons="skip")
+        for tag in "abc":
+            assert scores[tag] == mt.vendi_score(x[[t == tag for t in tags]])
+
 
 class TestGramAndStyle:
     def test_gram_normalization(self):

@@ -73,6 +73,12 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="non-negative"):
             oh.OptimizerConfig("adam", 0.1, eps=-1e-8)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["eps", "weight_decay"])
+    def test_rejects_non_finite_eps_and_weight_decay(self, field, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            oh.OptimizerConfig("adam", 0.1, **{field: value})
+
 
 class TestForwardAndGrads:
     def test_perfect_prediction_zeroes_gradients(self):

@@ -207,6 +207,67 @@ class TestDenseFiles:
             wf.save_weights(bad, tmp_path / "x.lwu")
 
 
+class TestWritersWriteOnlyWhatLoads:
+    """A file the writers refuse is never opened; every file they write loads."""
+
+    @pytest.mark.parametrize("meta,message", [
+        (ad.ModelMeta("lora", 0, 1.0), "invalid metadata: dim"),
+        (ad.ModelMeta("foo", 2, 2.0), "unknown algorithm 'foo'"),
+        (ad.ModelMeta("lora", 2, 2.0, format_version=2), "unsupported format_version 2"),
+        (ad.ModelMeta("lora", True, 2.0), "'dim' has wrong type"),
+        (ad.ModelMeta("lora", 2, 10 ** 400), "invalid metadata"),
+        (ad.ModelMeta("loha", 2, 2.0), "inconsistent adapter tensors"),
+        (ad.ModelMeta("lora", 3, 3.0), "inconsistent adapter tensors"),
+    ], ids=["dim-0", "algorithm", "version", "bool-dim", "alpha-beyond-float", "loha-over-lora",
+            "dim-over-rank"])
+    def test_save_weights_refuses_meta_the_reader_refuses(self, tmp_path, meta, message):
+        model = ad.AdapterModel(meta=meta, entries=build_model("lora", dim=2).entries)
+        path = tmp_path / "m.lwu"
+        with pytest.raises(wf.MalformedHeaderError, match=message):
+            wf.save_weights(model, path)
+        assert not path.exists()
+
+    def test_save_weights_refuses_a_gamma_that_would_change(self, tmp_path):
+        # alpha 4 at dim 2 is gamma 2; the model's alpha 1 at dim 2 would load it as 0.5
+        adapter = ad.init_adapter("lora", LINEAR, 2, alpha=4.0)
+        model = ad.AdapterModel(meta=ad.ModelMeta("lora", 2, 1.0), entries={"a": adapter})
+        path = tmp_path / "m.lwu"
+        with pytest.raises(wf.MalformedHeaderError, match="layer 'a' has gamma 2.0 but would load with 0.5"):
+            wf.save_weights(model, path)
+        assert not path.exists()
+
+    def test_layers_of_other_dims_at_one_gamma_save(self, tmp_path):
+        # lokr fits of whole right blocks differ in dim but share gamma 1
+        fits = {"a": ad.nkp_fit_lokr(np.ones((8, 8))), "b": ad.nkp_fit_lokr(np.ones((4, 6)))}
+        assert fits["a"].scale.dim != fits["b"].scale.dim
+        model = ad.AdapterModel(meta=ad.ModelMeta("lokr", 4, 4.0), entries=fits)
+        wf.save_weights(model, tmp_path / "m.lwu")
+        loaded = wf.load_weights(tmp_path / "m.lwu")
+        assert all(adapter.scale.gamma == 1.0 for adapter in loaded.entries.values())
+
+    def test_layer_names_must_be_strings(self, tmp_path):
+        path = tmp_path / "m.lwu"
+        model = ad.AdapterModel(meta=ad.ModelMeta("lora", 2, 2.0),
+                                entries={0: build_model().entries["blk0.attn"]})
+        with pytest.raises(wf.MalformedHeaderError, match="layer name 0 is not a string"):
+            wf.save_weights(model, path)
+        with pytest.raises(wf.MalformedHeaderError, match="layer name 0 is not a string"):
+            wf.save_dense({0: (LINEAR, np.ones(LINEAR.delta_shape))}, path)
+        assert not path.exists()
+
+    def test_save_dense_refuses_meta_the_reader_refuses(self, tmp_path):
+        path = tmp_path / "d.lwu"
+        meta = ad.ModelMeta("lora", 2, 2.0, format_version=2)
+        with pytest.raises(wf.MalformedHeaderError, match="unsupported format_version 2"):
+            wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, path, meta=meta)
+        assert not path.exists()
+
+    def test_reader_refuses_an_integer_alpha_beyond_float_range(self, tmp_path):
+        blob = save_blob(build_model(), tmp_path)
+        with pytest.raises(wf.MalformedHeaderError, match="invalid metadata"):
+            load_blob(rewrite_header(blob, lambda h: h.update(alpha=10 ** 400)), tmp_path)
+
+
 def reference_decode(blob: bytes) -> list[tuple[str, str, np.ndarray]]:
     """(layer, role, values) per header entry: frombuffer of its span, cast to float64."""
     (header_len,) = struct.unpack_from("<I", blob, 4)
@@ -234,6 +295,21 @@ def repack_reversed(blob: bytes) -> bytes:
         offset += len(part)
     hb = json.dumps(header).encode("utf-8")
     return wf.MAGIC + struct.pack("<I", len(hb)) + hb + b"".join(reversed(parts))
+
+
+def repack(blob: bytes, mutate) -> bytes:
+    """rewrite_header, then a payload of just the tensors the header still lists, in its order."""
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + header_len])
+    payload = blob[8 + header_len:]
+    mutate(header)
+    parts, offset = [], 0
+    for t in (t for layer in header["layers"] for t in layer["tensors"]):
+        parts.append(payload[t["byte_offset"]:t["byte_offset"] + t["byte_length"]])
+        t["byte_offset"] = offset
+        offset += t["byte_length"]
+    hb = json.dumps(header).encode("utf-8")
+    return wf.MAGIC + struct.pack("<I", len(hb)) + hb + b"".join(parts)
 
 
 class TestLoadReadsAtOffsets:
@@ -453,6 +529,38 @@ class TestMalformedCorpus:
         with pytest.raises(wf.OffsetOverlapError, match="overlaps"):
             load_blob(rewrite_header(blob, overlap), tmp_path)
 
+    def test_payload_gap_between_tensors(self, tmp_path):
+        # two 16-byte tensors at offsets 0 and 24: bytes 16 to 24 are declared by neither
+        model = ad.AdapterModel(meta=ad.ModelMeta("lokr", 2, 2.0), entries={
+            "a": ad.random_adapter("lokr", ad.LayerShape("linear", 4, 4), 2, 2.0)})
+        blob = save_blob(model, tmp_path)
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        tensors = json.loads(blob[8:8 + header_len])["layers"][0]["tensors"]
+        assert [(t["byte_offset"], t["byte_length"]) for t in tensors] == [(0, 16), (16, 16)]
+        def shift(h):
+            h["layers"][0]["tensors"][1]["byte_offset"] = 24
+        mutated = rewrite_header(blob, shift)
+        (header_len,) = struct.unpack_from("<I", mutated, 4)
+        base = 8 + header_len
+        mutated = mutated[:base + 16] + b"garbage!" + mutated[base + 16:]
+        with pytest.raises(wf.WeightFileError, match="8 undeclared payload bytes before layer 0 tensor 1") as info:
+            load_blob(mutated, tmp_path)
+        assert info.value.position == base + 16
+
+    def test_payload_gap_before_the_first_tensor(self, tmp_path):
+        blob = save_blob(build_model(), tmp_path)
+        def shift(h):
+            for layer in h["layers"]:
+                for t in layer["tensors"]:
+                    t["byte_offset"] += 4
+        mutated = rewrite_header(blob, shift)
+        (header_len,) = struct.unpack_from("<I", mutated, 4)
+        base = 8 + header_len
+        mutated = mutated[:base] + b"\x00" * 4 + mutated[base:]
+        with pytest.raises(wf.WeightFileError, match="4 undeclared payload bytes before layer 0 tensor 0") as info:
+            load_blob(mutated, tmp_path)
+        assert info.value.position == base
+
     def test_trailing_payload_bytes(self, tmp_path):
         blob = save_blob(build_model(), tmp_path)
         with pytest.raises(wf.WeightFileError, match="trailing"):
@@ -496,8 +604,8 @@ class TestMalformedCorpus:
     ])
     @pytest.mark.parametrize("layer", [LINEAR, CONV], ids=["linear", "conv"])
     def test_each_missing_role(self, tmp_path, algorithm, dim, tucker, layer):
-        # the layer goes first, so the payload of the one after it keeps the
-        # dropped tensor's bytes from reading as trailing
+        # the dropped tensor's bytes go with it and the later offsets shift,
+        # so the payload holds no undeclared gap
         model = ad.init_model([("first", layer), ("last", LINEAR)], algorithm, dim,
                               alpha=2.0, tucker=tucker)
         blob = save_blob(model, tmp_path)
@@ -508,7 +616,7 @@ class TestMalformedCorpus:
                 tensors = h["layers"][0]["tensors"]
                 h["layers"][0]["tensors"] = [] if drop is None else tensors[:drop] + tensors[drop + 1:]
             with pytest.raises(wf.MalformedHeaderError, match="inconsistent"):
-                load_blob(rewrite_header(blob, remove), tmp_path)
+                load_blob(repack(blob, remove), tmp_path)
 
     def test_lokr_factor_disagrees_with_c(self, tmp_path):
         # c (8, 8) is the factor -1 split of 64 x 64; factor 4 splits it as (4, 16)
