@@ -512,11 +512,9 @@ def lokr_factor_dims(v: int, factor: int = -1) -> tuple[int, int]:
 
 @lru_cache(maxsize=256, typed=True)
 def _lokr_split(layer: LayerShape, factor: int) -> tuple[tuple[int, int], LayerShape]:
-    """(c shape (u_p, u_q), right block layer (v_p, v_q, k)) of a lokr adapter on layer.
+    """(c shape (u_p, u_q), right block layer (v_p, v_q, k)) of lokr on layer, by lokr_factor_dims.
 
-    Each extent splits by lokr_factor_dims; the kernel axes ride on the
-    right block. A draw, a construction and a fit ask for the same split
-    several times, so it is computed once per layer and factor.
+    A draw, a construction and a fit each ask for it; it is computed once.
     """
     u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
     u_q, v_q = lokr_factor_dims(layer.in_dim, factor)

@@ -246,17 +246,11 @@ def _cmd_verify_gradients(args) -> int:
 # metrics commands
 
 
-def _cmd_metrics_cossim(args) -> int:
+def _cmd_metrics_pair(args) -> int:
+    # cossim, scd and align: one measure of two vector feature files
     a = feature_matrix(load_features(args.a))
     b = feature_matrix(load_features(args.b))
-    print(repr(metrics.avg_cosine_similarity(a, b)))
-    return 0
-
-
-def _cmd_metrics_scd(args) -> int:
-    a = feature_matrix(load_features(args.a))
-    b = feature_matrix(load_features(args.b))
-    print(repr(metrics.squared_centroid_distance(a, b)))
+    print(repr(args.measure(a, b)))
     return 0
 
 
@@ -279,13 +273,6 @@ def _cmd_metrics_vendi(args) -> int:
         vectors = metrics.subsample(vectors, args.subsample,
                                     seed=args.subsample_seed)
     print(repr(metrics.vendi_score(vectors)))
-    return 0
-
-
-def _cmd_metrics_align(args) -> int:
-    images = feature_matrix(load_features(args.images))
-    texts = feature_matrix(load_features(args.texts))
-    print(repr(metrics.text_image_alignment(images, texts)))
     return 0
 
 
@@ -440,12 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = met_sub.add_parser("cossim", help="mean pairwise cosine similarity")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(handler=_cmd_metrics_cossim)
+    p.set_defaults(handler=_cmd_metrics_pair, measure=metrics.avg_cosine_similarity)
 
     p = met_sub.add_parser("scd", help="squared centroid distance")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(handler=_cmd_metrics_scd)
+    p.set_defaults(handler=_cmd_metrics_pair, measure=metrics.squared_centroid_distance)
 
     p = met_sub.add_parser("vendi", help="effective diversity score")
     p.add_argument("--features", required=True)
@@ -456,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_metrics_vendi)
 
     p = met_sub.add_parser("align", help="paired text/image cosine alignment")
-    p.add_argument("--images", required=True)
-    p.add_argument("--texts", required=True)
-    p.set_defaults(handler=_cmd_metrics_align)
+    p.add_argument("--images", dest="a", metavar="IMAGES", required=True)
+    p.add_argument("--texts", dest="b", metavar="TEXTS", required=True)
+    p.set_defaults(handler=_cmd_metrics_pair, measure=metrics.text_image_alignment)
 
     p = met_sub.add_parser("style", help="Gram-matrix style distance per pair")
     p.add_argument("--a", required=True)

@@ -12,10 +12,12 @@ ComplexInputError rather than dropping its imaginary part. A value that is
 not finite once cast to float32 (NaN, inf, or of magnitude 2^128 - 2^103 or
 more) raises WeightFileError, as loading would refuse it.
 
-Saving checks every tensor before the file is opened, so every refusal
-leaves the target as it was. It then writes the header and casts each
-tensor, one after another, into one reused float32 buffer that it writes
-from: a save holds the model plus one tensor in memory.
+Saving writes only what loading accepts and checks it all before the file
+is opened, so every refusal leaves the target as it was: the metadata gets
+the reader's own check, and save_weights assembles each layer as
+load_weights will, keeping its gamma. It then writes the header and casts
+each tensor, one after another, into one reused float32 buffer that it
+writes from: a save holds the model plus one tensor in memory.
 
 Loading reads the 8-byte prefix and the header, then each tensor in header
 order: its declared span is read at its offset into one reused float32
@@ -24,7 +26,8 @@ array. The file is never held whole, and it must be seekable: a pipe
 raises OSError (ESPIPE) naming it. A file that shrinks while it is read
 ends a read short and raises TruncatedPayloadError. Parsing is strict:
 every failure raises a WeightFileError subclass carrying the byte position,
-and no read ever leaves the declared bounds.
+no read ever leaves the declared bounds, and the tensors' spans must tile
+the payload, with no overlap, gap or trailing byte.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -152,9 +155,7 @@ def _write(path, header: bytes, layers: list[tuple[str, LayerShape, dict]]) -> N
 def save_weights(model: AdapterModel, path) -> None:
     """Serialize an adapter model; tensors are stored as little-endian f32.
 
-    Each entry must load back as itself: assembled under the model's meta
-    as load_weights assembles it, it must hold its roles and shapes and
-    keep its gamma. A model that fails this raises MalformedHeaderError.
+    Each layer must load back under the model's meta with its own gamma.
     """
     meta = model.meta
     if meta.algorithm in _DENSE_ALGORITHMS:
@@ -164,9 +165,8 @@ def save_weights(model: AdapterModel, path) -> None:
     for (name, shape, tensors), ad in zip(layers, model.entries.values()):
         gamma = _assemble_adapter(meta, shape, tensors).scale.gamma
         if gamma != ad.scale.gamma:
-            raise MalformedHeaderError(
-                f"layer {name!r} has gamma {ad.scale.gamma!r} but would load with "
-                f"{gamma!r}, from the model's alpha {meta.alpha!r} and dim {meta.dim!r}", 8)
+            raise MalformedHeaderError(f"layer {name!r} has gamma {ad.scale.gamma!r} but would "
+                                       f"load with the model's alpha / dim = {gamma!r}", 8)
     _write(path, header, layers)
 
 
@@ -180,12 +180,7 @@ def save_dense(entries, path, algorithm: str = "delta",
     if algorithm not in _DENSE_ALGORITHMS:
         raise ValueError(f"dense algorithm must be one of {sorted(_DENSE_ALGORITHMS)}")
     role = _DENSE_ALGORITHMS[algorithm]
-    if meta is None:
-        meta = ModelMeta(algorithm=algorithm, dim=1, alpha=1.0)
-    else:
-        meta = ModelMeta(algorithm=algorithm, dim=meta.dim, alpha=meta.alpha,
-                         factor=meta.factor, seed=meta.seed,
-                         format_version=meta.format_version)
+    meta = replace(meta or ModelMeta(algorithm, dim=1, alpha=1.0), algorithm=algorithm)
     layers = []
     for name, (shape, value) in entries.items():
         arr = np.asarray(value)
@@ -226,12 +221,12 @@ def _parse_meta(header: dict) -> ModelMeta:
     if algorithm not in ALGORITHMS and algorithm not in _DENSE_ALGORITHMS:
         raise MalformedHeaderError(f"unknown algorithm {algorithm!r}", 8)
     try:
-        MergeScale(float(alpha), dim)
+        # float() overflows on an integer alpha beyond float range
+        meta = ModelMeta(algorithm, dim, float(alpha), factor, seed, version)
+        MergeScale(meta.alpha, dim)
     except (ValueError, OverflowError) as exc:
-        # OverflowError: an integer alpha beyond float range
         raise MalformedHeaderError(f"invalid metadata: {exc}", 8)
-    return ModelMeta(algorithm=algorithm, dim=dim, alpha=float(alpha),
-                     factor=factor, seed=seed, format_version=version)
+    return meta
 
 
 def _parse_container(fh):

@@ -232,7 +232,7 @@ class TestWritersWriteOnlyWhatLoads:
         adapter = ad.init_adapter("lora", LINEAR, 2, alpha=4.0)
         model = ad.AdapterModel(meta=ad.ModelMeta("lora", 2, 1.0), entries={"a": adapter})
         path = tmp_path / "m.lwu"
-        with pytest.raises(wf.MalformedHeaderError, match="layer 'a' has gamma 2.0 but would load with 0.5"):
+        with pytest.raises(wf.MalformedHeaderError, match="layer 'a' has gamma 2.0 but would load with the model's alpha / dim = 0.5"):
             wf.save_weights(model, path)
         assert not path.exists()
 
