@@ -125,8 +125,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZERS}")
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        # NaN fails the comparison; an infinite eps would zero every step
-        if not (0 <= self.eps < math.inf and 0 <= self.weight_decay < math.inf):
+        if not all(math.isfinite(v) and v >= 0 for v in (self.eps, self.weight_decay)):
             raise ValueError(f"eps and weight_decay must be finite and non-negative, "
                              f"got {self.eps} and {self.weight_decay}")
 

@@ -105,7 +105,8 @@ def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
     Every refusal of the container happens here, before a file is opened:
     the metadata gets the reader's own check, on the JSON it will read.
     """
-    _parse_meta(json.loads(json.dumps(asdict(meta), default=_json_int)))
+    meta_fields = asdict(meta)
+    _parse_meta(json.loads(json.dumps(meta_fields, default=_json_int)))
     offset = 0
     layer_entries = []
     for name, shape, tensors in layers:
@@ -134,7 +135,7 @@ def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
             "shape": shape.json_shape,
             "tensors": tensor_entries,
         })
-    header = dict(asdict(meta), layers=layer_entries)
+    header = dict(meta_fields, layers=layer_entries)
     return json.dumps(header, sort_keys=True, default=_json_int).encode("utf-8")
 
 
