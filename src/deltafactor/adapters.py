@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -420,8 +420,8 @@ class LokrAdapter(_Family):
 
     @cached_property
     def _blocks(self) -> tuple[_Block, ...]:
-        # _check holds c to the split, so the right block has its layer
-        _, right = _lokr_split(self.layer, self.factor)
+        _, v_p, _, v_q = self.block_dims
+        right = LayerShape(self.layer.kind, v_p, v_q, self.layer.kernel)
         return (_Block(right, self.up, self.down, self.core, self.w2),)
 
     @property
@@ -510,12 +510,8 @@ def lokr_factor_dims(v: int, factor: int = -1) -> tuple[int, int]:
     return next((u, v // u) for u in range(bound, 0, -1) if v % u == 0)
 
 
-@lru_cache(maxsize=256, typed=True)
 def _lokr_split(layer: LayerShape, factor: int) -> tuple[tuple[int, int], LayerShape]:
-    """(c shape (u_p, u_q), right block layer (v_p, v_q, k)) of lokr on layer, by lokr_factor_dims.
-
-    A draw, a construction and a fit each ask for it; it is computed once.
-    """
+    """(c shape (u_p, u_q), right block layer (v_p, v_q, k)) of lokr on layer, by lokr_factor_dims."""
     u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
     u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
     return (u_p, u_q), LayerShape(layer.kind, v_p, v_q, layer.kernel)

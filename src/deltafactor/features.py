@@ -1,8 +1,8 @@
 """File I/O for feature records and score tables.
 
 Feature records travel as JSON lines: one object per line with the labels
-of LABEL_FIELDS (JSON key -> FeatureRecord field; `id` and `class` are
-required) and exactly one of `vector` (flat list of floats) or `maps` (a
+of LABEL_FIELDS (JSON key -> FeatureRecord field; the keys of
+_REQUIRED_LABELS, `id` and `class`, are required) and exactly one of `vector` (flat list of floats) or `maps` (a
 list of {layer, c, h, w, data} objects holding row-major feature maps).
 Score tables are plain CSV with a fixed header. All parse failures raise
 FeatureFileError naming the file and line.
@@ -43,6 +43,7 @@ LABEL_FIELDS = {
     "subclass": "subclass",
     "prompt_type": "prompt_type",
 }
+_REQUIRED_LABELS = ("id", "class")
 _RECORD_KEYS = {*LABEL_FIELDS, "vector", "maps"}
 _MAP_KEYS = {"layer", "c", "h", "w", "data"}
 
@@ -73,9 +74,9 @@ class FeatureRecord:
     maps: tuple[tuple[str, np.ndarray], ...] | None = None
 
     def __post_init__(self):
-        for field in LABEL_FIELDS.values():
+        for key, field in LABEL_FIELDS.items():
             label = getattr(self, field)
-            required = field in ("id", "class_name")
+            required = key in _REQUIRED_LABELS
             if (required or label is not None) and not (isinstance(label, str) and label):
                 raise ValueError(f"{field} must be {'' if required else 'None or '}"
                                  f"a non-empty string, got {label!r}")
