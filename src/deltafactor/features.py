@@ -4,20 +4,20 @@ Feature records travel as JSON lines: one object per line with the labels
 of LABEL_FIELDS (JSON key -> FeatureRecord field; the keys of
 _REQUIRED_LABELS, `id` and `class`, are required) and exactly one of `vector` (flat list of floats) or `maps` (a
 list of {layer, c, h, w, data} objects holding row-major feature maps).
-Score tables are plain CSV with a fixed header. All parse failures raise
-FeatureFileError naming the file and line.
+Score tables are plain CSV with the fixed header SCORE_COLUMNS (or
+CATEGORY_COLUMNS), each column a record field through LABEL_FIELDS. All
+parse failures raise FeatureFileError naming the file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import CategoryScore, ScoreRecord
+from .metrics import CategoryScore, ScoreRecord, _check_label
 from .tensor_core import _is_count, _require_finite
 
 __all__ = [
@@ -75,11 +75,7 @@ class FeatureRecord:
 
     def __post_init__(self):
         for key, field in LABEL_FIELDS.items():
-            label = getattr(self, field)
-            required = key in _REQUIRED_LABELS
-            if (required or label is not None) and not (isinstance(label, str) and label):
-                raise ValueError(f"{field} must be {'' if required else 'None or '}"
-                                 f"a non-empty string, got {label!r}")
+            _check_label(getattr(self, field), field, optional=key not in _REQUIRED_LABELS)
         if (self.vector is None) == (self.maps is None):
             raise ValueError(f"record {self.id!r} needs exactly one of vector/maps")
         if self.vector is not None:
@@ -267,6 +263,30 @@ def feature_labels(records, field: str) -> list[str]:
 # score tables
 
 
+def _parse_cell(column: str, cell: str):
+    """One score CSV cell as its ScoreRecord field value; the record checks it."""
+    if column == "value":
+        try:
+            return float(cell)
+        except ValueError:
+            raise ValueError(f"bad value {cell!r}") from None
+    if column == "higher_is_better":
+        flag = cell.strip().lower()
+        if flag not in ("true", "false"):
+            raise ValueError(f"higher_is_better must be true or false, got {cell!r}")
+        return flag == "true"
+    # an empty subclass cell means no subclass
+    return (cell or None) if column == "subclass" else cell
+
+
+def _format_cell(record, column: str):
+    value = getattr(record, LABEL_FIELDS.get(column, column))
+    if column == "value":
+        return repr(float(value))
+    # the flag is written lower-case; csv writes a None subclass as an empty cell
+    return str(value).lower() if column == "higher_is_better" else value
+
+
 def load_scores(path) -> list[ScoreRecord]:
     """Read a score CSV with the fixed SCORE_COLUMNS header."""
     records = []
@@ -280,52 +300,26 @@ def load_scores(path) -> list[ScoreRecord]:
             raise FeatureFileError(
                 f"{path}: line {line_no}: expected {len(SCORE_COLUMNS)} columns, "
                 f"got {len(row)}")
-        (checkpoint, category, class_name, subclass,
-         prompt_type, metric, value_cell, flag_cell) = row
-        for name, cell in (("checkpoint", checkpoint), ("category", category),
-                           ("class", class_name), ("prompt_type", prompt_type),
-                           ("metric", metric)):
-            if cell == "":
-                raise FeatureFileError(f"{path}: line {line_no}: empty {name} column")
         try:
-            value = float(value_cell)
-        except ValueError:
-            raise FeatureFileError(
-                f"{path}: line {line_no}: bad value {value_cell!r}")
-        if not math.isfinite(value):
-            raise FeatureFileError(
-                f"{path}: line {line_no}: non-finite value {value_cell!r}")
-        flag = flag_cell.strip().lower()
-        if flag not in ("true", "false"):
-            raise FeatureFileError(
-                f"{path}: line {line_no}: higher_is_better must be true or "
-                f"false, got {flag_cell!r}")
-        records.append(ScoreRecord(
-            checkpoint=checkpoint, category=category, class_name=class_name,
-            subclass=subclass or None, prompt_type=prompt_type, metric=metric,
-            value=value, higher_is_better=(flag == "true")))
+            records.append(ScoreRecord(**{LABEL_FIELDS.get(column, column): _parse_cell(column, cell)
+                                          for column, cell in zip(SCORE_COLUMNS, row)}))
+        except ValueError as exc:
+            raise FeatureFileError(f"{path}: line {line_no}: {exc}") from None
     if not records:
         raise FeatureFileError(f"{path}: no score rows")
     return records
 
 
-def write_scores(records, path) -> None:
+def _write_table(records, columns, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.checkpoint, rec.category, rec.class_name,
-                rec.subclass or "", rec.prompt_type, rec.metric,
-                repr(float(rec.value)),
-                "true" if rec.higher_is_better else "false",
-            ])
+        writer.writerow(columns)
+        writer.writerows([_format_cell(rec, column) for column in columns] for rec in records)
+
+
+def write_scores(records, path) -> None:
+    _write_table(records, SCORE_COLUMNS, path)
 
 
 def write_category_scores(records: list[CategoryScore], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CATEGORY_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.checkpoint, rec.category, rec.prompt_type,
-                             rec.metric, repr(float(rec.value))])
+    _write_table(records, CATEGORY_COLUMNS, path)

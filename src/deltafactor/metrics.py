@@ -11,6 +11,7 @@ can be rank-normalized per group and aggregated bottom-up.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -67,23 +68,29 @@ def _normalized(a, name: str = "vectors") -> np.ndarray:
     return arr / norms[:, None]
 
 
+def _normalized_pair(a, b, names=("first set", "second set"), paired: bool = False):
+    """Both sets normalized; their widths must match, and their shapes if paired."""
+    na, nb = _normalized(a, names[0]), _normalized(b, names[1])
+    if paired and na.shape != nb.shape:
+        raise ShapeError(f"paired sets must match in shape: {na.shape} vs {nb.shape}")
+    if na.shape[1] != nb.shape[1]:
+        raise ShapeError(f"vector widths differ: {na.shape} vs {nb.shape}")
+    return na, nb
+
+
 def avg_cosine_similarity(a, b) -> float:
     """Mean cosine similarity over all cross pairs of the two sets.
 
     The mean of all n * m dot products is the dot product of the two
     centroids, so no (n, m) matrix is built.
     """
-    na, nb = _normalized(a, "first set"), _normalized(b, "second set")
-    if na.shape[1] != nb.shape[1]:
-        raise ShapeError(f"vector widths differ: {na.shape} vs {nb.shape}")
+    na, nb = _normalized_pair(a, b)
     return float(na.mean(axis=0) @ nb.mean(axis=0))
 
 
 def squared_centroid_distance(a, b) -> float:
     """Squared distance between the centroids of the normalized sets."""
-    na, nb = _normalized(a, "first set"), _normalized(b, "second set")
-    if na.shape[1] != nb.shape[1]:
-        raise ShapeError(f"vector widths differ: {na.shape} vs {nb.shape}")
+    na, nb = _normalized_pair(a, b)
     gap = na.mean(axis=0) - nb.mean(axis=0)
     return float(gap @ gap)
 
@@ -93,7 +100,11 @@ def intra_dissimilarity(a) -> float:
 
     The mean pairwise cosine is the squared norm of the centroid.
     """
-    centroid = _normalized(a).mean(axis=0)
+    return _intra_dissimilarity(_normalized(a))
+
+
+def _intra_dissimilarity(na: np.ndarray) -> float:
+    centroid = na.mean(axis=0)
     return 1.0 - float(centroid @ centroid)
 
 
@@ -104,16 +115,17 @@ def variance_normalized(a) -> float:
     it checks intra_dissimilarity by the identity
     1 - cossim(S, S) = Var(S-normalized).
     """
-    na = _normalized(a)
+    return _variance_normalized(_normalized(a))
+
+
+def _variance_normalized(na: np.ndarray) -> float:
     centered = na - na.mean(axis=0)
     return float(np.mean(np.sum(centered * centered, axis=1)))
 
 
 def text_image_alignment(images, texts) -> float:
     """Mean cosine similarity of index-paired image/text embeddings."""
-    ni, nt = _normalized(images, "image set"), _normalized(texts, "text set")
-    if ni.shape != nt.shape:
-        raise ShapeError(f"paired sets must match in shape: {ni.shape} vs {nt.shape}")
+    ni, nt = _normalized_pair(images, texts, ("image set", "text set"), paired=True)
     return float(np.mean(np.sum(ni * nt, axis=1)))
 
 
@@ -215,32 +227,41 @@ def subsample(vectors, limit: int, seed=0) -> np.ndarray:
     return arr[keep].copy()
 
 
+# each measure on rows that _normalized already gave
 _MEASURE_FNS = {
-    "vendi": vendi_score,
-    "intra_dissimilarity": intra_dissimilarity,
-    "variance": variance_normalized,
+    "vendi": _vendi,
+    "intra_dissimilarity": _intra_dissimilarity,
+    "variance": _variance_normalized,
 }
 MEASURES = tuple(_MEASURE_FNS)
 
 
 def diversity_ratio(class_vectors, dataset_vectors, measure: str) -> float:
-    """Class diversity relative to whole-dataset diversity, same measure."""
+    """Class diversity relative to whole-dataset diversity, same measure and width."""
     if measure not in _MEASURE_FNS:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     fn = _MEASURE_FNS[measure]
-    denom = fn(dataset_vectors)
+    ncls, nall = _normalized_pair(class_vectors, dataset_vectors, ("class set", "dataset"))
+    denom = fn(nall)
     if denom == 0.0:
         raise ValueError("dataset diversity is zero; ratio undefined")
-    return fn(class_vectors) / denom
+    return fn(ncls) / denom
 
 
 # ---------------------------------------------------------------------------
 # score tables
 
 
+def _check_label(label, field: str, optional: bool) -> None:
+    """The label rule of every record: a non-empty string, or None if optional."""
+    if (label is not None or not optional) and not (isinstance(label, str) and label):
+        raise ValueError(f"{field} must be {'None or ' if optional else ''}"
+                         f"a non-empty string, got {label!r}")
+
+
 @dataclass(frozen=True)
 class ScoreRecord:
-    """One scalar result of evaluating a checkpoint on a labeled slice."""
+    """One scalar result of evaluating a checkpoint on a labeled slice; checked when built."""
 
     checkpoint: str
     category: str
@@ -250,6 +271,20 @@ class ScoreRecord:
     metric: str
     value: float
     higher_is_better: bool = True
+
+    def __post_init__(self):
+        for field in ("checkpoint", "category", "class_name", "subclass", "prompt_type", "metric"):
+            _check_label(getattr(self, field), field, optional=field == "subclass")
+        value = self.value
+        try:  # math.isfinite overflows on an int beyond float64 range
+            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"value must be a finite number, got {value!r}")
+        if not isinstance(self.higher_is_better, bool):
+            raise ValueError(f"higher_is_better must be a bool, got {self.higher_is_better!r}")
 
 
 @dataclass(frozen=True)
@@ -274,8 +309,6 @@ def rank_normalize(records) -> list[ScoreRecord]:
     recs = list(records)
     groups: dict[tuple, list[int]] = defaultdict(list)
     for i, rec in enumerate(recs):
-        if not math.isfinite(rec.value):
-            raise ValueError(f"non-finite score for checkpoint {rec.checkpoint!r}")
         key = (rec.metric, rec.category, rec.class_name, rec.subclass, rec.prompt_type)
         groups[key].append(i)
     out: list[ScoreRecord | None] = [None] * len(recs)
@@ -295,14 +328,10 @@ def rank_normalize(records) -> list[ScoreRecord]:
         n = len(idx)
         positional = np.arange(n, dtype=np.float64) / (n - 1)
         scores = np.empty(n)
-        sorted_vals = goodness[order]
-        start = 0
-        while start < n:
-            stop = start
-            while stop < n and sorted_vals[stop] == sorted_vals[start]:
-                stop += 1
+        # each run of tied values in sorted order is one unique value
+        _, starts, counts = np.unique(goodness[order], return_index=True, return_counts=True)
+        for start, stop in zip(starts, starts + counts):
             scores[start:stop] = positional[start:stop].mean()
-            start = stop
         for pos, which in enumerate(order):
             out[idx[which]] = replace(recs[idx[which]],
                                       value=float(scores[pos]),
@@ -316,13 +345,8 @@ def aggregate_scores(records) -> list[CategoryScore]:
     Classes without subclasses pass through stage one unchanged; mixing
     labeled and unlabeled subclasses within one class is rejected.
     """
-    recs = list(records)
-    for rec in recs:
-        for label in ("checkpoint", "category", "class_name", "prompt_type", "metric"):
-            if not getattr(rec, label):
-                raise ValueError(f"record missing {label}: {rec}")
     by_class: dict[tuple, list[ScoreRecord]] = defaultdict(list)
-    for rec in recs:
+    for rec in records:
         by_class[(rec.checkpoint, rec.category, rec.class_name,
                   rec.prompt_type, rec.metric)].append(rec)
     class_means: dict[tuple, list[float]] = defaultdict(list)

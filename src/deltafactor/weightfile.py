@@ -19,15 +19,16 @@ load_weights will, keeping its gamma. It then writes the header and casts
 each tensor, one after another, into one reused float32 buffer that it
 writes from: a save holds the model plus one tensor in memory.
 
-Loading reads the 8-byte prefix and the header, then each tensor in header
-order: its declared span is read at its offset into one reused float32
-buffer, checked for finiteness there, and cast once to a new float64
-array. The file is never held whole, and it must be seekable: a pipe
-raises OSError (ESPIPE) naming it. A file that shrinks while it is read
-ends a read short and raises TruncatedPayloadError. Parsing is strict:
-every failure raises a WeightFileError subclass carrying the byte position,
-no read ever leaves the declared bounds, and the tensors' spans must tile
-the payload, with no overlap, gap or trailing byte.
+Loading reads the 8-byte prefix and the header, and checks the whole
+declared layout before it reads a payload byte: distinct layer names, and
+tensor spans that tile the payload with no overlap, gap or trailing byte.
+It then reads each tensor's span, in header order, into one float32 buffer
+sized to the largest tensor, checks it for finiteness there and casts it
+once to a new float64 array. The file is never held whole and must be
+seekable: a pipe raises OSError (ESPIPE) naming it. One that shrinks while
+it is read ends a read short and raises TruncatedPayloadError. Every
+failure raises a WeightFileError subclass carrying the byte position, and
+no read ever leaves the declared bounds.
 """
 
 from __future__ import annotations
@@ -254,11 +255,7 @@ def _parse_container(fh):
 
     payload_base = 8 + header_len
     payload_len = size - payload_base
-    # every tensor is read at its offset into this buffer, checked there and
-    # cast from it; it grows to the largest tensor read so far
-    buf = np.empty(0, dtype="<f4")
     layer_list = _require_key(header, "layers", list, "header")
-    names = []
     layers = []
     spans = []
     for li, entry in enumerate(layer_list):
@@ -266,7 +263,6 @@ def _parse_container(fh):
         if not isinstance(entry, dict):
             raise MalformedHeaderError(f"{where} must be an object", 8)
         name = _require_key(entry, "name", str, where)
-        names.append(name)
         shape = _parse_layer_shape(entry, where)
         tensor_list = _require_key(entry, "tensors", list, where)
         tensors = {}
@@ -285,30 +281,17 @@ def _parse_container(fh):
                 raise MalformedHeaderError(f"{twhere} has unsupported dtype {dtype!r}", 8)
             offset = _require_key(tentry, "byte_offset", int, twhere)
             length = _require_key(tentry, "byte_length", int, twhere)
-            count = math.prod(tshape)
-            if offset < 0 or length != 4 * count:
+            if offset < 0 or length != 4 * math.prod(tshape):
                 raise MalformedHeaderError(
                     f"{twhere} length {length} does not match shape {tshape}", 8)
             if offset + length > payload_len:
                 raise TruncatedPayloadError(
                     f"{twhere} spans [{offset}, {offset + length}) past payload "
                     f"end {payload_len}", payload_base + payload_len)
-            if count > buf.size:
-                buf = np.empty(count, dtype="<f4")
-            f4 = buf[:count]
-            fh.seek(payload_base + offset)
-            got = fh.readinto(f4)
-            if got < length:
-                raise TruncatedPayloadError(
-                    f"{twhere} ends {length - got} bytes short: the file shrank while "
-                    f"it was read", payload_base + offset + got)
-            if not np.all(np.isfinite(f4)):
-                raise WeightFileError(f"{twhere} holds non-finite values",
-                                      payload_base + offset)
-            tensors[role] = f4.astype(np.float64).reshape(tshape)
+            tensors[role] = (tshape, offset, twhere)
             spans.append((offset, offset + length, twhere))
         layers.append((name, shape, tensors))
-    if len(set(names)) != len(names):
+    if len({name for name, _, _ in layers}) != len(layers):
         raise MalformedHeaderError("duplicate layer names", 8)
     # the spans must tile the payload: no overlap, no gap, nothing after them
     end, before = 0, None
@@ -321,6 +304,22 @@ def _parse_container(fh):
         end, before = stop, where
     if end < payload_len:
         raise WeightFileError(f"{payload_len - end} trailing payload bytes", payload_base + end)
+    # the layout holds, so each entry is replaced by its tensor: read at its
+    # offset into one buffer sized to the largest, checked there, cast from it
+    buf = np.empty(max((stop - start for start, stop, _ in spans), default=0) // 4, "<f4")
+    for _, _, tensors in layers:
+        for role, (tshape, offset, twhere) in tensors.items():
+            f4 = buf[:math.prod(tshape)]
+            fh.seek(payload_base + offset)
+            got = fh.readinto(f4)
+            if got < f4.nbytes:
+                raise TruncatedPayloadError(
+                    f"{twhere} ends {f4.nbytes - got} bytes short: the file shrank while "
+                    f"it was read", payload_base + offset + got)
+            if not np.all(np.isfinite(f4)):
+                raise WeightFileError(f"{twhere} holds non-finite values",
+                                      payload_base + offset)
+            tensors[role] = f4.astype(np.float64).reshape(tshape)
     return meta, layers
 
 

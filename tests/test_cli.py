@@ -581,6 +581,19 @@ class TestMetricsCommands:
         assert code == 0
         assert float(stdout) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("measure", ["vendi", "intra_dissimilarity", "variance"])
+    def test_diversity_ratio_refuses_other_widths(self, tmp_path, capsys, measure):
+        rng = np.random.default_rng(16)
+        cls = write_vectors(tmp_path, "cls", rng.standard_normal((5, 3)).tolist())
+        whole = write_vectors(tmp_path, "whole", rng.standard_normal((9, 8)).tolist())
+        code, stdout, stderr = run(capsys, "metrics", "diversity-ratio",
+                                   "--class-features", str(cls),
+                                   "--dataset-features", str(whole),
+                                   "--measure", measure)
+        assert code == 1
+        assert stdout == ""
+        assert "vector widths differ: (5, 3) vs (9, 8)" in stderr
+
     def test_normalize(self, tmp_path, capsys):
         from deltafactor.metrics import ScoreRecord
         rows = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deltafactor import features as ft
+from deltafactor.cli import cli_dispatch
 from deltafactor.metrics import CategoryScore, ScoreRecord
 
 
@@ -394,7 +395,8 @@ class TestScoreTables:
         path.write_text(
             ",".join(ft.SCORE_COLUMNS)
             + "\nck,anime,cls,,plain,vendi,inf,true\n", encoding="utf-8")
-        with pytest.raises(ft.FeatureFileError, match="non-finite"):
+        with pytest.raises(ft.FeatureFileError,
+                           match="s.csv: line 2: value must be a finite number, got inf"):
             ft.load_scores(path)
 
     def test_bad_flag(self, tmp_path):
@@ -417,7 +419,21 @@ class TestScoreTables:
         path.write_text(
             ",".join(ft.SCORE_COLUMNS)
             + "\n,anime,cls,,plain,vendi,0.5,true\n", encoding="utf-8")
-        with pytest.raises(ft.FeatureFileError, match="empty checkpoint"):
+        with pytest.raises(ft.FeatureFileError,
+                           match="s.csv: line 2: checkpoint must be a non-empty string, got ''"):
+            ft.load_scores(path)
+
+    @pytest.mark.parametrize("column", ["category", "class", "prompt_type", "metric"])
+    def test_empty_label_cell_names_its_field_file_and_line(self, tmp_path, column):
+        cells = dict(zip(ft.SCORE_COLUMNS, ["ck", "anime", "cls", "", "plain", "vendi", "0.5", "true"]))
+        good = ",".join(cells.values())
+        cells[column] = ""
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join([",".join(ft.SCORE_COLUMNS), good, ",".join(cells.values())]),
+                        encoding="utf-8")
+        field = ft.LABEL_FIELDS.get(column, column)
+        with pytest.raises(ft.FeatureFileError,
+                           match=f"s.csv: line 3: {field} must be a non-empty string, got ''"):
             ft.load_scores(path)
 
     def test_empty_subclass_is_none(self, tmp_path):
@@ -438,3 +454,71 @@ class TestScoreTables:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(ft.CATEGORY_COLUMNS)
         assert lines[1] == "ck,anime,plain,vendi,0.75"
+
+
+# labels that csv must quote (a comma, a quote, a newline) in every label
+# column; a signed zero, a tiny exponent and a 17-digit repr; both flags
+CAT, CLS, PROMPT = 'an,"ime"', 'cls "a",\nb', "plain\ntext"
+STYLE = 'loss "style"'
+GOLDEN_ROWS = [
+    ScoreRecord("ck,1", CAT, CLS, None, PROMPT, "vendi", -0.0, True),
+    ScoreRecord('ck"2', CAT, CLS, None, PROMPT, "vendi", 1e-300, True),
+    ScoreRecord("ck\n3", CAT, CLS, None, PROMPT, "vendi", 0.1 + 0.2, True),
+    ScoreRecord("ck,1", CAT, CLS, "s,1", PROMPT, STYLE, 0.1 + 0.2, False),
+    ScoreRecord('ck"2', CAT, CLS, "s,1", PROMPT, STYLE, -0.0, False),
+    ScoreRecord("ck,1", CAT, CLS, 's"2', PROMPT, STYLE, 1e-300, False),
+    ScoreRecord('ck"2', CAT, CLS, 's"2', PROMPT, STYLE, 1e-300, False),
+]
+# the cells csv writes for CAT, CLS, PROMPT and STYLE
+_C, _L, _P, _S = '"an,""ime"""', '"cls ""a"",\nb"', '"plain\ntext"', '"loss ""style"""'
+GOLDEN_SCORES = (
+    "checkpoint,category,class,subclass,prompt_type,metric,value,higher_is_better\n"
+    f'"ck,1",{_C},{_L},,{_P},vendi,-0.0,true\n'
+    f'"ck""2",{_C},{_L},,{_P},vendi,1e-300,true\n'
+    f'"ck\n3",{_C},{_L},,{_P},vendi,0.30000000000000004,true\n'
+    f'"ck,1",{_C},{_L},"s,1",{_P},{_S},0.30000000000000004,false\n'
+    f'"ck""2",{_C},{_L},"s,1",{_P},{_S},-0.0,false\n'
+    f'"ck,1",{_C},{_L},"s""2",{_P},{_S},1e-300,false\n'
+    f'"ck""2",{_C},{_L},"s""2",{_P},{_S},1e-300,false\n'
+)
+GOLDEN_NORMALIZED = (
+    "checkpoint,category,class,subclass,prompt_type,metric,value,higher_is_better\n"
+    f'"ck,1",{_C},{_L},,{_P},vendi,0.0,true\n'
+    f'"ck""2",{_C},{_L},,{_P},vendi,0.5,true\n'
+    f'"ck\n3",{_C},{_L},,{_P},vendi,1.0,true\n'
+    f'"ck,1",{_C},{_L},"s,1",{_P},{_S},0.0,true\n'
+    f'"ck""2",{_C},{_L},"s,1",{_P},{_S},1.0,true\n'
+    f'"ck,1",{_C},{_L},"s""2",{_P},{_S},0.5,true\n'
+    f'"ck""2",{_C},{_L},"s""2",{_P},{_S},0.5,true\n'
+)
+GOLDEN_CATEGORIES = (
+    "checkpoint,category,prompt_type,metric,value\n"
+    f'"ck,1",{_C},{_P},vendi,0.0\n'
+    f'"ck""2",{_C},{_P},vendi,0.5\n'
+    f'"ck\n3",{_C},{_P},vendi,1.0\n'
+    f'"ck,1",{_C},{_P},{_S},0.25\n'
+    f'"ck""2",{_C},{_P},{_S},0.75\n'
+)
+
+
+class TestScoreTableBytes:
+    def test_write_load_write(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        ft.write_scores(GOLDEN_ROWS, first)
+        assert first.read_bytes() == GOLDEN_SCORES.encode("utf-8")
+        loaded = ft.load_scores(first)
+        assert loaded == GOLDEN_ROWS
+        ft.write_scores(loaded, second)
+        assert second.read_bytes() == GOLDEN_SCORES.encode("utf-8")
+
+    def test_normalize_then_aggregate(self, tmp_path, capsys):
+        scores, normalized, categories = (tmp_path / name for name in ("s.csv", "n.csv", "c.csv"))
+        scores.write_bytes(GOLDEN_SCORES.encode("utf-8"))
+        assert cli_dispatch(["metrics", "normalize", "--scores", str(scores),
+                             "--out", str(normalized)]) == 0
+        assert normalized.read_bytes() == GOLDEN_NORMALIZED.encode("utf-8")
+        assert cli_dispatch(["metrics", "aggregate", "--scores", str(normalized),
+                             "--out", str(categories)]) == 0
+        assert categories.read_bytes() == GOLDEN_CATEGORIES.encode("utf-8")
+        assert capsys.readouterr().out == (f"wrote 7 normalized rows to {normalized}\n"
+                                           f"wrote 5 category rows to {categories}\n")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +376,21 @@ class TestDiversityRatio:
         with pytest.raises(ValueError, match="measure"):
             mt.diversity_ratio(np.eye(2), np.eye(2), "entropy")
 
+    @pytest.mark.parametrize("measure", mt.MEASURES)
+    def test_widths_must_match(self, measure):
+        rng = np.random.default_rng(14)
+        cls, dataset = rng.standard_normal((5, 3)), rng.standard_normal((9, 8))
+        with pytest.raises(ShapeError, match=re.escape("vector widths differ: (5, 3) vs (9, 8)")):
+            mt.diversity_ratio(cls, dataset, measure)
+
+    @pytest.mark.parametrize("measure", mt.MEASURES)
+    def test_equals_the_measures_quotient(self, measure):
+        rng = np.random.default_rng(15)
+        cls, dataset = rng.standard_normal((5, 6)), rng.standard_normal((9, 6))
+        fn = {"vendi": mt.vendi_score, "intra_dissimilarity": mt.intra_dissimilarity,
+              "variance": mt.variance_normalized}[measure]
+        assert mt.diversity_ratio(cls, dataset, measure) == fn(cls) / fn(dataset)
+
 
 def make_record(checkpoint, value, higher=True, **overrides):
     fields = dict(checkpoint=checkpoint, category="cat", class_name="cls",
@@ -381,6 +398,62 @@ def make_record(checkpoint, value, higher=True, **overrides):
                   value=value, higher_is_better=higher)
     fields.update(overrides)
     return mt.ScoreRecord(**fields)
+
+
+class TestScoreRecord:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True,
+                                       np.float64("nan"), np.float32("inf"), "0.5", None,
+                                       1j, np.array(1.0), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "bool", "np-nan", "f32-inf", "str", "none",
+                                  "complex", "0d-array", "huge-int"])
+    def test_refuses_a_value_that_is_not_a_finite_number(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"value must be a finite number, got {value!r}")):
+            make_record("a", value)
+
+    @pytest.mark.parametrize("value", [0, -0.0, 5e-324, np.float32(0.5), np.int64(3),
+                                       float(np.finfo(np.float64).max)])
+    def test_accepts_finite_numbers(self, value):
+        assert make_record("a", value).value == value
+
+    @pytest.mark.parametrize("flag", ["false", "true", 1, None, np.bool_(True)],
+                             ids=["str-false", "str-true", "int", "none", "np-bool"])
+    def test_refuses_a_flag_that_is_not_a_bool(self, flag):
+        with pytest.raises(ValueError, match=re.escape(f"higher_is_better must be a bool, got {flag!r}")):
+            make_record("a", 1.0, higher=flag)
+
+    @pytest.mark.parametrize("label", ["", None, 3], ids=["empty", "none", "int"])
+    @pytest.mark.parametrize("field", ["checkpoint", "category", "class_name", "prompt_type", "metric"])
+    def test_refuses_each_bad_label(self, field, label):
+        fields = dict(checkpoint="a", category="cat", class_name="cls", subclass=None,
+                      prompt_type="plain", metric="m", value=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a non-empty string, got {label!r}")):
+            mt.ScoreRecord(**{**fields, field: label})
+
+    @pytest.mark.parametrize("label", ["", 3], ids=["empty", "int"])
+    def test_subclass_is_none_or_a_non_empty_string(self, label):
+        message = f"subclass must be None or a non-empty string, got {label!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_record("a", 1.0, subclass=label)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="value must be a finite number, got nan"):
+            dataclasses.replace(make_record("a", 1.0), value=float("nan"))
+
+    # each input once gave a silent wrong answer: a nan category mean, a
+    # ranking reversed by a true "false" string, and "" grouped as a label
+    @pytest.mark.parametrize("consume, overrides, message", [
+        (mt.aggregate_scores, {"value": float("nan")}, "value must be a finite number, got nan"),
+        (mt.aggregate_scores, {"value": float("inf")}, "value must be a finite number, got inf"),
+        (mt.rank_normalize, {"higher": "false"}, "higher_is_better must be a bool, got 'false'"),
+        (mt.aggregate_scores, {"category": ""}, "category must be a non-empty string, got ''"),
+        (mt.rank_normalize, {"subclass": ""}, "subclass must be None or a non-empty string, got ''"),
+    ], ids=["nan-mean", "inf-mean", "string-flag", "empty-category", "empty-subclass"])
+    def test_consumers_never_see_a_refused_record(self, consume, overrides, message):
+        def records():
+            yield make_record("a", 1.0)
+            yield make_record("b", **{"value": 2.0, **overrides})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            consume(records())
 
 
 class TestRankNormalize:
@@ -436,7 +509,7 @@ class TestRankNormalize:
             mt.rank_normalize([make_record("a", 1.0), make_record("a", 2.0)])
 
     def test_non_finite_value_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="value must be a finite number, got nan"):
             mt.rank_normalize([make_record("a", float("nan")),
                                make_record("b", 1.0)])
 
@@ -472,7 +545,7 @@ class TestAggregateScores:
         assert out == {"a": pytest.approx(0.1), "b": pytest.approx(0.9)}
 
     def test_missing_label_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="category must be a non-empty string, got ''"):
             mt.aggregate_scores([make_record("ck", 0.5, category="")])
 
     def test_mixed_subclass_and_plain_rejected(self):

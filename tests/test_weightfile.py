@@ -566,6 +566,21 @@ class TestMalformedCorpus:
         with pytest.raises(wf.WeightFileError, match="trailing"):
             load_blob(blob + b"\x00\x00\x00\x00", tmp_path)
 
+    def test_layout_is_checked_before_any_payload_is_read(self, tmp_path):
+        path = tmp_path / "d.lwu"
+        wf.save_dense({name: (LINEAR, np.ones(LINEAR.delta_shape)) for name in ("a", "b")}, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        base = 8 + header_len
+        # the first tensor holds a NaN, which reading it would refuse
+        nan = struct.pack("<f", float("nan"))
+        path.write_bytes(blob[:base] + nan + blob[base + 4:] + b"\x00\x00\x00\x00")
+        with pytest.raises(wf.WeightFileError,
+                           match=r"^4 trailing payload bytes \(byte 607\)$") as info:
+            wf.load_dense(path)
+        assert type(info.value) is wf.WeightFileError
+        assert (base, info.value.position) == (415, 607)
+
     def test_non_finite_payload(self, tmp_path):
         blob = save_blob(build_model(), tmp_path)
         (header_len,) = struct.unpack_from("<I", blob, 4)
