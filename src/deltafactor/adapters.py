@@ -245,10 +245,12 @@ class _Family:
     fields in declaration order (the order of tensors() and of .lwu
     payloads); DRAW_ORDER, the order a seeded draw takes them in; ZEROED,
     the roles init_adapter zeroes, the first that a form holds; and
-    _shapes(layer, dim, factor, tucker, whole), role -> shape of a form.
-    The constructor coerces the arrays and _check tests them against _shapes
-    of the form they hold (a core makes it Tucker, w2 whole); _build_adapter
-    draws _shapes in DRAW_ORDER.
+    _shapes(layer, dim, factor, tucker, whole), role -> shape of a form
+    (whole=None: the form a draw takes). The constructor coerces the arrays
+    and _check_layout tests their shapes against _shapes of the form they
+    hold (a core makes it Tucker, w2 whole); save_weights runs the same
+    check on shapes alone. _build_adapter draws _shapes in DRAW_ORDER and
+    hands them to the check.
     """
 
     ROLES: tuple[str, ...]
@@ -256,23 +258,39 @@ class _Family:
     ZEROED: tuple[str, ...]
 
     def __post_init__(self):
-        # frozen dataclasses: coerce the arrays once, at construction
-        present = list(self.tensors())
-        for role in present:
-            object.__setattr__(self, role, as_tensor(getattr(self, role), role))
-        tucker = any(role.startswith("core") for role in present)
-        _expect(not tucker or self.layer.kind == "conv2d", "Tucker core requires a conv2d layer")
-        factor = getattr(self, "factor", -1)
-        self._check(present, self._shapes(self.layer, self.scale.dim, factor, tucker, "w2" in present))
+        self._validate()
 
-    def _check(self, present: list[str], want: dict[str, tuple]) -> None:
+    def _validate(self, want: dict[str, tuple] | None = None) -> None:
+        # frozen dataclasses: coerce the arrays once, at construction
+        tensors = self.tensors()
+        for role, value in tensors.items():
+            object.__setattr__(self, role, as_tensor(value, role))
+        self._check_layout(self.layer, self.scale.dim, getattr(self, "factor", -1),
+                           {role: getattr(self, role).shape for role in tensors}, want)
+
+    @classmethod
+    def _check_layout(cls, layer, dim, factor, shapes: dict[str, tuple],
+                      want: dict[str, tuple] | None = None) -> None:
+        """Refuse a role -> shape map that is not a form of the family on layer.
+
+        The constructor's check, on shapes alone: a core makes the form
+        Tucker, w2 whole. want is the _shapes of that form, computed here
+        unless the caller has it.
+        """
+        tucker = any(role.startswith("core") for role in shapes)
+        _expect(not tucker or layer.kind == "conv2d", "Tucker core requires a conv2d layer")
+        if want is None:
+            want = cls._shapes(layer, dim, factor, tucker, "w2" in shapes)
+        cls._check(layer, factor, shapes, want)
+
+    @staticmethod
+    def _check(layer, factor, shapes: dict[str, tuple], want: dict[str, tuple]) -> None:
         # only a whole block leaves roles out of its form
-        _expect(want.keys() >= set(present), "a whole block excludes factored fields")
-        missing = [role for role in want if role not in present]
-        _expect(not missing, "roles {} are missing alongside {}", missing, present)
+        _expect(want.keys() >= shapes.keys(), "a whole block excludes factored fields")
+        missing = [role for role in want if role not in shapes]
+        _expect(not missing, "roles {} are missing alongside {}", missing, list(shapes))
         for role, shape in want.items():
-            got = getattr(self, role).shape
-            _expect(got == shape, "{} shape {} != {}", role, got, shape)
+            _expect(shapes[role] == shape, "{} shape {} != {}", role, shapes[role], shape)
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {role: value for role in self.ROLES if (value := getattr(self, role)) is not None}
@@ -404,19 +422,22 @@ class LokrAdapter(_Family):
     @staticmethod
     def _shapes(layer, dim, factor, tucker, whole) -> dict[str, tuple]:
         c_shape, right = _lokr_split(layer, factor)
+        if whole is None:
+            # a draw's form: whole from the right block's maximal rank on
+            whole = not tucker and _right_is_whole(right, dim)
         return {"c": c_shape, **_Block.shapes(right, dim, tucker, whole)}
 
-    def _check(self, present: list[str], want: dict[str, tuple]) -> None:
+    @staticmethod
+    def _check(layer, factor, shapes: dict[str, tuple], want: dict[str, tuple]) -> None:
         # c first, so that a bad split is named as one
-        shp = self.layer
-        _expect(self.c is not None and self.c.ndim == 2 and self.c.size > 0,
-                "c must be a non-empty matrix, got shape {}", getattr(self.c, "shape", None))
-        u_p, u_q = self.c.shape
-        _expect(shp.out_dim % u_p == 0, "out extent {} not divisible by {}", shp.out_dim, u_p)
-        _expect(shp.in_dim % u_q == 0, "in extent {} not divisible by {}", shp.in_dim, u_q)
-        _expect(self.c.shape == want["c"], "c shape {} != {}, the split at factor {}",
-                self.c.shape, want["c"], self.factor)
-        super()._check(present, want)
+        c = shapes.get("c")
+        _expect(c is not None and len(c) == 2 and math.prod(c) > 0,
+                "c must be a non-empty matrix, got shape {}", c)
+        u_p, u_q = c
+        _expect(layer.out_dim % u_p == 0, "out extent {} not divisible by {}", layer.out_dim, u_p)
+        _expect(layer.in_dim % u_q == 0, "in extent {} not divisible by {}", layer.in_dim, u_q)
+        _expect(c == want["c"], "c shape {} != {}, the split at factor {}", c, want["c"], factor)
+        _Family._check(layer, factor, shapes, want)
 
     @cached_property
     def _blocks(self) -> tuple[_Block, ...]:
@@ -465,13 +486,34 @@ Adapter = LoraAdapter | LohaAdapter | LokrAdapter
 _FAMILIES = dict(zip(ALGORITHMS, (LoraAdapter, LohaAdapter, LokrAdapter)))
 
 
-def _from_tensors(algorithm: str, layer: LayerShape, scale: MergeScale, factor: int,
-                  tensors: dict[str, np.ndarray]) -> Adapter:
-    """Adapter of a family from the role -> tensor map that tensors() gives."""
+def _family(algorithm: str, roles) -> type:
     cls = _FAMILIES[algorithm]
-    _expect(set(tensors) <= set(cls.ROLES), "roles {} do not form a {} adapter", sorted(tensors), algorithm)
-    head = (factor,) if cls is LokrAdapter else ()
-    return cls(layer, scale, *head, **{role: tensors.get(role) for role in cls.ROLES})
+    _expect(set(roles) <= set(cls.ROLES), "roles {} do not form a {} adapter", sorted(roles), algorithm)
+    return cls
+
+
+def _from_tensors(algorithm: str, layer: LayerShape, scale: MergeScale, factor: int,
+                  tensors: dict[str, np.ndarray], want: dict[str, tuple] | None = None) -> Adapter:
+    """Adapter of a family from the role -> tensor map that tensors() gives.
+
+    A draw passes want, the _shapes it drew from, so that the constructor's
+    checks run on it rather than on a second computation of it.
+    """
+    cls = _family(algorithm, tensors)
+    fields_ = {"layer": layer, "scale": scale, **({"factor": factor} if cls is LokrAdapter else {}),
+               **{role: tensors.get(role) for role in cls.ROLES}}
+    if want is None:
+        return cls(**fields_)
+    out = object.__new__(cls)
+    out.__dict__.update(fields_)
+    out._validate(want)
+    return out
+
+
+def _check_layout(algorithm: str, layer: LayerShape, dim: int, factor: int,
+                  shapes: dict[str, tuple]) -> None:
+    """Refuse, as _from_tensors would, a role -> shape map that forms no adapter; builds nothing."""
+    _family(algorithm, shapes)._check_layout(layer, dim, factor, shapes)
 
 
 @dataclass(frozen=True)
@@ -524,6 +566,10 @@ def lokr_is_full(layer: LayerShape, dim: int, factor: int = -1) -> bool:
     maximal rank min(v_p, v_q * k^2); smaller dims factor it as up @ down.
     """
     _, right = _lokr_split(layer, factor)
+    return _right_is_whole(right, dim)
+
+
+def _right_is_whole(right: LayerShape, dim: int) -> bool:
     return dim >= min(right.out_dim, right.unrolled_in)
 
 
@@ -612,15 +658,15 @@ def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(dim)
     cls = _FAMILIES[algorithm]
-    whole = cls is LokrAdapter and not tucker and lokr_is_full(layer, dim, factor)
-    shapes = cls._shapes(layer, dim, factor, tucker, whole)
+    # one _shapes call: lokr splits the layer once per draw
+    shapes = cls._shapes(layer, dim, factor, tucker, whole=None)
     tensors = {role: rng.normal(0.0, std, size=shapes[role])
                for role in cls.DRAW_ORDER if role in shapes}
     if zero_init:
         # zeroed after it is drawn, so the later draws do not move
         zeroed = next(role for role in cls.ZEROED if role in tensors)
         tensors[zeroed] = np.zeros_like(tensors[zeroed])
-    return _from_tensors(algorithm, layer, scale, factor, tensors)
+    return _from_tensors(algorithm, layer, scale, factor, tensors, want=shapes)
 
 
 def init_adapter(algorithm: str, layer: LayerShape, dim: int, alpha: float,
@@ -765,7 +811,7 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     if dim is None:
         dim = min(right.out_dim, right.unrolled_in)
     scale = MergeScale(alpha=float(dim), dim=dim)
-    if lokr_is_full(layer, dim, factor):
+    if _right_is_whole(right, dim):
         return LokrAdapter(layer, scale, factor, c, w2=right_vec.reshape(right.delta_shape))
     up, down = _fit_block(right, right_vec, dim)
     return LokrAdapter(layer, scale, factor, c, up=up, down=down)

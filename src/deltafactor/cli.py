@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
+import math
 import sys
 
 from . import metrics, optim_harness
@@ -27,7 +29,6 @@ from .adapters import (
     ModelMeta,
     init_model,
     max_rank_bound,
-    merge,
     nkp_fit_lokr,
     param_count,
     reconstruct,
@@ -42,7 +43,7 @@ from .features import (
     write_category_scores,
     write_scores,
 )
-from .weightfile import load_dense, load_weights, save_dense, save_weights
+from .weightfile import load_weights, open_dense, save_dense, save_weights
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
 
@@ -120,55 +121,67 @@ def _cmd_adapter_info(args) -> int:
 
 def _cmd_adapter_reconstruct(args) -> int:
     model = load_weights(args.weights)
-    entries = {name: (ad.layer, ad.scale.gamma * reconstruct(ad))
-               for name, ad in model.entries.items()}
-    save_dense(entries, args.out, algorithm="delta", meta=model.meta)
-    print(f"wrote {len(entries)} dense deltas to {args.out}")
+
+    def delta(ad):
+        # gamma * delta, scaled in the array reconstruct makes
+        d = reconstruct(ad)
+        d *= ad.scale.gamma
+        return d
+    save_dense({name: (ad.layer, functools.partial(delta, ad)) for name, ad in model.entries.items()},
+               args.out, algorithm="delta", meta=model.meta)
+    print(f"wrote {len(model.entries)} dense deltas to {args.out}")
     return 0
 
 
 def _cmd_adapter_merge(args) -> int:
     model = load_weights(args.weights)
-    base_meta, base = load_dense(args.base)
-    if base_meta.algorithm != "dense":
-        raise ValueError(
-            f"--base must hold dense weights, got a {base_meta.algorithm!r} file")
-    for name, ad in model.entries.items():
-        if name not in base:
-            raise ValueError(f"adapter layer {name!r} is missing from the base")
-        if base[name][0] != ad.layer:
+    if not math.isfinite(args.weight):
+        raise ValueError(f"merge weight must be finite, got {args.weight}")
+    with open_dense(args.base) as (base_meta, base):
+        if base_meta.algorithm != "dense":
             raise ValueError(
-                f"layer {name!r}: adapter geometry {ad.layer} does not match "
-                f"base geometry {base[name][0]}")
-    merged = {}
-    for name, (shape, w0) in base.items():
-        if name in model.entries:
-            merged[name] = (shape, merge(model.entries[name], w0, args.weight))
-        else:
-            merged[name] = (shape, w0)
-    save_dense(merged, args.out, algorithm="dense")
+                f"--base must hold dense weights, got a {base_meta.algorithm!r} file")
+        for name, ad in model.entries.items():
+            if name not in base:
+                raise ValueError(f"adapter layer {name!r} is missing from the base")
+            if base[name][0] != ad.layer:
+                raise ValueError(
+                    f"layer {name!r}: adapter geometry {ad.layer} does not match "
+                    f"base geometry {base[name][0]}")
+
+        def merged(ad, read):
+            # merge()'s w0 + (lam * gamma) * delta, formed in the delta's own
+            # array from the base layer's float32 values
+            d = reconstruct(ad)
+            d *= args.weight * ad.scale.gamma
+            d += read()
+            return d
+        # layers only in the base are copied through as read
+        save_dense({name: (shape, functools.partial(merged, model.entries[name], read)
+                           if name in model.entries else read)
+                    for name, (shape, read) in base.items()}, args.out, algorithm="dense")
     print(f"merged {len(model.entries)} layers at weight {args.weight!r} "
           f"into {args.out}")
     return 0
 
 
 def _cmd_adapter_fit(args) -> int:
-    meta_in, entries = load_dense(args.delta)
-    if meta_in.algorithm != "delta":
-        raise ValueError(
-            f"--delta must hold weight deltas, got a {meta_in.algorithm!r} file")
-    if args.algo == "lora" and args.dim is None:
-        raise ValueError("lora fits require --dim")
-    fits = {}
-    for name, (shape, value) in entries.items():
-        del shape  # geometry travels with the dense array itself
-        try:
-            if args.algo == "lora":
-                fits[name] = svd_fit_lora(value, args.dim)
-            else:
-                fits[name] = nkp_fit_lokr(value, factor=args.factor, dim=args.dim)
-        except ValueError as exc:
-            raise ValueError(f"{args.delta}: layer {name!r}: {exc}") from exc
+    with open_dense(args.delta) as (meta_in, entries):
+        if meta_in.algorithm != "delta":
+            raise ValueError(
+                f"--delta must hold weight deltas, got a {meta_in.algorithm!r} file")
+        if args.algo == "lora" and args.dim is None:
+            raise ValueError("lora fits require --dim")
+        fits = {}
+        # one delta is read at a time; the fits copy it to float64
+        for name, (_, read) in entries.items():
+            try:
+                if args.algo == "lora":
+                    fits[name] = svd_fit_lora(read(), args.dim)
+                else:
+                    fits[name] = nkp_fit_lokr(read(), factor=args.factor, dim=args.dim)
+            except ValueError as exc:
+                raise ValueError(f"{args.delta}: layer {name!r}: {exc}") from exc
     dim = args.dim if args.dim is not None else max(
         ad.scale.dim for ad in fits.values())
     meta = ModelMeta(algorithm=args.algo, dim=dim, alpha=float(dim),

@@ -291,20 +291,24 @@ def load_scores(path) -> list[ScoreRecord]:
     """Read a score CSV with the fixed SCORE_COLUMNS header."""
     records = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        rows = list(csv.reader(text for _, text in _text_lines(path, fh)))
-    if not rows or tuple(rows[0]) != SCORE_COLUMNS:
-        raise FeatureFileError(
-            f"{path}: header must be {','.join(SCORE_COLUMNS)}")
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(SCORE_COLUMNS):
+        reader = csv.reader(text for _, text in _text_lines(path, fh))
+        if tuple(next(reader, ())) != SCORE_COLUMNS:
             raise FeatureFileError(
-                f"{path}: line {line_no}: expected {len(SCORE_COLUMNS)} columns, "
-                f"got {len(row)}")
-        try:
-            records.append(ScoreRecord(**{LABEL_FIELDS.get(column, column): _parse_cell(column, cell)
-                                          for column, cell in zip(SCORE_COLUMNS, row)}))
-        except ValueError as exc:
-            raise FeatureFileError(f"{path}: line {line_no}: {exc}") from None
+                f"{path}: header must be {','.join(SCORE_COLUMNS)}")
+        # a quoted newline spreads a row over several lines: each error names
+        # the line its row starts on
+        line_no = reader.line_num + 1
+        for row in reader:
+            if len(row) != len(SCORE_COLUMNS):
+                raise FeatureFileError(
+                    f"{path}: line {line_no}: expected {len(SCORE_COLUMNS)} columns, "
+                    f"got {len(row)}")
+            try:
+                records.append(ScoreRecord(**{LABEL_FIELDS.get(column, column): _parse_cell(column, cell)
+                                              for column, cell in zip(SCORE_COLUMNS, row)}))
+            except ValueError as exc:
+                raise FeatureFileError(f"{path}: line {line_no}: {exc}") from None
+            line_no = reader.line_num + 1
     if not records:
         raise FeatureFileError(f"{path}: no score rows")
     return records

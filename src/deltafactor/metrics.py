@@ -273,29 +273,38 @@ class ScoreRecord:
     higher_is_better: bool = True
 
     def __post_init__(self):
-        for field in ("checkpoint", "category", "class_name", "subclass", "prompt_type", "metric"):
-            _check_label(getattr(self, field), field, optional=field == "subclass")
-        value = self.value
-        try:  # math.isfinite overflows on an int beyond float64 range
-            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                      and math.isfinite(value))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"value must be a finite number, got {value!r}")
+        _check_score(self, ("checkpoint", "category", "class_name", "subclass", "prompt_type",
+                            "metric"))
         if not isinstance(self.higher_is_better, bool):
             raise ValueError(f"higher_is_better must be a bool, got {self.higher_is_better!r}")
 
 
+def _check_score(record, labels) -> None:
+    """The rule of every score row: each label a non-empty string (subclass may be None), a finite value."""
+    for field in labels:
+        _check_label(getattr(record, field), field, optional=field == "subclass")
+    value = record.value
+    try:  # math.isfinite overflows on an int beyond float64 range
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"value must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CategoryScore:
-    """Aggregated per-category value for one checkpoint and metric."""
+    """Aggregated per-category value for one checkpoint and metric; checked when built."""
 
     checkpoint: str
     category: str
     prompt_type: str
     metric: str
     value: float
+
+    def __post_init__(self):
+        _check_score(self, ("checkpoint", "category", "prompt_type", "metric"))
 
 
 def rank_normalize(records) -> list[ScoreRecord]:

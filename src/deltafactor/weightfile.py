@@ -12,31 +12,43 @@ ComplexInputError rather than dropping its imaginary part. A value that is
 not finite once cast to float32 (NaN, inf, or of magnitude 2^128 - 2^103 or
 more) raises WeightFileError, as loading would refuse it.
 
-Saving writes only what loading accepts and checks it all before the file
-is opened, so every refusal leaves the target as it was: the metadata gets
-the reader's own check, and save_weights assembles each layer as
-load_weights will, keeping its gamma. It then writes the header and casts
-each tensor, one after another, into one reused float32 buffer that it
-writes from: a save holds the model plus one tensor in memory.
+Both writers go through one writer, which writes only what loading
+accepts. It builds the header from the tensors' shapes alone, after the
+metadata gets the reader's own check. It writes into a new temporary file
+beside the target, created with the mode a plain open(path, "wb") would
+give (an existing target's mode is kept), and casts each tensor, as it
+reaches it, into one reused float32 buffer, where it refuses a tensor that
+is not finite. Only a complete file replaces the target (os.replace); any
+refusal removes the temporary file, so the target keeps its bytes. An
+existing target that is not a regular file is refused before anything is
+written. save_weights checks each layer as load_weights will assemble it:
+its roles and shapes under the model's metadata, and its gamma against
+alpha / dim. save_dense takes each tensor as an array or as a function
+that makes it when the writer reaches it, so a command that streams its
+layers holds one layer at a time.
 
 Loading reads the 8-byte prefix and the header, and checks the whole
 declared layout before it reads a payload byte: distinct layer names, and
 tensor spans that tile the payload with no overlap, gap or trailing byte.
-It then reads each tensor's span, in header order, into one float32 buffer
-sized to the largest tensor, checks it for finiteness there and casts it
-once to a new float64 array. The file is never held whole and must be
-seekable: a pipe raises OSError (ESPIPE) naming it. One that shrinks while
-it is read ends a read short and raises TruncatedPayloadError. Every
-failure raises a WeightFileError subclass carrying the byte position, and
-no read ever leaves the declared bounds.
+It then reads each tensor's span, on demand, into one float32 buffer sized
+to the largest tensor and checks it for finiteness there; load_weights and
+load_dense cast each once to a new float64 array, in header order, and
+open_dense hands out one reader per layer. The file is never held whole
+and must be seekable: a pipe raises OSError (ESPIPE) naming it. One that
+shrinks while it is read ends a read short and raises
+TruncatedPayloadError. Every failure raises a WeightFileError subclass
+carrying the byte position, and no read ever leaves the declared bounds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import functools
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import asdict, replace
 
@@ -57,6 +69,7 @@ __all__ = [
     "load_weights",
     "save_dense",
     "load_dense",
+    "open_dense",
 ]
 
 MAGIC = b"LWU1"
@@ -88,11 +101,6 @@ class OffsetOverlapError(WeightFileError):
     pass
 
 
-# the float32 rounding midpoint above the largest float32: a value of this
-# magnitude or more casts to inf, anything below it stays finite
-_F32_LIMIT = 2.0 ** 128 - 2.0 ** 103
-
-
 def _json_int(value) -> int:
     # numpy integers, which LayerShape and MergeScale accept, are JSON integers
     if isinstance(value, np.integer):
@@ -100,36 +108,29 @@ def _json_int(value) -> int:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> bytes:
-    """The JSON header; the payload packs the tensors in this order.
+def _header(meta: ModelMeta, layout) -> bytes:
+    """The JSON header of layout; the payload packs the tensors in its order.
 
-    Every refusal of the container happens here, before a file is opened:
-    the metadata gets the reader's own check, on the JSON it will read.
+    The metadata gets the reader's own check, on the JSON it will read.
     """
     meta_fields = asdict(meta)
     _parse_meta(json.loads(json.dumps(meta_fields, default=_json_int)))
     offset = 0
     layer_entries = []
-    for name, shape, tensors in layers:
+    for name, shape, roles in layout:
         if not isinstance(name, str):
             raise MalformedHeaderError(f"layer name {name!r} is not a string", 8)
         tensor_entries = []
-        for role, value in tensors.items():
-            if value.dtype.kind == "c":
-                raise ComplexInputError(
-                    f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
-            # NaN fails both comparisons
-            if not (value.min() > -_F32_LIMIT and value.max() < _F32_LIMIT):
-                raise WeightFileError(
-                    f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
+        for role, tshape in roles.items():
+            length = 4 * math.prod(tshape)
             tensor_entries.append({
                 "role": role,
-                "shape": list(value.shape),
+                "shape": list(tshape),
                 "dtype": "f4",
                 "byte_offset": offset,
-                "byte_length": 4 * value.size,
+                "byte_length": length,
             })
-            offset += 4 * value.size
+            offset += length
         layer_entries.append({
             "name": name,
             "kind": shape.kind,
@@ -140,18 +141,77 @@ def _header(meta: ModelMeta, layers: list[tuple[str, LayerShape, dict]]) -> byte
     return json.dumps(header, sort_keys=True, default=_json_int).encode("utf-8")
 
 
-def _write(path, header: bytes, layers: list[tuple[str, LayerShape, dict]]) -> None:
-    # each tensor is cast into one float32 buffer and written from it
-    buf = np.empty(max((v.size for _, _, t in layers for v in t.values()), default=0), "<f4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for _, _, tensors in layers:
-            for value in tensors.values():
-                f4 = buf[:value.size]
-                np.copyto(f4.reshape(value.shape), value, casting="unsafe")
-                fh.write(f4)
+def _create_beside(target: str) -> tuple[str, int]:
+    """A new file in target's directory, made as open(target, "wb") makes one: 0o666 less the umask."""
+    directory, base = os.path.split(target)
+    while True:
+        tmp = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+def _as_f32(buf: np.ndarray, name, role: str, shape: tuple, value) -> np.ndarray:
+    """value cast into the front of buf, refused unless it is real, of shape and finite there."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        raise ComplexInputError(
+            f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
+    if value.shape != shape:
+        raise ValueError(f"layer {name!r} tensor {role!r}: array shape {value.shape} != {shape}")
+    f4 = buf[:value.size]
+    # the cast rounds a value of magnitude 2^128 - 2^103 or more to inf and
+    # keeps anything below it finite, so this is the reader's own test
+    with np.errstate(over="ignore"):
+        np.copyto(f4.reshape(shape), value, casting="unsafe")
+    if not np.all(np.isfinite(f4)):
+        raise WeightFileError(
+            f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
+    return f4
+
+
+def _write(path, meta: ModelMeta, layout, values) -> None:
+    """Write the container of layout, [(name, LayerShape, {role: shape})], and its values.
+
+    values yields one array per tensor of layout, in its order, each made
+    only when the writer reaches it. The bytes go to a temporary file that
+    replaces the target once complete; a refusal removes it instead.
+    """
+    header = _header(meta, layout)
+    # a symlinked target is written through, as open(path, "wb") writes it
+    target = os.path.realpath(os.fsdecode(path))
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise OSError(errno.EISDIR if stat.S_ISDIR(mode) else errno.EINVAL,
+                      "target exists and is not a regular file", os.fsdecode(path))
+    slots = [(name, role, tuple(tshape)) for name, _, roles in layout
+             for role, tshape in roles.items()]
+    buf = np.empty(max((math.prod(tshape) for *_, tshape in slots), default=0), "<f4")
+    tmp, fd = _create_beside(target)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            # next() hands each value straight to the cast, so no reference
+            # to it outlives its write while the next one is made
+            values = iter(values)
+            for name, role, tshape in slots:
+                fh.write(_as_f32(buf, name, role, tshape, next(values)))
+            # resumed past its last value, a generator runs what follows it
+            for _ in values:
+                raise ValueError("more values than the layout has tensors")
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_weights(model: AdapterModel, path) -> None:
@@ -162,34 +222,42 @@ def save_weights(model: AdapterModel, path) -> None:
     meta = model.meta
     if meta.algorithm in _DENSE_ALGORITHMS:
         raise ValueError("use save_dense for dense tensor files")
-    layers = [(name, ad.layer, ad.tensors()) for name, ad in model.entries.items()]
-    header = _header(meta, layers)
-    for (name, shape, tensors), ad in zip(layers, model.entries.values()):
-        gamma = _assemble_adapter(meta, shape, tensors).scale.gamma
-        if gamma != ad.scale.gamma:
-            raise MalformedHeaderError(f"layer {name!r} has gamma {ad.scale.gamma!r} but would "
-                                       f"load with the model's alpha / dim = {gamma!r}", 8)
-    _write(path, header, layers)
+    layout = [(name, ad.layer, {role: t.shape for role, t in ad.tensors().items()})
+              for name, ad in model.entries.items()]
+
+    def tensors():
+        # once its tensors are written, each layer is checked as load_weights
+        # will assemble it, from its shapes and gamma: nothing is built
+        gamma = MergeScale(meta.alpha, meta.dim).gamma
+        for (name, shape, shapes), ad in zip(layout, model.entries.values()):
+            yield from ad.tensors().values()
+            try:
+                adapters._check_layout(meta.algorithm, shape, meta.dim, meta.factor, shapes)
+            except ValueError as exc:
+                raise MalformedHeaderError(f"inconsistent adapter tensors: {exc}", 8)
+            if ad.scale.gamma != gamma:
+                raise MalformedHeaderError(f"layer {name!r} has gamma {ad.scale.gamma!r} but would "
+                                           f"load with the model's alpha / dim = {gamma!r}", 8)
+
+    _write(path, meta, layout, tensors())
 
 
 def save_dense(entries, path, algorithm: str = "delta",
                meta: ModelMeta | None = None) -> None:
-    """Serialize named dense tensors ({name: (LayerShape, array)}).
+    """Serialize named dense tensors ({name: (LayerShape, value)}).
 
     algorithm 'delta' marks weight deltas, 'dense' full weights; the single
-    tensor per layer takes the matching role name.
+    tensor per layer takes the matching role name. A value is an array, or a
+    function of no arguments that returns one when the writer reaches its
+    layer, so that a caller need hold only one layer at a time.
     """
     if algorithm not in _DENSE_ALGORITHMS:
         raise ValueError(f"dense algorithm must be one of {sorted(_DENSE_ALGORITHMS)}")
     role = _DENSE_ALGORITHMS[algorithm]
     meta = replace(meta or ModelMeta(algorithm, dim=1, alpha=1.0), algorithm=algorithm)
-    layers = []
-    for name, (shape, value) in entries.items():
-        arr = np.asarray(value)
-        if arr.shape != shape.delta_shape:
-            raise ValueError(f"layer {name!r}: array shape {arr.shape} != {shape.delta_shape}")
-        layers.append((name, shape, {role: arr}))
-    _write(path, _header(meta, layers), layers)
+    layout = [(name, shape, {role: shape.delta_shape}) for name, (shape, _) in entries.items()]
+    values = (value() if callable(value) else value for _, value in entries.values())
+    _write(path, meta, layout, values)
 
 
 def _require_key(entry: dict, key: str, kinds, where: str):
@@ -231,7 +299,13 @@ def _parse_meta(header: dict) -> ModelMeta:
     return meta
 
 
-def _parse_container(fh):
+def _read_layout(fh):
+    """(meta, layers, payload start) of an open file whose whole declared layout holds.
+
+    layers is [(name, LayerShape, {role: (shape, offset, where)})]. Every
+    check of the header and of the spans runs here, before a payload byte
+    is read.
+    """
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
     prefix = fh.read(8)
@@ -288,7 +362,7 @@ def _parse_container(fh):
                 raise TruncatedPayloadError(
                     f"{twhere} spans [{offset}, {offset + length}) past payload "
                     f"end {payload_len}", payload_base + payload_len)
-            tensors[role] = (tshape, offset, twhere)
+            tensors[role] = (tuple(tshape), offset, twhere)
             spans.append((offset, offset + length, twhere))
         layers.append((name, shape, tensors))
     if len({name for name, _, _ in layers}) != len(layers):
@@ -304,31 +378,41 @@ def _parse_container(fh):
         end, before = stop, where
     if end < payload_len:
         raise WeightFileError(f"{payload_len - end} trailing payload bytes", payload_base + end)
-    # the layout holds, so each entry is replaced by its tensor: read at its
-    # offset into one buffer sized to the largest, checked there, cast from it
-    buf = np.empty(max((stop - start for start, stop, _ in spans), default=0) // 4, "<f4")
-    for _, _, tensors in layers:
-        for role, (tshape, offset, twhere) in tensors.items():
-            f4 = buf[:math.prod(tshape)]
-            fh.seek(payload_base + offset)
-            got = fh.readinto(f4)
-            if got < f4.nbytes:
-                raise TruncatedPayloadError(
-                    f"{twhere} ends {f4.nbytes - got} bytes short: the file shrank while "
-                    f"it was read", payload_base + offset + got)
-            if not np.all(np.isfinite(f4)):
-                raise WeightFileError(f"{twhere} holds non-finite values",
-                                      payload_base + offset)
-            tensors[role] = f4.astype(np.float64).reshape(tshape)
-    return meta, layers
+    return meta, layers, payload_base
 
 
-def _read(path):
+def _read_tensor(fh, buf: np.ndarray, payload_base: int, span) -> np.ndarray:
+    """One tensor's float32 values, read at its offset into buf and checked finite there.
+
+    The result is a view of buf, valid until the next read into it.
+    """
+    tshape, offset, where = span
+    f4 = buf[:math.prod(tshape)]
+    fh.seek(payload_base + offset)
+    got = fh.readinto(f4)
+    if got < f4.nbytes:
+        raise TruncatedPayloadError(
+            f"{where} ends {f4.nbytes - got} bytes short: the file shrank while "
+            f"it was read", payload_base + offset + got)
+    if not np.all(np.isfinite(f4)):
+        raise WeightFileError(f"{where} holds non-finite values", payload_base + offset)
+    return f4.reshape(tshape)
+
+
+@contextlib.contextmanager
+def _open(path):
+    """(meta, layers, read) of a file whose layout holds; read(span) reads one tensor.
+
+    Every read goes into one float32 buffer sized to the largest tensor.
+    """
     with open(path, "rb") as fh:
         # the tensors are read at their offsets
         if not fh.seekable():
             raise OSError(errno.ESPIPE, os.strerror(errno.ESPIPE), str(path))
-        return _parse_container(fh)
+        meta, layers, payload_base = _read_layout(fh)
+        buf = np.empty(max((math.prod(tshape) for _, _, spans in layers
+                            for tshape, _, _ in spans.values()), default=0), "<f4")
+        yield meta, layers, functools.partial(_read_tensor, fh, buf, payload_base)
 
 
 def _assemble_adapter(meta: ModelMeta, shape: LayerShape, tensors: dict):
@@ -341,30 +425,45 @@ def _assemble_adapter(meta: ModelMeta, shape: LayerShape, tensors: dict):
 
 def load_weights(path) -> AdapterModel:
     """Parse an adapter model file; see the module docstring for the format."""
-    meta, layers = _read(path)
-    if meta.algorithm in _DENSE_ALGORITHMS:
-        raise WeightFileError(
-            f"file holds dense {meta.algorithm!r} tensors; use load_dense", 8)
-    entries = {name: _assemble_adapter(meta, shape, tensors)
-               for name, shape, tensors in layers}
+    with _open(path) as (meta, layers, read):
+        if meta.algorithm in _DENSE_ALGORITHMS:
+            raise WeightFileError(
+                f"file holds dense {meta.algorithm!r} tensors; use load_dense", 8)
+        entries = {name: _assemble_adapter(meta, shape, {role: read(span).astype(np.float64)
+                                                         for role, span in spans.items()})
+                   for name, shape, spans in layers}
     return AdapterModel(meta=meta, entries=entries)
+
+
+@contextlib.contextmanager
+def open_dense(path):
+    """Open a dense tensor file -> (meta, {name: (LayerShape, read)}), no payload read yet.
+
+    The file gets every check load_dense makes of its layout before this
+    returns. read() reads that layer's float32 tensor and checks it is
+    finite; its values live in a buffer that the next read() reuses, so a
+    caller holds one layer at a time.
+    """
+    with _open(path) as (meta, layers, read):
+        if meta.algorithm not in _DENSE_ALGORITHMS:
+            raise WeightFileError(
+                f"file holds a {meta.algorithm!r} adapter model; use load_weights", 8)
+        role = _DENSE_ALGORITHMS[meta.algorithm]
+        entries = {}
+        for name, shape, spans in layers:
+            if set(spans) != {role}:
+                raise MalformedHeaderError(
+                    f"dense layer {name!r} must hold exactly one {role!r} tensor", 8)
+            tshape = spans[role][0]
+            if tshape != shape.delta_shape:
+                raise MalformedHeaderError(
+                    f"dense layer {name!r} tensor shape {tshape} != {shape.delta_shape}", 8)
+            entries[name] = (shape, functools.partial(read, spans[role]))
+        yield meta, entries
 
 
 def load_dense(path):
     """Parse a dense tensor file -> (meta, {name: (LayerShape, array)})."""
-    meta, layers = _read(path)
-    if meta.algorithm not in _DENSE_ALGORITHMS:
-        raise WeightFileError(
-            f"file holds a {meta.algorithm!r} adapter model; use load_weights", 8)
-    role = _DENSE_ALGORITHMS[meta.algorithm]
-    entries = {}
-    for name, shape, tensors in layers:
-        if set(tensors) != {role}:
-            raise MalformedHeaderError(
-                f"dense layer {name!r} must hold exactly one {role!r} tensor", 8)
-        value = tensors[role]
-        if value.shape != shape.delta_shape:
-            raise MalformedHeaderError(
-                f"dense layer {name!r} tensor shape {value.shape} != {shape.delta_shape}", 8)
-        entries[name] = (shape, value)
-    return meta, entries
+    with open_dense(path) as (meta, entries):
+        return meta, {name: (shape, read().astype(np.float64))
+                      for name, (shape, read) in entries.items()}

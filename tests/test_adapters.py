@@ -179,6 +179,15 @@ class TestReconstruct:
         np.testing.assert_array_equal(ad.reconstruct(adapter),
                                       adapter.up @ adapter.down)
 
+    @pytest.mark.parametrize("form", all_forms(), ids=lambda f: f"{f[0]}-{f[1].kind}-{f[2]}-{f[3]}-{f[4]}")
+    def test_delta_is_a_new_array(self, form):
+        # callers may scale it in place, as the adapter commands do
+        algorithm, layer, dim, factor, tucker = form
+        adapter = ad.random_adapter(algorithm, layer, dim, 1.0, factor=factor, tucker=tucker, seed=1)
+        delta = ad.reconstruct(adapter)
+        assert not any(np.shares_memory(delta, t) for t in adapter.tensors().values())
+        assert not np.shares_memory(delta, ad.reconstruct(adapter))
+
     def test_loha_is_hadamard_of_branches(self):
         adapter = ad.random_adapter("loha", LINEAR_RECT, 3, alpha=3.0, seed=3)
         want = (adapter.up1 @ adapter.down1) * (adapter.up2 @ adapter.down2)
@@ -716,6 +725,16 @@ class TestLokrFactorDims:
         layer = ad.LayerShape("linear", 64, 64)
         assert ad.lokr_is_full(layer, 8, 8)
         assert not ad.lokr_is_full(layer, 7, 8)
+
+
+    @pytest.mark.parametrize("tucker", [False, True], ids=["plain", "tucker"])
+    def test_a_draw_splits_the_layer_once(self, monkeypatch, tucker):
+        # the draw's shapes are the ones its construction checks against
+        calls = []
+        split = ad.lokr_factor_dims
+        monkeypatch.setattr(ad, "lokr_factor_dims", lambda *args: calls.append(args) or split(*args))
+        ad.random_adapter("lokr", ad.LayerShape("conv2d", 8, 4, 3), 2, 1.0, factor=4, tucker=tucker)
+        assert calls == [(8, 4), (4, 4)]
 
 
 class TestSvdFitLora:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -131,6 +132,47 @@ class TestAdapterFlow:
         want = want.astype("<f4").astype(np.float64)
         np.testing.assert_array_equal(merged["a"][1], want)
         np.testing.assert_array_equal(merged["frozen"][1], np.eye(3))
+
+    # sha256 of each output of a seeded pipeline, from the commands as they
+    # were when each loaded its input whole and saved its output whole
+    PINNED = {
+        "delta_lora": "ef6064e7b84ced58d5fc9689ebadb28c494b35633fd0a86bf3ad0d202c4f223d",
+        "merged_lora": "76e333920a7b7398778dcd90a882e67304a0065bb1843fd4cfef3b68bf9bccbe",
+        "delta_loha": "c023bac3f71b5d4e51c43db58f5031588226fc7d9d41124df5a6db6710101fce",
+        "merged_loha": "4bb17c0cafb13752d83f1cc4f53767effcd07e6395b70af6976fb5d04d8356ef",
+        "delta_lokr": "9bb315a7fa8dda7df0ab88474e6b4db5da76ad8dd592ec839fc918093aee2d59",
+        "merged_lokr": "1d3c07aef50f4a81293513e7e5ede0ddb6e0bbbe5b605cbece23b8312fe2e847",
+        "fit_lora": "8e81ccbd97489411347f6b58bee57ae834ee06ccd8fd4340de03eef4bc1b9a0d",
+        "fit_lokr": "e256a8a902d2ece6e553346224e04a330a3e2d63f23818f82bc7d14405266397",
+    }
+
+    def test_streamed_outputs_match_pinned_digests(self, tmp_path, capsys):
+        layers = [("attn.q", ad.LayerShape("linear", 12, 8)),
+                  ("attn.o", ad.LayerShape("linear", 8, 12)),
+                  ("conv", ad.LayerShape("conv2d", 6, 4, 3))]
+        rng = np.random.default_rng(2024)
+        base = {name: (shape, rng.standard_normal(shape.delta_shape)) for name, shape in layers}
+        base["frozen"] = (ad.LayerShape("linear", 5, 3), rng.standard_normal((5, 3)))
+        save_dense(base, tmp_path / "base.lwu", algorithm="dense")
+        argvs = {}
+        for i, fam in enumerate(ad.ALGORITHMS):
+            entries = {name: ad.random_adapter(fam, shape, 2, 3.0, tucker=shape.kind == "conv2d",
+                                               seed=10 * i + j)
+                       for j, (name, shape) in enumerate(layers)}
+            weights = tmp_path / f"{fam}.lwu"
+            save_weights(ad.AdapterModel(ad.ModelMeta(fam, 2, 3.0), entries), weights)
+            argvs[f"delta_{fam}"] = ["adapter", "reconstruct", "--weights", str(weights)]
+            argvs[f"merged_{fam}"] = ["adapter", "merge", "--weights", str(weights),
+                                      "--base", str(tmp_path / "base.lwu"), "--weight", "0.7"]
+        for fam in ("lora", "lokr"):
+            argvs[f"fit_{fam}"] = ["adapter", "fit", "--algo", fam, "--dim", "2",
+                                   "--delta", str(tmp_path / f"delta_{fam}.lwu")]
+        digests = {}
+        for out, argv in argvs.items():
+            path = tmp_path / f"{out}.lwu"
+            assert run(capsys, *argv, "--out", str(path))[0] == 0
+            digests[out] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.PINNED
 
     def test_merge_rejects_missing_layer(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 6, 4)

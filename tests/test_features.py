@@ -436,6 +436,18 @@ class TestScoreTables:
                            match=f"s.csv: line 3: {field} must be a non-empty string, got ''"):
             ft.load_scores(path)
 
+    @pytest.mark.parametrize("rows, line", [
+        (['"ck\n1",a,c,,p,m,0.5,true', "ck,a,c,,p,m,inf,true"], 4),
+        (['"ck\n1",a,c,,p,m,inf,true'], 2),
+    ], ids=["after-a-two-line-row", "on-a-two-line-row"])
+    def test_error_names_the_line_its_row_starts_on(self, tmp_path, rows, line):
+        # a quoted newline spreads a row over two lines, so rows and lines part
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join([",".join(ft.SCORE_COLUMNS), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ft.FeatureFileError,
+                           match=f"s.csv: line {line}: value must be a finite number, got inf"):
+            ft.load_scores(path)
+
     def test_empty_subclass_is_none(self, tmp_path):
         path = tmp_path / "s.csv"
         ft.write_scores([score(subclass=None)], path)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltafactor import metrics as mt
+from deltafactor.features import write_category_scores
 from deltafactor.tensor_core import SYM_EIG_MAX_SIZE, ComplexInputError, ShapeError
 
 E1 = [1.0, 0.0]
@@ -454,6 +455,37 @@ class TestScoreRecord:
             yield make_record("b", **{"value": 2.0, **overrides})
         with pytest.raises(ValueError, match=re.escape(message)):
             consume(records())
+
+
+class TestCategoryScore:
+    """A category row is checked by the rule of the score rows it rolls up."""
+
+    FIELDS = dict(checkpoint="a", category="cat", prompt_type="plain", metric="m", value=1.0)
+
+    def test_refused_row_is_never_written(self, tmp_path):
+        # once written as the row ",a,,m,nan"
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match="checkpoint must be a non-empty string, got ''"):
+            write_category_scores([mt.CategoryScore("", "a", None, "m", float("nan"))], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", ["", None, 3], ids=["empty", "none", "int"])
+    @pytest.mark.parametrize("field", ["checkpoint", "category", "prompt_type", "metric"])
+    def test_refuses_each_bad_label(self, field, label):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a non-empty string, got {label!r}")):
+            mt.CategoryScore(**{**self.FIELDS, field: label})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.5", 10 ** 400],
+                             ids=["nan", "inf", "bool", "str", "huge-int"])
+    def test_refuses_a_value_that_is_not_a_finite_number(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"value must be a finite number, got {value!r}")):
+            mt.CategoryScore(**{**self.FIELDS, "value": value})
+
+    def test_a_mean_beyond_float_range_is_refused(self):
+        # both values are finite, their mean overflows to inf
+        big = float(np.finfo(np.float64).max)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="value must be a finite number, got inf"):
+            mt.aggregate_scores([make_record("a", big), make_record("a", big, class_name="other")])
 
 
 class TestRankNormalize:

@@ -9,6 +9,7 @@ import pytest
 
 from deltafactor import adapters as ad
 from deltafactor import weightfile as wf
+from deltafactor.cli import cli_dispatch
 from deltafactor.tensor_core import ComplexInputError
 
 LINEAR = ad.LayerShape("linear", 4, 6)
@@ -208,7 +209,7 @@ class TestDenseFiles:
 
 
 class TestWritersWriteOnlyWhatLoads:
-    """A file the writers refuse is never opened; every file they write loads."""
+    """A save the writers refuse leaves no file; every file they write loads."""
 
     @pytest.mark.parametrize("meta,message", [
         (ad.ModelMeta("lora", 0, 1.0), "invalid metadata: dim"),
@@ -244,6 +245,13 @@ class TestWritersWriteOnlyWhatLoads:
         wf.save_weights(model, tmp_path / "m.lwu")
         loaded = wf.load_weights(tmp_path / "m.lwu")
         assert all(adapter.scale.gamma == 1.0 for adapter in loaded.entries.values())
+
+    def test_save_checks_layers_without_building_them(self, tmp_path, monkeypatch):
+        model = build_model("lokr", factor=2, tucker=True, seed=5)
+        monkeypatch.setattr(ad, "_from_tensors", lambda *args: pytest.fail("an adapter was built"))
+        wf.save_weights(model, tmp_path / "m.lwu")
+        monkeypatch.undo()
+        assert wf.load_weights(tmp_path / "m.lwu").meta == model.meta
 
     def test_layer_names_must_be_strings(self, tmp_path):
         path = tmp_path / "m.lwu"
@@ -758,3 +766,98 @@ class TestWriterRefusesNonFinite:
         with pytest.raises(wf.WeightFileError, match="'blk0.attn' tensor 'down' holds values"):
             wf.save_weights(model, path)
         assert path.read_bytes() == b"kept"
+
+
+class TestWritesReplaceTheTargetWhole:
+    """A write goes to a temporary file beside the target and replaces it only when complete."""
+
+    @staticmethod
+    def merge_files(tmp_path, base_b):
+        # base layer "a" only in the base, then "b" with an adapter whose delta
+        # is 2 everywhere. "a" is larger than the reader's buffer, so the
+        # bytes of "b" are read from the file when "b" is reached.
+        weights, base, out = tmp_path / "w.lwu", tmp_path / "base.lwu", tmp_path / "out.lwu"
+        adapter = ad.LoraAdapter(LINEAR, ad.MergeScale(2.0, 2), up=np.ones((4, 2)), down=np.ones((2, 6)))
+        wf.save_weights(ad.AdapterModel(ad.ModelMeta("lora", 2, 2.0), {"b": adapter}), weights)
+        big = ad.LayerShape("linear", 64, 64)
+        wf.save_dense({"a": (big, np.ones(big.delta_shape)),
+                       "b": (LINEAR, np.full(LINEAR.delta_shape, base_b))}, base, algorithm="dense")
+        out.write_bytes(b"kept")
+        return weights, base, out
+
+    def test_merged_value_past_float32_in_the_last_layer(self, tmp_path, capsys):
+        weights, base, out = self.merge_files(tmp_path, 3e38)
+        argv = ["adapter", "merge", "--weights", str(weights), "--base", str(base), "--out", str(out)]
+        assert cli_dispatch(argv + ["--weight", "1e38"]) == 1
+        assert ("error: layer 'b' tensor 'weight' holds values that are not finite as float32 (byte 0)"
+                in capsys.readouterr().err)
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == ["base.lwu", "out.lwu", "w.lwu"]
+        # the same merge at a weight that stays in range replaces the target
+        assert cli_dispatch(argv + ["--weight", "1e37"]) == 0
+        np.testing.assert_array_equal(wf.load_dense(out)[1]["b"][1], quantized(np.full((4, 6), 3.2e38)))
+
+    def test_base_payload_truncated_in_a_late_layer(self, tmp_path, monkeypatch, capsys):
+        weights, base, out = self.merge_files(tmp_path, 1.0)
+        size = base.stat().st_size
+        read_layout = wf._read_layout
+
+        def cut_base_after_its_layout(fh):
+            # the layout of the whole file holds; then its last layer loses 8 bytes
+            layout = read_layout(fh)
+            if fh.name == str(base):
+                os.truncate(base, size - 8)
+            return layout
+        monkeypatch.setattr(wf, "_read_layout", cut_base_after_its_layout)
+        code = cli_dispatch(["adapter", "merge", "--weights", str(weights), "--base", str(base),
+                             "--out", str(out)])
+        assert code == 1
+        assert (f"error: layer 1 tensor 0 ends 8 bytes short: the file shrank while it was read "
+                f"(byte {size - 8})") in capsys.readouterr().err
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == ["base.lwu", "out.lwu", "w.lwu"]
+
+    def test_complex_tensor_in_save_dense(self, tmp_path):
+        path = tmp_path / "d.lwu"
+        path.write_bytes(b"kept")
+        made = []
+
+        def complex_delta():
+            made.append("b")
+            return np.full(LINEAR.delta_shape, 1j)
+        entries = {"a": (CONV, np.ones(CONV.delta_shape)), "b": (LINEAR, complex_delta)}
+        with pytest.raises(ComplexInputError, match="layer 'b' tensor 'delta' is complex"):
+            wf.save_dense(entries, path)
+        assert made == ["b"]
+        assert path.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["d.lwu"]
+
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        (tmp_path / "plain").open("wb").close()
+        wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, tmp_path / "d.lwu")
+        assert (tmp_path / "d.lwu").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_existing_target_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "d.lwu"
+        path.write_bytes(b"kept")
+        path.chmod(0o640)
+        wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, path)
+        assert path.stat().st_mode & 0o7777 == 0o640
+        assert wf.load_dense(path)[1]["a"][1].shape == LINEAR.delta_shape
+
+    def test_symlinked_target_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.lwu", tmp_path / "link.lwu"
+        real.write_bytes(b"kept")
+        link.symlink_to(real)
+        wf.save_weights(build_model(), link)
+        assert link.is_symlink()
+        assert wf.load_weights(real).meta == build_model().meta
+
+    def test_target_that_is_not_a_regular_file_is_refused_first(self, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        made = []
+        with pytest.raises(IsADirectoryError, match="target exists and is not a regular file"):
+            wf.save_dense({"a": (LINEAR, lambda: made.append(1))}, target)
+        assert made == []
+        assert os.listdir(tmp_path) == ["dir"]
