@@ -28,6 +28,11 @@ factors and loha and lokr as one convolution with the delta kernel.
 Adapters are immutable; every operation returns new arrays. The merge
 ratio gamma = alpha / dim scales the delta wherever it is applied, but
 never inside reconstruct().
+
+A dense delta takes one layer-sized array: loha multiplies its first
+block into the second's dense array in place, one row block at a time,
+lokr writes its Kronecker product into the array it returns, and merge
+scales and adds into the array reconstruct returns.
 """
 
 from __future__ import annotations
@@ -157,9 +162,9 @@ class _Block:
     Tucker form moves the kernel axes from down to a core. shapes() states
     the layout; the field names are the role names.
 
-    dense and vjp also take factors with leading member axes, all with the
-    same ones (the training harness's stacked runs): each member then runs
-    its own matmuls, bit for bit as alone.
+    dense, rows and vjp also take factors with leading member axes, all
+    with the same ones (the training harness's stacked runs): each member
+    then runs its own matmuls, bit for bit as alone.
     """
 
     geometry: LayerShape
@@ -181,18 +186,23 @@ class _Block:
     def dense(self) -> np.ndarray:
         if self.w2 is not None:
             return self.w2
+        if self.core is None and self.geometry.kind == "linear":
+            return self.up @ self.down
+        lead = self.up.shape[:-2]
+        return self.rows(0, self.geometry.out_dim).reshape(*lead, *self.geometry.delta_shape)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of dense() of a factored block, unrolled to (..., hi - lo, -1).
+
+        The unrolled form takes up[lo:hi] into its matmul; the Tucker form
+        slices the whole up @ core, so each of its rows is as in dense().
+        """
         lead, r = self.up.shape[:-2], self.up.shape[-1]
         if self.core is not None:
             # B[o, i, ab] = sum_t down[t, i] (up @ core)[o, t, ab]: one matmul per mode
             down_t = self.down.swapaxes(-1, -2)[..., None, :, :]
-            return np.matmul(down_t, self._up_core()).reshape(*lead, *self.geometry.delta_shape)
-        if self.geometry.kind == "linear":
-            # the product itself, not a reshaped view of it: numpy reuses the
-            # buffer of a temporary operand (loha's B1 * B2, merge's scaling)
-            # only when that operand owns its data
-            return self.up @ self.down
-        flat = self.up @ self.down.reshape(*lead, r, -1)
-        return flat.reshape(*lead, *self.geometry.delta_shape)
+            return np.matmul(down_t, self._up_core()[..., lo:hi, :, :]).reshape(*lead, hi - lo, -1)
+        return self.up[..., lo:hi, :] @ self.down.reshape(*lead, r, -1)
 
     def vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the stored tensors given g = dL/dB."""
@@ -224,6 +234,23 @@ class _Block:
     def rank_bound(self) -> int:
         bound = min(self.geometry.out_dim, self.geometry.unrolled_in)
         return bound if self.w2 is not None else min(self.up.shape[1], bound)
+
+
+# values in one row block of a product formed in place (_BlockProduct._delta)
+_ROW_BLOCK = 2**18
+
+
+def _row_blocks(n: int, step: int):
+    """[lo, hi) bounds of step rows each over n rows, step >= 2.
+
+    A lone last row joins the block before it: numpy computes a one-row
+    product as a matrix-vector product, whose sums may round otherwise
+    than the whole product's rows.
+    """
+    bounds = [*range(0, n, step), n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _stacked(adapter, tensors: dict[str, np.ndarray]):
@@ -321,10 +348,21 @@ class _BlockProduct(_Family):
                             getattr(self, "core" + s)) for s in self.SUFFIXES)
 
     def _delta(self) -> np.ndarray:
-        # each product takes a fresh dense block as its left operand (see _Block.dense)
-        delta = self._blocks[-1].dense()
-        for block in reversed(self._blocks[:-1]):
-            delta = block.dense() * delta
+        *others, last = self._blocks
+        delta = last.dense()
+        if delta.size <= _ROW_BLOCK:
+            # one product, as for the training harness's tiny stacked factors
+            for block in reversed(others):
+                delta = block.dense() * delta
+            return delta
+        # the other blocks multiply into the last one's dense array in place,
+        # a row block at a time, so the delta takes one layer-sized array
+        delta = delta.astype(np.result_type(*self.tensors().values()), copy=False)
+        out_dim = self.layer.out_dim
+        rows = delta.reshape(*delta.shape[:-len(self.layer.delta_shape)], out_dim, -1)
+        for lo, hi in _row_blocks(out_dim, max(2, _ROW_BLOCK * out_dim // delta.size)):
+            for block in reversed(others):
+                rows[..., lo:hi, :] *= block.rows(lo, hi)
         return delta
 
     def _apply(self, cols: np.ndarray) -> np.ndarray:
@@ -452,12 +490,14 @@ class LokrAdapter(_Family):
 
     def _delta(self) -> np.ndarray:
         # kron(c, right) as np.kron forms it, one product per entry, over any
-        # leading member axes
+        # leading member axes, written into the array it returns
         u_p, v_p, u_q, _ = self.block_dims
         lead = self.c.shape[:-2]
-        right = self._blocks[0].dense().reshape(*lead, 1, v_p, 1, -1)
-        flat = (self.c[..., :, None, :, None] * right).reshape(*lead, u_p * v_p, -1)
-        return flat if self.layer.kind == "linear" else flat.reshape(*lead, *self.layer.delta_shape)
+        right = self._blocks[0].dense()
+        delta = np.empty((*lead, *self.layer.delta_shape), np.promote_types(self.c.dtype, right.dtype))
+        np.multiply(self.c[..., :, None, :, None], right.reshape(*lead, 1, v_p, 1, -1),
+                    out=delta.reshape(*lead, u_p, v_p, u_q, -1))
+        return delta
 
     def _apply(self, cols: np.ndarray) -> np.ndarray:
         # kron_linear takes a batch as rows: the columns go in as cols.T
@@ -574,7 +614,11 @@ def _right_is_whole(right: LayerShape, dim: int) -> bool:
 
 
 def reconstruct(adapter: Adapter) -> np.ndarray:
-    """Materialize the dense weight delta (gamma is NOT applied)."""
+    """Materialize the dense weight delta (gamma is NOT applied).
+
+    The result is a new array that the caller owns and may scale in place;
+    forming it takes one layer-sized array.
+    """
     return adapter._delta()
 
 
@@ -630,13 +674,21 @@ def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
 
 
 def merge(adapter: Adapter, w0_new, lam: float = 1.0) -> np.ndarray:
-    """w0_new + lam * gamma * delta; shapes must agree with the layer."""
+    """w0_new + lam * gamma * delta; shapes must agree with the layer.
+
+    The delta that reconstruct returns is scaled and added to in place, so
+    a merge holds one layer-sized array besides w0_new, which it leaves as
+    it was.
+    """
     wm = as_tensor(w0_new, "weight")
     if not math.isfinite(lam):
         raise ValueError(f"merge weight must be finite, got {lam}")
     if wm.shape != adapter.layer.delta_shape:
         raise ShapeError(f"weight shape {wm.shape} != layer shape {adapter.layer.delta_shape}")
-    return wm + (lam * adapter.scale.gamma) * reconstruct(adapter)
+    merged = reconstruct(adapter)
+    merged *= lam * adapter.scale.gamma
+    merged += wm
+    return merged
 
 
 def param_count(adapter: Adapter) -> int:

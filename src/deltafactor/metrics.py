@@ -134,7 +134,10 @@ def vendi_score(a) -> float:
 
     With K the cosine Gram matrix of the normalized set, the score is
     exp(-sum lambda_i log lambda_i) over eigenvalues of K/n, using
-    0 log 0 = 0. Ranges from 1 (all identical) to min(n, d) (orthogonal).
+    0 log 0 = 0. The eigenvalues are clipped at 0 and divided by their sum,
+    so that they form a distribution although K/n has trace 1 only up to
+    rounding. Ranges from 1 (all identical, and exactly 1 for a single
+    vector) to min(n, d) (orthogonal).
 
     The nonzero eigenvalues of X X^T / n (n x n) and X^T X / n (d x d) are
     the same, so the solver runs on the smaller side: the n x n Gram when
@@ -151,6 +154,7 @@ def _vendi(na: np.ndarray) -> float:
     kernel = na @ na.T if n <= d else na.T @ na
     values = sym_eig(kernel / n)
     values = np.clip(values, 0.0, None)
+    values /= values.sum()
     positive = values[values > 0.0]
     entropy = -float(np.sum(positive * np.log(positive)))
     return float(np.exp(entropy))

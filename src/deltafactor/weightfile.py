@@ -152,6 +152,12 @@ def _create_beside(target: str) -> tuple[str, int]:
             continue
 
 
+def _all_finite(f4: np.ndarray) -> bool:
+    # max and min carry any NaN or inf through without a mask the size of
+    # the tensor, which would be an eighth of a float64 layer
+    return bool(np.isfinite(f4.max()) and np.isfinite(f4.min()))
+
+
 def _as_f32(buf: np.ndarray, name, role: str, shape: tuple, value) -> np.ndarray:
     """value cast into the front of buf, refused unless it is real, of shape and finite there."""
     value = np.asarray(value)
@@ -165,7 +171,7 @@ def _as_f32(buf: np.ndarray, name, role: str, shape: tuple, value) -> np.ndarray
     # keeps anything below it finite, so this is the reader's own test
     with np.errstate(over="ignore"):
         np.copyto(f4.reshape(shape), value, casting="unsafe")
-    if not np.all(np.isfinite(f4)):
+    if not _all_finite(f4):
         raise WeightFileError(
             f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
     return f4
@@ -394,7 +400,7 @@ def _read_tensor(fh, buf: np.ndarray, payload_base: int, span) -> np.ndarray:
         raise TruncatedPayloadError(
             f"{where} ends {f4.nbytes - got} bytes short: the file shrank while "
             f"it was read", payload_base + offset + got)
-    if not np.all(np.isfinite(f4)):
+    if not _all_finite(f4):
         raise WeightFileError(f"{where} holds non-finite values", payload_base + offset)
     return f4.reshape(tshape)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,19 @@ def all_forms():
         ("lokr", CONV_SMALL, 2, 2, False),
         ("lokr", CONV_SMALL, 2, 2, True),
     ]
+
+
+# forms whose delta spans several row blocks, and a whole lokr right block
+# (the (32, 32) block of a 512x1024 layer) on a layer of the same size
+LARGE_FORMS = [
+    pytest.param(("loha", ad.LayerShape("linear", 700, 1024), 4, -1, False), id="loha-linear700"),
+    pytest.param(("loha", ad.LayerShape("conv2d", 2000, 32, 3), 4, -1, True), id="loha-conv2000-tucker"),
+    pytest.param(("lokr", ad.LayerShape("linear", 512, 1024), 32, -1, False), id="lokr-linear512-whole"),
+]
+
+
+def form_id(form):
+    return f"{form[0]}-{form[1].kind}-{form[2]}-{form[3]}-{form[4]}"
 
 
 class TestMergeScale:
@@ -179,7 +193,7 @@ class TestReconstruct:
         np.testing.assert_array_equal(ad.reconstruct(adapter),
                                       adapter.up @ adapter.down)
 
-    @pytest.mark.parametrize("form", all_forms(), ids=lambda f: f"{f[0]}-{f[1].kind}-{f[2]}-{f[3]}-{f[4]}")
+    @pytest.mark.parametrize("form", all_forms() + LARGE_FORMS, ids=form_id)
     def test_delta_is_a_new_array(self, form):
         # callers may scale it in place, as the adapter commands do
         algorithm, layer, dim, factor, tucker = form
@@ -262,6 +276,136 @@ class TestReconstruct:
         for block in adapter._blocks:
             want = nmode(nmode(block.core, block.up.T, 0), block.down, 1)
             assert np.array_equal(block.dense(), want)
+
+
+def block_formula(geometry, up=None, down=None, core=None, w2=None):
+    """A block's dense array from whole-matrix products of its factors."""
+    if w2 is not None:
+        return w2
+    r = up.shape[1]
+    if core is not None:
+        uc = (up @ core.reshape(r, -1)).reshape(geometry.out_dim, r, -1)
+        return np.matmul(down.T, uc).reshape(geometry.delta_shape)
+    return (up @ down.reshape(r, -1)).reshape(geometry.delta_shape)
+
+
+def whole_formula(adapter, tensors=None):
+    """The adapter's delta from whole-matrix products of tensors (default: its own)."""
+    t = adapter.tensors() if tensors is None else tensors
+    if isinstance(adapter, ad.LokrAdapter):
+        right = block_formula(adapter._blocks[0].geometry,
+                              *(t.get(role) for role in ("up", "down", "core", "w2")))
+        return np.kron(t["c"].reshape(*t["c"].shape, *[1] * (right.ndim - 2)), right)
+    first, *rest = [block_formula(adapter.layer, *(t.get(role + s) for role in ("up", "down", "core")))
+                    for s in adapter.SUFFIXES]
+    return first * rest[0] if rest else first
+
+
+# Layers at and around a row-block boundary of _BlockProduct._delta: 256 rows
+# of 1024 make one row block, as do 910 rows of a 32-channel 3x3 kernel
+# (288 values). The row lengths are multiples of 8: at other lengths
+# OpenBLAS rounds the last (length mod 8) columns of a product by how many
+# rows the call holds, so a row block can differ from the same rows of the
+# whole product in the last bit (at such lengths the whole product's own
+# bytes also change with the BLAS thread count).
+LINEAR_STEP = ad._ROW_BLOCK // 1024
+CONV_STEP = ad._ROW_BLOCK // (32 * 9)
+BOUNDARY_LAYERS = (
+    [ad.LayerShape("linear", n, 1024)
+     for n in (LINEAR_STEP - 1, LINEAR_STEP, LINEAR_STEP + 1, 2 * LINEAR_STEP + 1, 700)]
+    + [ad.LayerShape("conv2d", n, 32, 3) for n in (CONV_STEP, CONV_STEP + 1, 2 * CONV_STEP + 1, 2000)])
+
+
+def boundary_forms():
+    return [pytest.param(algorithm, layer, tucker, id=f"{algorithm}-{layer.kind}{layer.out_dim}"
+                         + ("-tucker" if tucker else ""))
+            for layer in BOUNDARY_LAYERS for algorithm in ("lora", "loha", "lokr")
+            for tucker in ((False, True) if layer.kind == "conv2d" else (False,))]
+
+
+class TestWholeMatrixFormula:
+    """reconstruct equals whole-matrix products of the factors bit for bit."""
+
+    @pytest.mark.parametrize("name,layer", harness_forms())
+    def test_harness_forms(self, name, layer):
+        spec = oh.HARNESS_ALGORITHMS[name]
+        adapter = ad.random_adapter(spec.algorithm, layer, spec.dim, 1.0, factor=spec.factor,
+                                    tucker=spec.tucker, seed=3)
+        assert np.array_equal(ad.reconstruct(adapter), whole_formula(adapter))
+
+    @pytest.mark.parametrize("algorithm,layer,tucker", boundary_forms())
+    def test_at_row_block_boundaries(self, algorithm, layer, tucker):
+        adapter = ad.random_adapter(algorithm, layer, 4, 1.0, tucker=tucker, seed=layer.out_dim)
+        assert np.array_equal(ad.reconstruct(adapter), whole_formula(adapter))
+
+    @pytest.mark.parametrize("layer,tucker", [
+        (ad.LayerShape("linear", LINEAR_STEP + 1, 1024), False),
+        (ad.LayerShape("conv2d", CONV_STEP + 1, 32, 3), False),
+        (ad.LayerShape("conv2d", CONV_STEP + 1, 32, 3), True),
+    ], ids=["linear", "conv", "conv-tucker"])
+    def test_stacked_complex_probes(self, layer, tucker):
+        # gradient_check's stack: one factor plus i * h at one entry per
+        # member, every other factor broadcast along the member axis
+        adapter = ad.random_adapter("loha", layer, 4, 1.0, tucker=tucker, seed=4)
+        tensors = adapter.tensors()
+        for role, value in tensors.items():
+            shifts = np.zeros((3, value.size), complex)
+            shifts[range(3), [0, value.size // 2, value.size - 1]] = 1j * oh.COMPLEX_STEP
+            stacked = {r: np.broadcast_to(t, (3, *t.shape)) for r, t in tensors.items()}
+            stacked[role] = value + shifts.reshape(3, *value.shape)
+            delta = ad._stacked(adapter, stacked)._delta()
+            assert delta.dtype == np.complex128
+            for m in range(3):
+                want = whole_formula(adapter, {r: t[m] for r, t in stacked.items()})
+                assert np.array_equal(delta[m], want), (role, m)
+
+    def test_odd_row_length_within_rounding(self):
+        # 300 is not a multiple of 8: each block's rows are rounded anew
+        layer = ad.LayerShape("linear", 1000, 300)
+        adapter = ad.random_adapter("loha", layer, 8, 1.0, seed=5)
+        magnitude = ((np.abs(adapter.up1) @ np.abs(adapter.down1))
+                     * (np.abs(adapter.up2) @ np.abs(adapter.down2)))
+        error = np.abs(ad.reconstruct(adapter) - whole_formula(adapter))
+        assert np.all(error <= 2 * (8 + 1) * 2.0 ** -53 * magnitude)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while fn runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+LINEAR_MLP = ad.LayerShape("linear", 3072, 768)
+CONV_320 = ad.LayerShape("conv2d", 320, 320, 3)
+
+
+class TestPeakMemory:
+    """reconstruct and merge hold the layer and at most one row block of float64 values."""
+
+    # factor-sized arrays, such as the Tucker form's whole up @ core, and
+    # small objects
+    SLACK = 2**19
+
+    @pytest.mark.parametrize("algorithm,layer,dim,tucker", [
+        ("loha", LINEAR_MLP, 8, False),
+        ("lokr", LINEAR_MLP, 8, False),
+        ("lokr", LINEAR_MLP, 32, False),  # the whole (64, 32) right block
+        ("lora", CONV_320, 8, False),
+        ("loha", CONV_320, 8, False),
+        ("loha", CONV_320, 8, True),
+        ("lokr", CONV_320, 8, False),
+        ("lokr", CONV_320, 8, True),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_one_layer_and_one_row_block(self, algorithm, layer, dim, tucker):
+        adapter = ad.random_adapter(algorithm, layer, dim, 1.0, tucker=tucker, seed=6)
+        w0 = np.ones(layer.delta_shape)
+        bound = w0.nbytes + 8 * ad._ROW_BLOCK + self.SLACK
+        assert traced_peak(lambda: ad.reconstruct(adapter)) <= bound
+        assert traced_peak(lambda: ad.merge(adapter, w0, 0.5)) <= bound
 
 
 # the einsum forms the Tucker block and lokr gradients were written in
@@ -630,10 +774,17 @@ class TestMergeCombine:
             ad.scale_factors(adapter, c)
 
     def test_merge_is_pure(self):
-        adapter = ad.random_adapter("lora", LINEAR_RECT, 2, alpha=2.0, seed=28)
-        w0 = np.ones((48, 80))
-        ad.merge(adapter, w0, 2.0)
-        np.testing.assert_array_equal(w0, np.ones((48, 80)))
+        # merge scales and adds in place: into its own array, never into w0
+        # or a stored factor (a whole lokr w2 is the right block's dense())
+        for algorithm, layer, dim, factor, tucker in all_forms() + [p.values[0] for p in LARGE_FORMS]:
+            adapter = ad.random_adapter(algorithm, layer, dim, 2.0, factor=factor, tucker=tucker, seed=28)
+            stored = {role: t.copy() for role, t in adapter.tensors().items()}
+            w0 = np.ones(layer.delta_shape)
+            merged = ad.merge(adapter, w0, 2.0)
+            np.testing.assert_array_equal(w0, np.ones(layer.delta_shape))
+            for role, t in adapter.tensors().items():
+                np.testing.assert_array_equal(t, stored[role], err_msg=role)
+            assert not any(np.shares_memory(merged, t) for t in [w0, *adapter.tensors().values()])
 
 
 class TestParamCount:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,33 @@ class TestAdapterFlow:
             assert run(capsys, *argv, "--out", str(path))[0] == 0
             digests[out] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.PINNED
+
+    def test_commands_hold_one_float64_layer(self, tmp_path, capsys):
+        # at their peak, reconstruct and merge of a loha layer hold its
+        # float64 delta, one row block of it and the float32 buffers the
+        # writer and the base reader cast each layer through, besides the
+        # loaded factors and small objects
+        layer = ad.LayerShape("linear", 3072, 768)
+        adapter = ad.random_adapter("loha", layer, 8, 4.0, seed=7)
+        save_weights(ad.AdapterModel(ad.ModelMeta("loha", 8, 4.0), {"mlp": adapter}), tmp_path / "w.lwu")
+        base = np.random.default_rng(8).standard_normal(layer.delta_shape)
+        save_dense({"mlp": (layer, base)}, tmp_path / "base.lwu", algorithm="dense")
+        f64, f32 = base.nbytes, base.nbytes // 2
+        del base
+        factors = sum(t.nbytes for t in adapter.tensors().values())
+        bound = f64 + 8 * ad._ROW_BLOCK + factors + 2**19
+        argvs = {"reconstruct": (["adapter", "reconstruct"], f32),
+                 "merge": (["adapter", "merge", "--base", str(tmp_path / "base.lwu")], 2 * f32)}
+        for name, (argv, buffers) in argvs.items():
+            tracemalloc.start()
+            try:
+                code = run(capsys, *argv, "--weights", str(tmp_path / "w.lwu"),
+                           "--out", str(tmp_path / f"{name}.lwu"))[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak <= bound + buffers, name
 
     def test_merge_rejects_missing_layer(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 6, 4)

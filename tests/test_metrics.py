@@ -181,6 +181,18 @@ class TestVendiScore:
         score = mt.vendi_score(s)
         assert 1.0 <= score <= 9.0 + 1e-12
 
+    def test_single_vectors_score_exactly_one(self):
+        # the promise of grouped_vendi's "include": a group of one scores 1
+        x = np.random.default_rng(13).standard_normal((2000, 16))
+        scores, _ = mt.grouped_vendi(x, range(2000), singletons="include")
+        assert set(scores.values()) == {1.0}
+
+    def test_identical_rows_score_at_least_one(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            row = rng.standard_normal(int(rng.integers(1, 64)))
+            assert mt.vendi_score(np.tile(row, (int(rng.integers(2, 40)), 1))) >= 1.0
+
 
 def vendi_from_gram(x) -> float:
     """Reference Vendi score from eigvalsh of the n x n cosine kernel."""
