@@ -24,7 +24,6 @@ from .adapters import (
     init_adapter,
     init_model,
     lokr_factor_dims,
-    lokr_is_full,
     max_rank_bound,
     merge,
     nkp_fit_lokr,
@@ -67,7 +66,6 @@ __all__ = [
     "init_adapter",
     "init_model",
     "lokr_factor_dims",
-    "lokr_is_full",
     "max_rank_bound",
     "merge",
     "nkp_fit_lokr",

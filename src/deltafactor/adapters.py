@@ -57,7 +57,6 @@ __all__ = [
     "ModelMeta",
     "AdapterModel",
     "lokr_factor_dims",
-    "lokr_is_full",
     "init_adapter",
     "random_adapter",
     "scale_factors",
@@ -276,8 +275,8 @@ class _Family:
     (whole=None: the form a draw takes). The constructor coerces the arrays
     and _check_layout tests their shapes against _shapes of the form they
     hold (a core makes it Tucker, w2 whole); save_weights runs the same
-    check on shapes alone. _build_adapter draws _shapes in DRAW_ORDER and
-    hands them to the check.
+    check on shapes alone. _build_adapter draws the roles of _shapes in
+    DRAW_ORDER and hands them to the constructor.
     """
 
     ROLES: tuple[str, ...]
@@ -285,30 +284,23 @@ class _Family:
     ZEROED: tuple[str, ...]
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self, want: dict[str, tuple] | None = None) -> None:
         # frozen dataclasses: coerce the arrays once, at construction
         tensors = self.tensors()
         for role, value in tensors.items():
             object.__setattr__(self, role, as_tensor(value, role))
         self._check_layout(self.layer, self.scale.dim, getattr(self, "factor", -1),
-                           {role: getattr(self, role).shape for role in tensors}, want)
+                           {role: getattr(self, role).shape for role in tensors})
 
     @classmethod
-    def _check_layout(cls, layer, dim, factor, shapes: dict[str, tuple],
-                      want: dict[str, tuple] | None = None) -> None:
+    def _check_layout(cls, layer, dim, factor, shapes: dict[str, tuple]) -> None:
         """Refuse a role -> shape map that is not a form of the family on layer.
 
         The constructor's check, on shapes alone: a core makes the form
-        Tucker, w2 whole. want is the _shapes of that form, computed here
-        unless the caller has it.
+        Tucker, w2 whole.
         """
         tucker = any(role.startswith("core") for role in shapes)
         _expect(not tucker or layer.kind == "conv2d", "Tucker core requires a conv2d layer")
-        if want is None:
-            want = cls._shapes(layer, dim, factor, tucker, "w2" in shapes)
-        cls._check(layer, factor, shapes, want)
+        cls._check(layer, factor, shapes, cls._shapes(layer, dim, factor, tucker, "w2" in shapes))
 
     @staticmethod
     def _check(layer, factor, shapes: dict[str, tuple], want: dict[str, tuple]) -> None:
@@ -533,21 +525,11 @@ def _family(algorithm: str, roles) -> type:
 
 
 def _from_tensors(algorithm: str, layer: LayerShape, scale: MergeScale, factor: int,
-                  tensors: dict[str, np.ndarray], want: dict[str, tuple] | None = None) -> Adapter:
-    """Adapter of a family from the role -> tensor map that tensors() gives.
-
-    A draw passes want, the _shapes it drew from, so that the constructor's
-    checks run on it rather than on a second computation of it.
-    """
+                  tensors: dict[str, np.ndarray]) -> Adapter:
+    """Adapter of a family, built by its constructor, from the role -> tensor map that tensors() gives."""
     cls = _family(algorithm, tensors)
-    fields_ = {"layer": layer, "scale": scale, **({"factor": factor} if cls is LokrAdapter else {}),
-               **{role: tensors.get(role) for role in cls.ROLES}}
-    if want is None:
-        return cls(**fields_)
-    out = object.__new__(cls)
-    out.__dict__.update(fields_)
-    out._validate(want)
-    return out
+    return cls(layer=layer, scale=scale, **({"factor": factor} if cls is LokrAdapter else {}),
+               **{role: tensors.get(role) for role in cls.ROLES})
 
 
 def _check_layout(algorithm: str, layer: LayerShape, dim: int, factor: int,
@@ -565,7 +547,6 @@ class ModelMeta:
     alpha: float
     factor: int = -1
     seed: int = 0
-    format_version: int = 1
 
 
 @dataclass
@@ -599,17 +580,9 @@ def _lokr_split(layer: LayerShape, factor: int) -> tuple[tuple[int, int], LayerS
     return (u_p, u_q), LayerShape(layer.kind, v_p, v_q, layer.kernel)
 
 
-def lokr_is_full(layer: LayerShape, dim: int, factor: int = -1) -> bool:
-    """Whether a lokr adapter stores its right block whole at this dim.
-
-    The right block is left unfactored when dim reaches the block's own
-    maximal rank min(v_p, v_q * k^2); smaller dims factor it as up @ down.
-    """
-    _, right = _lokr_split(layer, factor)
-    return _right_is_whole(right, dim)
-
-
 def _right_is_whole(right: LayerShape, dim: int) -> bool:
+    # the right block is left unfactored when dim reaches its own maximal
+    # rank min(v_p, v_q * k^2); smaller dims factor it as up @ down
     return dim >= min(right.out_dim, right.unrolled_in)
 
 
@@ -710,7 +683,6 @@ def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init
     rng = np.random.default_rng(seed)
     std = 1.0 / math.sqrt(dim)
     cls = _FAMILIES[algorithm]
-    # one _shapes call: lokr splits the layer once per draw
     shapes = cls._shapes(layer, dim, factor, tucker, whole=None)
     tensors = {role: rng.normal(0.0, std, size=shapes[role])
                for role in cls.DRAW_ORDER if role in shapes}
@@ -718,7 +690,7 @@ def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init
         # zeroed after it is drawn, so the later draws do not move
         zeroed = next(role for role in cls.ZEROED if role in tensors)
         tensors[zeroed] = np.zeros_like(tensors[zeroed])
-    return _from_tensors(algorithm, layer, scale, factor, tensors, want=shapes)
+    return _from_tensors(algorithm, layer, scale, factor, tensors)
 
 
 def init_adapter(algorithm: str, layer: LayerShape, dim: int, alpha: float,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_core import ShapeError, _is_count, as_tensor, sym_eig
+from .tensor_core import SYM_EIG_MAX_SIZE, NumericalError, ShapeError, _is_count, as_tensor
 
 __all__ = [
     "MEASURES",
@@ -149,10 +149,18 @@ def vendi_score(a) -> float:
 
 
 def _vendi(na: np.ndarray) -> float:
-    # vendi_score of rows that _normalized already gave
+    # vendi_score of the finite, non-empty rows that _normalized gave; their
+    # Gram matrix is symmetric by construction, so eigvalsh takes it unchecked
     n, d = na.shape
+    side = min(n, d)
+    if side > SYM_EIG_MAX_SIZE:
+        raise ShapeError(f"matrix size {side} exceeds eigensolver cap {SYM_EIG_MAX_SIZE}")
     kernel = na @ na.T if n <= d else na.T @ na
-    values = sym_eig(kernel / n)
+    try:
+        # largest first: the sums below add the eigenvalues in this order
+        values = np.linalg.eigvalsh(kernel / n)[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
     values = np.clip(values, 0.0, None)
     values /= values.sum()
     positive = values[values > 0.0]

@@ -464,15 +464,16 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
     k is the number of factor tensors (2 for lora and unfactored lokr, 3 for
     factored lokr and Tucker lora, 4 for loha). Exact in real arithmetic, so
     the deviation is rounding noise. Raises ValueError for trials < 1; for
-    c of 0 or 1, whose scaling is exact whatever k is; and, naming c and k,
-    when c^k or the largest entry of the scaled delta leaves the normal
-    float range, where c^k overflows or underflows and the check would
-    measure nothing. A deviation that is not a number raises too.
+    c of 0, 1 or -1, whose c^k is the same for every k of one parity; and,
+    naming c and k, when c^k or the largest entry of the scaled delta leaves
+    the normal float range, where c^k overflows or underflows and the check
+    would measure nothing. A deviation that is not a number raises too.
     """
     if not tensor_core._is_count(trials):
         raise ValueError(f"trials must be positive, got {trials!r}")
-    if c in (0.0, 1.0):
-        raise ValueError(f"scale must not be 0 or 1, got {c}: c^k is then the same for every k")
+    if c == 0.0 or abs(c) == 1.0:
+        raise ValueError(f"scale must not be 0 or 1 in magnitude, got {c}: "
+                         "c^k is then the same for every k of one parity")
     spec = _spec(algorithm)
     shapes = [shape for shape, _ in toy_geometry(spec.conv)]
     tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max

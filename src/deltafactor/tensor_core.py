@@ -1,4 +1,4 @@
-"""Dense tensor primitives: convolution and its adjoints, numerical rank, eigenvalues.
+"""Dense tensor primitives: input validation, convolution and its adjoints.
 
 Row-major (C) memory order is the convention for every vectorization,
 unrolling, and regrouping operation in this package. The public functions
@@ -28,11 +28,9 @@ __all__ = [
     "SYM_EIG_MAX_SIZE",
     "as_tensor",
     "conv2d",
-    "numerical_rank",
-    "sym_eig",
 ]
 
-# eigensolver guard; desk-scale inputs only
+# the largest Gram matrix metrics._vendi solves; desk-scale inputs only
 SYM_EIG_MAX_SIZE = 4096
 
 
@@ -75,11 +73,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
     if not finite.all():
         i = int(np.argmin(finite, axis=None))
         raise ValueError(f"{what} holds a non-finite value at flat index {i}: {arr.flat[i]}")
-
-
-def _require_rank(arr: np.ndarray, rank: int, name: str) -> None:
-    if arr.ndim != rank:
-        raise ShapeError(f"{name} must have rank {rank}, got shape {arr.shape}")
 
 
 def _im2col(image: np.ndarray, k: int, scratch: dict | None = None,
@@ -158,7 +151,8 @@ def conv2d(kernel, image) -> np.ndarray:
     (in*k*k, n*h*w). A kernel stack with a zero extent raises ShapeError.
     """
     km, xm = as_tensor(kernel, "kernel"), as_tensor(image, "image")
-    _require_rank(km, 4, "kernel stack")
+    if km.ndim != 4:
+        raise ShapeError(f"kernel stack must have rank 4, got shape {km.shape}")
     if xm.ndim not in (3, 4):
         raise ShapeError(f"image must be (in, H, W) or (n, in, H, W), got shape {xm.shape}")
     if km.shape[2] != km.shape[3]:
@@ -174,48 +168,3 @@ def conv2d(kernel, image) -> np.ndarray:
         raise ShapeError(f"image {xm.shape} smaller than kernel window {k}x{k}")
     y = _conv_cols(km, _im2col(xm.reshape(-1, *xm.shape[-3:]), k))
     return y if xm.ndim == 4 else y[0]
-
-
-def numerical_rank(a) -> int:
-    """Count singular values above 1e-10 times the largest one.
-
-    Takes a real matrix (complex input raises ComplexInputError) and
-    computes its singular values only. Convergence failures of the
-    underlying iteration are reported as NumericalError.
-    """
-    am = as_tensor(a, "matrix")
-    _require_rank(am, 2, "matrix")
-    try:
-        s = np.linalg.svd(am, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from None
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > 1e-10 * s[0]))
-
-
-def sym_eig(k) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending.
-
-    The input must be square, non-empty, no larger than SYM_EIG_MAX_SIZE,
-    and symmetric within 1e-10 (relative to its largest magnitude entry).
-    Complex input raises ComplexInputError: the symmetry test and the
-    solver are real.
-    """
-    km = as_tensor(k, "matrix")
-    _require_rank(km, 2, "matrix")
-    if km.shape[0] != km.shape[1]:
-        raise ShapeError(f"matrix must be square, got shape {km.shape}")
-    n = km.shape[0]
-    if n == 0:
-        raise ShapeError("matrix must not be empty")
-    if n > SYM_EIG_MAX_SIZE:
-        raise ShapeError(f"matrix size {n} exceeds eigensolver cap {SYM_EIG_MAX_SIZE}")
-    scale = max(1.0, float(np.max(np.abs(km))))
-    if float(np.max(np.abs(km - km.T))) > 1e-10 * scale:
-        raise ShapeError("matrix is not symmetric within tolerance 1e-10")
-    try:
-        values = np.linalg.eigvalsh(km)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
-    return values[::-1].copy()

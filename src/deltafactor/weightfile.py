@@ -2,12 +2,13 @@
 
 Layout: 4-byte magic "LWU1", a little-endian u32 header length, a UTF-8
 JSON header, then a packed little-endian float32 payload. The header holds
-model metadata (format_version, algorithm, dim, alpha, factor, seed) and a
-layer list; each layer entry names its tensors with role, shape, dtype
-("f4"), byte_offset, and byte_length, offsets relative to the payload
-start. Tensors are stored at 32-bit precision and re-promoted to float64 on
-load; loading therefore reproduces exactly the float32 quantization of what
-was saved. Complex tensors cannot be stored: saving one raises
+format_version (FORMAT_VERSION, the one version read), the model
+metadata (algorithm, dim, alpha, factor, seed) and a layer list; each
+layer entry names its tensors with role, shape, dtype ("f4"), byte_offset,
+and byte_length, offsets relative to the payload start. Tensors are
+stored at 32-bit precision and re-promoted to float64 on load; loading
+therefore reproduces exactly the float32 quantization of what was saved.
+Complex tensors cannot be stored: saving one raises
 ComplexInputError rather than dropping its imaginary part. A value that is
 not finite once cast to float32 (NaN, inf, or of magnitude 2^128 - 2^103 or
 more) raises WeightFileError, as loading would refuse it.
@@ -113,7 +114,7 @@ def _header(meta: ModelMeta, layout) -> bytes:
 
     The metadata gets the reader's own check, on the JSON it will read.
     """
-    meta_fields = asdict(meta)
+    meta_fields = dict(asdict(meta), format_version=FORMAT_VERSION)
     _parse_meta(json.loads(json.dumps(meta_fields, default=_json_int)))
     offset = 0
     layer_entries = []
@@ -298,7 +299,7 @@ def _parse_meta(header: dict) -> ModelMeta:
         raise MalformedHeaderError(f"unknown algorithm {algorithm!r}", 8)
     try:
         # float() overflows on an integer alpha beyond float range
-        meta = ModelMeta(algorithm, dim, float(alpha), factor, seed, version)
+        meta = ModelMeta(algorithm, dim, float(alpha), factor, seed)
         MergeScale(meta.alpha, dim)
     except (ValueError, OverflowError) as exc:
         raise MalformedHeaderError(f"invalid metadata: {exc}", 8)

@@ -67,11 +67,11 @@ def test_a03_hadamard_rank_advantage(report):
     over8 = within16 = lora_at8 = 0
     for i, seed in enumerate(np.random.SeedSequence(2024).spawn(draws)):
         loha = ad.random_adapter("loha", layer, 4, alpha=4.0, seed=seed)
-        rank = tc.numerical_rank(ad.reconstruct(loha))
+        rank = np.linalg.matrix_rank(ad.reconstruct(loha), rtol=1e-10)
         over8 += rank > 8
         within16 += rank <= 16
         lora = ad.random_adapter("lora", layer, 8, alpha=8.0, seed=seed)
-        lora_at8 += tc.numerical_rank(ad.reconstruct(lora)) == 8
+        lora_at8 += np.linalg.matrix_rank(ad.reconstruct(lora), rtol=1e-10) == 8
     ok = (loha_params == lora_params and over8 >= int(0.99 * draws)
           and within16 == draws and lora_at8 == draws)
     report("A03 hadamard rank advantage", ok,
@@ -98,7 +98,7 @@ def test_a04_grouped_kronecker_forward(report):
         ra, rb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a1 = rng.standard_normal((5, ra)) @ rng.standard_normal((ra, 6))
         b1 = rng.standard_normal((4, rb)) @ rng.standard_normal((rb, 7))
-        if tc.numerical_rank(np.kron(a1, b1)) != ra * rb:
+        if np.linalg.matrix_rank(np.kron(a1, b1), rtol=1e-10) != ra * rb:
             ranks_ok = False
     ok = worst < 1e-12 and ranks_ok
     report("A04 grouped kronecker forward", ok,

@@ -833,7 +833,8 @@ class TestMaxRankBound:
         adapter = ad.random_adapter(algorithm, layer, dim, alpha=float(dim),
                                     factor=factor, tucker=tucker, seed=33)
         delta = ad.reconstruct(adapter)
-        assert tc.numerical_rank(delta.reshape(layer.out_dim, -1)) <= ad.max_rank_bound(adapter)
+        rank = np.linalg.matrix_rank(delta.reshape(layer.out_dim, -1), rtol=1e-10)
+        assert rank <= ad.max_rank_bound(adapter)
 
 
 class TestLokrFactorDims:
@@ -873,19 +874,11 @@ class TestLokrFactorDims:
             ad.lokr_factor_dims(v, factor)
 
     def test_is_full_boundary(self):
+        # the right block is 8 x 8 at factor 8: whole from dim 8 on, factored below
         layer = ad.LayerShape("linear", 64, 64)
-        assert ad.lokr_is_full(layer, 8, 8)
-        assert not ad.lokr_is_full(layer, 7, 8)
-
-
-    @pytest.mark.parametrize("tucker", [False, True], ids=["plain", "tucker"])
-    def test_a_draw_splits_the_layer_once(self, monkeypatch, tucker):
-        # the draw's shapes are the ones its construction checks against
-        calls = []
-        split = ad.lokr_factor_dims
-        monkeypatch.setattr(ad, "lokr_factor_dims", lambda *args: calls.append(args) or split(*args))
-        ad.random_adapter("lokr", ad.LayerShape("conv2d", 8, 4, 3), 2, 1.0, factor=4, tucker=tucker)
-        assert calls == [(8, 4), (4, 4)]
+        roles = {dim: set(ad.init_adapter("lokr", layer, dim, float(dim), factor=8).tensors())
+                 for dim in (8, 7)}
+        assert roles == {8: {"c", "w2"}, 7: {"c", "up", "down"}}
 
 
 class TestSvdFitLora:
@@ -1274,7 +1267,7 @@ class TestLohaRankDistribution:
         children = np.random.SeedSequence(42).spawn(200)
         for child in children:
             adapter = ad.random_adapter("loha", layer, 4, alpha=4.0, seed=child)
-            rank = tc.numerical_rank(ad.reconstruct(adapter))
+            rank = np.linalg.matrix_rank(ad.reconstruct(adapter), rtol=1e-10)
             assert rank <= 16
             if rank > 8:
                 exceed += 1

@@ -418,7 +418,7 @@ class TestVerifyCommands:
         assert "PASS" not in stdout
         assert "error: trials must be positive" in stderr
 
-    @pytest.mark.parametrize("scale", ["0", "1"])
+    @pytest.mark.parametrize("scale", ["0", "1", "-1", "-1.0"])
     def test_homogeneity_vacuous_scale_is_an_error(self, capsys, scale):
         code, stdout, stderr = run(capsys, "verify", "homogeneity", "--algo", "lora",
                                    "--factor-scale", scale, "--trials", "2")

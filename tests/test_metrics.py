@@ -232,6 +232,14 @@ class TestVendiSides:
         x = np.random.default_rng(12).standard_normal((n, 8))
         assert 1.0 <= mt.vendi_score(x) <= 8.0
 
+    def test_the_cap_applies_to_the_short_side(self, monkeypatch):
+        monkeypatch.setattr(mt, "SYM_EIG_MAX_SIZE", 3)
+        x = np.random.default_rng(13).standard_normal((4, 4))
+        with pytest.raises(ShapeError, match="^matrix size 4 exceeds eigensolver cap 3$"):
+            mt.vendi_score(x)
+        assert 1.0 <= mt.vendi_score(x[:, :3]) <= 3.0
+        assert 1.0 <= mt.vendi_score(x[:3]) <= 3.0
+
 
 class TestGroupedVendi:
     def test_per_group_scores(self):

@@ -372,9 +372,10 @@ class TestHomogeneityCheck:
         with pytest.raises(ValueError, match="trials"):
             oh.homogeneity_check("lora", trials=trials)
 
-    @pytest.mark.parametrize("c", [0, 0.0, 1, 1.0])
+    @pytest.mark.parametrize("c", [0, 0.0, 1, 1.0, -1, -1.0])
     def test_rejects_vacuous_scale(self, c):
-        # c^k is c for every k, and scaling by 0 or 1 is exact: nothing is checked
+        # c^k is the same for every k of one parity, so a deviation for the
+        # wrong k goes unseen; scaling by 0 or 1 is exact besides
         with pytest.raises(ValueError, match="scale must not be 0 or 1"):
             oh.homogeneity_check("lora", c=c, trials=2)
 

@@ -74,8 +74,6 @@ SCALAR_CALLS = {
     "grouped_forward-h": lambda v: kl.grouped_forward(_ONE, _ONE, _ONE, v),
     "grouped_forward_full-h": lambda v: kl.grouped_forward_full(_ONE, _ONE, v),
     "conv2d-image": lambda v: tc.conv2d(np.ones((1, 1, 1, 1)), v),
-    "numerical_rank-matrix": lambda v: tc.numerical_rank(v),
-    "sym_eig-matrix": lambda v: tc.sym_eig(v),
     "avg_cosine_similarity-vectors": lambda v: mt.avg_cosine_similarity(v, _VECTORS),
     "squared_centroid_distance-vectors": lambda v: mt.squared_centroid_distance(_VECTORS, v),
     "intra_dissimilarity-vectors": lambda v: mt.intra_dissimilarity(v),
@@ -149,9 +147,9 @@ class TestKronecker:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
         b = rng.standard_normal((3, 3))
-        ra = tc.numerical_rank(a)
-        rb = tc.numerical_rank(b)
-        assert tc.numerical_rank(np.kron(a, b)) == ra * rb
+        ra = np.linalg.matrix_rank(a, rtol=1e-10)
+        rb = np.linalg.matrix_rank(b, rtol=1e-10)
+        assert np.linalg.matrix_rank(np.kron(a, b), rtol=1e-10) == ra * rb
 
 
 class TestUnrollConv:
@@ -354,85 +352,14 @@ class TestConvMemberAxis:
             assert np.array_equal(grad_x[m], tc._conv2d_input_grad(kernels[m], dy[m]))
 
 
-class TestNumericalRank:
-    def test_zero_matrix(self):
-        assert tc.numerical_rank(np.zeros((4, 4))) == 0
-
-    def test_identity(self):
-        assert tc.numerical_rank(np.eye(5)) == 5
-
-    def test_diagonal_singular_values(self):
-        assert tc.numerical_rank(np.diag([3.0, 2.0, 1.0])) == 3
-        assert tc.numerical_rank(np.diag([3.0, 2.0, 0.0])) == 2
-        # the cut is 1e-10 times the largest singular value
-        assert tc.numerical_rank(np.diag([1.0, 2e-10, 5e-11])) == 2
-
-    def test_rank_one(self):
-        u = np.array([1.0, 2.0, -1.0])
-        v = np.array([0.5, 1.5])
-        assert tc.numerical_rank(np.outer(u, v)) == 1
-
-    def test_product_rank(self):
-        rng = np.random.default_rng(7)
-        b = rng.standard_normal((64, 8))
-        a = rng.standard_normal((8, 64))
-        assert tc.numerical_rank(b @ a) == 8
-
-    def test_rejects_complex(self):
-        with pytest.raises(tc.ComplexInputError, match="^matrix"):
-            tc.numerical_rank(np.eye(2) * (1 + 1j))
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
-    def test_rejects_non_matrix(self, shape):
-        with pytest.raises(tc.ShapeError, match="matrix must have rank 2"):
-            tc.numerical_rank(np.ones(shape))
-
-
-class TestSymEig:
-    def test_identity(self):
-        np.testing.assert_allclose(tc.sym_eig(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_closed_form(self):
-        a = 1.0 / np.sqrt(2.0)
-        k = [[1.0, 0.0, a], [0.0, 1.0, a], [a, a, 1.0]]
-        np.testing.assert_allclose(tc.sym_eig(k), [2.0, 1.0, 0.0], atol=1e-12)
-
-    def test_diagonal(self):
-        d = [4.0, -1.0, 2.5, 0.0]
-        np.testing.assert_allclose(tc.sym_eig(np.diag(d)), sorted(d, reverse=True))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(tc.ShapeError, match="symmetric"):
-            tc.sym_eig([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(tc.ShapeError, match="square"):
-            tc.sym_eig(np.ones((2, 3)))
-
-    def test_rejects_complex(self):
-        # complex-symmetric is not Hermitian; a real solver would misread it
-        with pytest.raises(tc.ComplexInputError):
-            tc.sym_eig([[1.0, 1j], [1j, 1.0]])
-
-    def test_rejects_empty(self):
-        with pytest.raises(tc.ShapeError, match="empty"):
-            tc.sym_eig(np.zeros((0, 0)))
-
-    def test_size_cap(self):
-        n = tc.SYM_EIG_MAX_SIZE + 1
-        # constructing a zeros matrix of n^2 entries is fine at this size
-        with pytest.raises(tc.ShapeError, match="cap"):
-            tc.sym_eig(np.zeros((n, n)))
-
-
 class TestHadamardRankBound:
     def test_rank_product_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             x = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
             y = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8))
-            bound = tc.numerical_rank(x) * tc.numerical_rank(y)
-            assert tc.numerical_rank(x * y) <= bound
+            bound = np.linalg.matrix_rank(x, rtol=1e-10) * np.linalg.matrix_rank(y, rtol=1e-10)
+            assert np.linalg.matrix_rank(x * y, rtol=1e-10) <= bound
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),

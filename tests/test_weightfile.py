@@ -103,7 +103,7 @@ class TestRoundtrip:
                 payload += raw
             dims = [shp.out_dim, shp.in_dim] + ([shp.kernel] if shp.kind == "conv2d" else [])
             layers.append({"name": name, "kind": shp.kind, "shape": dims, "tensors": tensors})
-        header = json.dumps(dict(dataclasses.asdict(model.meta), layers=layers),
+        header = json.dumps(dict(dataclasses.asdict(model.meta), format_version=1, layers=layers),
                             sort_keys=True).encode("utf-8")
         want = wf.MAGIC + struct.pack("<I", len(header)) + header + payload
         assert save_blob(model, tmp_path) == want
@@ -214,12 +214,11 @@ class TestWritersWriteOnlyWhatLoads:
     @pytest.mark.parametrize("meta,message", [
         (ad.ModelMeta("lora", 0, 1.0), "invalid metadata: dim"),
         (ad.ModelMeta("foo", 2, 2.0), "unknown algorithm 'foo'"),
-        (ad.ModelMeta("lora", 2, 2.0, format_version=2), "unsupported format_version 2"),
         (ad.ModelMeta("lora", True, 2.0), "'dim' has wrong type"),
         (ad.ModelMeta("lora", 2, 10 ** 400), "invalid metadata"),
         (ad.ModelMeta("loha", 2, 2.0), "inconsistent adapter tensors"),
         (ad.ModelMeta("lora", 3, 3.0), "inconsistent adapter tensors"),
-    ], ids=["dim-0", "algorithm", "version", "bool-dim", "alpha-beyond-float", "loha-over-lora",
+    ], ids=["dim-0", "algorithm", "bool-dim", "alpha-beyond-float", "loha-over-lora",
             "dim-over-rank"])
     def test_save_weights_refuses_meta_the_reader_refuses(self, tmp_path, meta, message):
         model = ad.AdapterModel(meta=meta, entries=build_model("lora", dim=2).entries)
@@ -265,8 +264,8 @@ class TestWritersWriteOnlyWhatLoads:
 
     def test_save_dense_refuses_meta_the_reader_refuses(self, tmp_path):
         path = tmp_path / "d.lwu"
-        meta = ad.ModelMeta("lora", 2, 2.0, format_version=2)
-        with pytest.raises(wf.MalformedHeaderError, match="unsupported format_version 2"):
+        meta = ad.ModelMeta("lora", 0, 1.0)
+        with pytest.raises(wf.MalformedHeaderError, match="invalid metadata: dim"):
             wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, path, meta=meta)
         assert not path.exists()
 
