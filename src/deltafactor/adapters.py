@@ -29,10 +29,14 @@ Adapters are immutable; every operation returns new arrays. The merge
 ratio gamma = alpha / dim scales the delta wherever it is applied, but
 never inside reconstruct().
 
-A dense delta takes one layer-sized array: loha multiplies its first
-block into the second's dense array in place, one row block at a time,
-lokr writes its Kronecker product into the array it returns, and merge
-scales and adds into the array reconstruct returns.
+A dense layer is formed one row block at a time, by _layer_rows, the one
+statement of w0 + lam * gamma * delta: each family states rows lo:hi of
+its unrolled delta (_rows; lora and loha multiply the rows of their
+blocks, lokr takes the Kronecker rows of c and its right block), and each
+block is scaled and added to while it is small enough to stay in cache.
+reconstruct and merge gather the blocks into the array they return; the
+adapter commands hand them to the weight-file writer, so no command holds
+a float64 layer.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kron_linear, tensor_core
-from .tensor_core import NumericalError, ShapeError, _is_count, as_tensor
+from .tensor_core import NumericalError, ShapeError, _checked_seed, _is_count, as_tensor
 
 __all__ = [
     "ALGORITHMS",
@@ -187,21 +191,27 @@ class _Block:
             return self.w2
         if self.core is None and self.geometry.kind == "linear":
             return self.up @ self.down
-        lead = self.up.shape[:-2]
-        return self.rows(0, self.geometry.out_dim).reshape(*lead, *self.geometry.delta_shape)
+        return self.rows(0, self.geometry.out_dim).reshape(*self.up.shape[:-2], *self.geometry.delta_shape)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
+    def rows(self, lo: int, hi: int, out=None, up_core=None) -> np.ndarray:
         """Rows lo:hi of dense() of a factored block, unrolled to (..., hi - lo, -1).
 
-        The unrolled form takes up[lo:hi] into its matmul; the Tucker form
-        slices the whole up @ core, so each of its rows is as in dense().
+        With out, an array (..., out, in*k*k), they are formed in out's rows
+        lo:hi and are a view of them. The unrolled form takes up[lo:hi] into
+        its matmul; the Tucker form slices the whole up @ core (up_core, or
+        _up_core() made here), so each of its rows is as in dense().
         """
-        lead, r = self.up.shape[:-2], self.up.shape[-1]
-        if self.core is not None:
-            # B[o, i, ab] = sum_t down[t, i] (up @ core)[o, t, ab]: one matmul per mode
-            down_t = self.down.swapaxes(-1, -2)[..., None, :, :]
-            return np.matmul(down_t, self._up_core()[..., lo:hi, :, :]).reshape(*lead, hi - lo, -1)
-        return self.up[..., lo:hi, :] @ self.down.reshape(*lead, r, -1)
+        if self.core is None:
+            # a linear layer's down is unrolled already
+            down = self.down if self.geometry.kind == "linear" else \
+                self.down.reshape(*self.up.shape[:-2], self.up.shape[-1], -1)
+            return np.matmul(self.up[..., lo:hi, :], down, out=_slot(out, lo, hi, hi - lo, -1))
+        # B[o, i, ab] = sum_t down[t, i] (up @ core)[o, t, ab]: one matmul per mode
+        down_t = self.down.swapaxes(-1, -2)[..., None, :, :]
+        up_core = self._up_core() if up_core is None else up_core
+        rows = np.matmul(down_t, up_core[..., lo:hi, :, :],
+                         out=_slot(out, lo, hi, hi - lo, self.geometry.in_dim, -1))
+        return rows.reshape(*self.up.shape[:-2], hi - lo, -1)
 
     def vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the stored tensors given g = dL/dB."""
@@ -235,21 +245,63 @@ class _Block:
         return bound if self.w2 is not None else min(self.up.shape[1], bound)
 
 
-# values in one row block of a product formed in place (_BlockProduct._delta)
-_ROW_BLOCK = 2**18
+# values in one row block of a dense layer (_layer_rows): a float64 block
+# of 512 KiB stays in a 2 MiB L2 cache while it is formed, scaled, added to
+# and cast. Of 2^13 to 2^18, 2^16 gave the fastest adapter reconstruct and
+# merge commands on 768- and 3072-wide layers (Xeon, 48 KiB L1d, 2 MiB L2)
+_ROW_BLOCK = 2**16
 
 
-def _row_blocks(n: int, step: int):
+def _slot(out, lo: int, hi: int, *shape: int):
+    """Rows lo:hi of out, shaped (..., *shape) after its leading axes; None without out.
+
+    Splitting axes of a slice of rows is always a view, so what is written
+    into the slot lands in out.
+    """
+    return None if out is None else out[..., lo:hi, :].reshape(*out.shape[:-2], *shape)
+
+
+def _row_blocks(n: int, step: int) -> list[tuple[int, int]]:
     """[lo, hi) bounds of step rows each over n rows, step >= 2.
 
     A lone last row joins the block before it: numpy computes a one-row
     product as a matrix-vector product, whose sums may round otherwise
     than the whole product's rows.
     """
+    if step >= n:
+        return [(0, n)]
     bounds = [*range(0, n, step), n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
+    if n - bounds[-2] == 1:
         del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _layer_rows(adapter, lam: float | None = None, w0=None, out=None):
+    """Consecutive row blocks of w0 + lam * gamma * delta, rows of the unrolled layer.
+
+    This is the one statement of that sum: reconstruct, merge and the
+    adapter commands take their values from it. lam None leaves the delta
+    unscaled and w0 None adds nothing. Each block holds about _ROW_BLOCK
+    values, (..., rows, in*k*k) after any leading member axes (_stacked,
+    which takes neither lam nor w0), and comes from the family's _rows; a
+    layer of at most _ROW_BLOCK values is one block. A block is a new
+    array, or, given out (..., out, in*k*k), a view of out's rows that it
+    was formed in. Nothing here holds a block once it is handed on.
+    """
+    layer = adapter.layer
+    bounds = adapter._bounds(max(2, _ROW_BLOCK // (math.prod(adapter._lead) * layer.unrolled_in)))
+    rows_of, shared = adapter._rows, adapter._shared()
+    scale = None if lam is None else lam * adapter.scale.gamma
+    base = None if w0 is None else w0.reshape(layer.out_dim, -1)
+
+    def block(bound):
+        rows = rows_of(*bound, out, shared)
+        if scale is not None:
+            rows *= scale
+        if base is not None:
+            rows += base[bound[0]:bound[1]]
+        return rows
+    return map(block, bounds)
 
 
 def _stacked(adapter, tensors: dict[str, np.ndarray]):
@@ -277,6 +329,11 @@ class _Family:
     hold (a core makes it Tucker, w2 whole); save_weights runs the same
     check on shapes alone. _build_adapter draws the roles of _shapes in
     DRAW_ORDER and hands them to the constructor.
+
+    A family also states rows lo:hi of its unrolled delta once, in
+    _rows(lo, hi, out, shared), where shared is what every row block of a
+    layer reads (_shared, made once per layer) and _bounds picks the
+    blocks; _layer_rows and _delta form the layer from them.
     """
 
     ROLES: tuple[str, ...]
@@ -314,6 +371,27 @@ class _Family:
     def tensors(self) -> dict[str, np.ndarray]:
         return {role: value for role in self.ROLES if (value := getattr(self, role)) is not None}
 
+    @property
+    def _lead(self) -> tuple[int, ...]:
+        # the leading member axes of _stacked factors; ROLES[0] is a matrix
+        return getattr(self, self.ROLES[0]).shape[:-2]
+
+    def _bounds(self, step: int) -> list[tuple[int, int]]:
+        # the [lo, hi) row blocks of _rows, step rows each
+        return _row_blocks(self.layer.out_dim, step)
+
+    def _delta(self, lam: float | None = None, w0=None) -> np.ndarray:
+        """_layer_rows(self, lam, w0) formed in one new array of the layer's shape."""
+        lead, shape = self._lead, self.layer.delta_shape
+        if lam is None and w0 is None and math.prod(lead) * math.prod(shape) <= _ROW_BLOCK:
+            # one block, a new array: the training harness's tiny deltas
+            rows = self._rows(0, shape[0])
+            return rows if self.layer.kind == "linear" else rows.reshape(*lead, *shape)
+        delta = np.empty((*lead, *shape), np.result_type(*self.tensors().values()))
+        for _ in _layer_rows(self, lam, w0, out=delta.reshape(*lead, shape[0], -1)):
+            pass  # each block is formed in delta's rows
+        return delta
+
     def _convolve(self, image: np.ndarray) -> np.ndarray:
         # elementwise and Kronecker products do not commute with convolution;
         # the delta is built through reconstruct, the public step a trace reports
@@ -339,23 +417,20 @@ class _BlockProduct(_Family):
         return tuple(_Block(self.layer, getattr(self, "up" + s), getattr(self, "down" + s),
                             getattr(self, "core" + s)) for s in self.SUFFIXES)
 
-    def _delta(self) -> np.ndarray:
-        *others, last = self._blocks
-        delta = last.dense()
-        if delta.size <= _ROW_BLOCK:
-            # one product, as for the training harness's tiny stacked factors
-            for block in reversed(others):
-                delta = block.dense() * delta
-            return delta
-        # the other blocks multiply into the last one's dense array in place,
-        # a row block at a time, so the delta takes one layer-sized array
-        delta = delta.astype(np.result_type(*self.tensors().values()), copy=False)
-        out_dim = self.layer.out_dim
-        rows = delta.reshape(*delta.shape[:-len(self.layer.delta_shape)], out_dim, -1)
-        for lo, hi in _row_blocks(out_dim, max(2, _ROW_BLOCK * out_dim // delta.size)):
-            for block in reversed(others):
-                rows[..., lo:hi, :] *= block.rows(lo, hi)
-        return delta
+    def _shared(self) -> tuple:
+        # each Tucker block's whole up @ core, which all row blocks slice
+        return tuple(block._up_core() if block.core is not None else None for block in self._blocks)
+
+    def _rows(self, lo: int, hi: int, out=None, shared=None) -> np.ndarray:
+        # the other blocks' rows multiply into the last one's; shared: _shared()
+        blocks = self._blocks
+        rows = blocks[-1].rows(lo, hi, out, shared and shared[-1])
+        for i in range(len(blocks) - 2, -1, -1):
+            block_rows = blocks[i].rows(lo, hi, None, shared and shared[i])
+            # in place, unless complex stacked factors promote a real product
+            promote = block_rows.dtype.kind == "c" and rows.dtype.kind != "c"
+            rows = np.multiply(block_rows, rows, out=None if promote else rows)
+        return rows
 
     def _apply(self, cols: np.ndarray) -> np.ndarray:
         # face-splitting: (U1 V1 * U2 V2) x = (U1 (.)r U2)((V1 (.)r V2) x), where
@@ -480,16 +555,29 @@ class LokrAdapter(_Family):
         u_p, u_q = self.c.shape[-2:]
         return u_p, self.layer.out_dim // u_p, u_q, self.layer.in_dim // u_q
 
-    def _delta(self) -> np.ndarray:
-        # kron(c, right) as np.kron forms it, one product per entry, over any
-        # leading member axes, written into the array it returns
-        u_p, v_p, u_q, _ = self.block_dims
-        lead = self.c.shape[:-2]
-        right = self._blocks[0].dense()
-        delta = np.empty((*lead, *self.layer.delta_shape), np.promote_types(self.c.dtype, right.dtype))
-        np.multiply(self.c[..., :, None, :, None], right.reshape(*lead, 1, v_p, 1, -1),
-                    out=delta.reshape(*lead, u_p, v_p, u_q, -1))
-        return delta
+    def _bounds(self, step: int) -> list[tuple[int, int]]:
+        # row (i, p) of the delta is c[i] (x) right[p]: each block is whole
+        # groups of v_p rows (one row of c each), or a piece of one group
+        u_p, v_p, _, _ = self.block_dims
+        if step >= v_p:
+            return _row_blocks(self.layer.out_dim, step - step % v_p)
+        return [(i * v_p + lo, i * v_p + hi) for i in range(u_p) for lo, hi in _row_blocks(v_p, step)]
+
+    def _shared(self) -> np.ndarray:
+        # the right block's dense array, one row per p: (..., v_p, v_q*k*k)
+        right = self._blocks[0]
+        return right.dense().reshape(*self.c.shape[:-2], right.geometry.out_dim, -1)
+
+    def _rows(self, lo: int, hi: int, out=None, shared=None) -> np.ndarray:
+        # kron(c, right) as np.kron forms it, one product per entry: row
+        # (i, p) of the delta is c[i] (x) right[p], and rows lo:hi, a block
+        # of _bounds, are the rectangle i0 <= i <= i1, p0 <= p <= p1
+        right = self._shared() if shared is None else shared
+        v_p = right.shape[-2]
+        (i0, p0), (i1, p1) = divmod(lo, v_p), divmod(hi - 1, v_p)
+        rows = np.multiply(self.c[..., i0:i1 + 1, None, :, None], right[..., None, p0:p1 + 1, None, :],
+                           out=_slot(out, lo, hi, i1 - i0 + 1, p1 - p0 + 1, self.c.shape[-1], -1))
+        return rows.reshape(*self.c.shape[:-2], hi - lo, -1)
 
     def _apply(self, cols: np.ndarray) -> np.ndarray:
         # kron_linear takes a batch as rows: the columns go in as cols.T
@@ -589,8 +677,9 @@ def _right_is_whole(right: LayerShape, dim: int) -> bool:
 def reconstruct(adapter: Adapter) -> np.ndarray:
     """Materialize the dense weight delta (gamma is NOT applied).
 
-    The result is a new array that the caller owns and may scale in place;
-    forming it takes one layer-sized array.
+    The result is a new array that the caller owns and may scale in place.
+    It is formed one row block at a time (_layer_rows), so besides the
+    result it takes one block of about _ROW_BLOCK values.
     """
     return adapter._delta()
 
@@ -649,19 +738,16 @@ def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
 def merge(adapter: Adapter, w0_new, lam: float = 1.0) -> np.ndarray:
     """w0_new + lam * gamma * delta; shapes must agree with the layer.
 
-    The delta that reconstruct returns is scaled and added to in place, so
-    a merge holds one layer-sized array besides w0_new, which it leaves as
-    it was.
+    Each row block of the delta is scaled and added to as it is formed
+    (_layer_rows), so a merge holds the result and one row block besides
+    w0_new, which it leaves as it was.
     """
     wm = as_tensor(w0_new, "weight")
     if not math.isfinite(lam):
         raise ValueError(f"merge weight must be finite, got {lam}")
     if wm.shape != adapter.layer.delta_shape:
         raise ShapeError(f"weight shape {wm.shape} != layer shape {adapter.layer.delta_shape}")
-    merged = reconstruct(adapter)
-    merged *= lam * adapter.scale.gamma
-    merged += wm
-    return merged
+    return adapter._delta(lam, wm)
 
 
 def param_count(adapter: Adapter) -> int:
@@ -680,7 +766,7 @@ def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init
     if tucker and layer.kind != "conv2d":
         raise ValueError("Tucker form is only defined for conv2d layers")
     scale = MergeScale(alpha=alpha, dim=dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     std = 1.0 / math.sqrt(dim)
     cls = _FAMILIES[algorithm]
     shapes = cls._shapes(layer, dim, factor, tucker, whole=None)
@@ -853,7 +939,7 @@ def init_model(entries, algorithm: str, dim: int, alpha: float, factor: int = -1
     names = [name for name, _ in named]
     if len(set(names)) != len(names):
         raise ValueError("layer names must be unique")
-    children = np.random.SeedSequence(seed).spawn(len(named))
+    children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(named))
     built: dict[str, Adapter] = {}
     for (name, layer), child in zip(named, children):
         use_tucker = tucker and layer.kind == "conv2d"

@@ -27,11 +27,11 @@ from .adapters import (
     AdapterModel,
     LayerShape,
     ModelMeta,
+    _layer_rows,
     init_model,
     max_rank_bound,
     nkp_fit_lokr,
     param_count,
-    reconstruct,
     svd_fit_lora,
 )
 from .features import (
@@ -43,6 +43,7 @@ from .features import (
     write_category_scores,
     write_scores,
 )
+from .tensor_core import NumericalError
 from .weightfile import load_weights, open_dense, save_dense, save_weights
 
 __all__ = ["build_parser", "cli_dispatch", "main"]
@@ -121,13 +122,9 @@ def _cmd_adapter_info(args) -> int:
 
 def _cmd_adapter_reconstruct(args) -> int:
     model = load_weights(args.weights)
-
-    def delta(ad):
-        # gamma * delta, scaled in the array reconstruct makes
-        d = reconstruct(ad)
-        d *= ad.scale.gamma
-        return d
-    save_dense({name: (ad.layer, functools.partial(delta, ad)) for name, ad in model.entries.items()},
+    # gamma * delta, handed to the writer one row block at a time
+    save_dense({name: (ad.layer, functools.partial(_layer_rows, ad, 1.0))
+                for name, ad in model.entries.items()},
                args.out, algorithm="delta", meta=model.meta)
     print(f"wrote {len(model.entries)} dense deltas to {args.out}")
     return 0
@@ -150,15 +147,14 @@ def _cmd_adapter_merge(args) -> int:
                     f"base geometry {base[name][0]}")
 
         def merged(ad, read):
-            # merge()'s w0 + (lam * gamma) * delta, formed in the delta's own
-            # array from the base layer's float32 values
-            d = reconstruct(ad)
-            d *= args.weight * ad.scale.gamma
-            d += read()
-            return d
-        # layers only in the base are copied through as read
-        save_dense({name: (shape, functools.partial(merged, model.entries[name], read)
-                           if name in model.entries else read)
+            # merge()'s w0 + lam * gamma * delta from the base layer's float32
+            # values, one row block at a time; a layer only in the base is
+            # copied through as read
+            w0 = read()
+            if ad is None:
+                return [w0.reshape(len(w0), -1)]
+            return _layer_rows(ad, args.weight, w0)
+        save_dense({name: (shape, functools.partial(merged, model.entries.get(name), read))
                     for name, (shape, read) in base.items()}, args.out, algorithm="dense")
     print(f"merged {len(model.entries)} layers at weight {args.weight!r} "
           f"into {args.out}")
@@ -306,8 +302,10 @@ def _cmd_metrics_style(args) -> int:
             raise ValueError(
                 f"records {ra.id!r}/{rb.id!r} differ in layers: "
                 f"{names_a} vs {names_b}")
-        loss = metrics.style_loss([m for _, m in ra.maps],
-                                  [m for _, m in rb.maps])
+        try:
+            loss = metrics.style_loss([m for _, m in ra.maps], [m for _, m in rb.maps])
+        except NumericalError as exc:
+            raise NumericalError(f"records {ra.id!r}/{rb.id!r}: {exc}") from None
         losses.append(loss)
         rows.append((ra.id, rb.id, repr(loss)))
     rows.append(("mean", "mean", repr(sum(losses) / len(losses))))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_core import SYM_EIG_MAX_SIZE, NumericalError, ShapeError, _is_count, as_tensor
+from .tensor_core import SYM_EIG_MAX_SIZE, NumericalError, ShapeError, _checked_seed, _is_count, as_tensor
 
 __all__ = [
     "MEASURES",
@@ -196,7 +196,11 @@ def grouped_vendi(vectors, labels, singletons: str) -> tuple[dict[str, float], f
 
 
 def gram_matrix(feature_map) -> np.ndarray:
-    """Channel covariance G = F F^T / (C H W) of a (C, H, W) feature map."""
+    """Channel covariance G = F F^T / (C H W) of a (C, H, W) feature map.
+
+    A finite map whose Gram matrix leaves the float64 range raises
+    NumericalError.
+    """
     fm = as_tensor(feature_map, "feature map")
     if fm.ndim != 3:
         raise ShapeError(f"feature map must be (C, H, W), got shape {fm.shape}")
@@ -204,23 +208,40 @@ def gram_matrix(feature_map) -> np.ndarray:
         raise ShapeError(f"feature map has a zero extent: {fm.shape}")
     c, h, w = fm.shape
     flat = fm.reshape(c, h * w)
-    return (flat @ flat.T) / (c * h * w)
+    try:
+        # the product overflows to inf, or to inf - inf = NaN, only here
+        with np.errstate(over="raise", invalid="raise"):
+            return (flat @ flat.T) / (c * h * w)
+    except FloatingPointError:
+        raise NumericalError(f"the Gram matrix of a {fm.shape} feature map with max |value| "
+                             f"{float(np.max(np.abs(fm)))!r} overflows float64") from None
 
 
 def style_loss(maps_a, maps_b) -> float:
-    """Sum over layers of squared Frobenius distance between Gram matrices."""
+    """Sum over layers of squared Frobenius distance between Gram matrices.
+
+    A Gram matrix or a loss that leaves the float64 range raises
+    NumericalError naming the layer.
+    """
     la, lb = list(maps_a), list(maps_b)
     if len(la) != len(lb):
         raise ValueError(f"layer count mismatch: {len(la)} vs {len(lb)}")
     if not la:
         raise ValueError("style loss requires at least one layer")
     total = 0.0
-    for i, (fa, fb) in enumerate(zip(la, lb)):
-        ga, gb = gram_matrix(fa), gram_matrix(fb)
-        if ga.shape != gb.shape:
-            raise ShapeError(f"channel mismatch at layer {i}: {ga.shape} vs {gb.shape}")
-        diff = ga - gb
-        total += float(np.sum(diff * diff))
+    # an overflowing loss becomes inf, refused below; gram_matrix raises its own
+    with np.errstate(over="ignore"):
+        for i, (fa, fb) in enumerate(zip(la, lb)):
+            try:
+                ga, gb = gram_matrix(fa), gram_matrix(fb)
+            except NumericalError as exc:
+                raise NumericalError(f"layer {i}: {exc}") from None
+            if ga.shape != gb.shape:
+                raise ShapeError(f"channel mismatch at layer {i}: {ga.shape} vs {gb.shape}")
+            diff = ga - gb
+            total += float(np.sum(diff * diff))
+            if not math.isfinite(total):
+                raise NumericalError(f"layer {i}: the style loss overflows float64")
     return total
 
 
@@ -232,6 +253,7 @@ def subsample(vectors, limit: int, seed=0) -> np.ndarray:
     arr = _vectors(vectors)
     if not _is_count(limit):
         raise ValueError(f"limit must be positive, got {limit!r}")
+    _checked_seed(seed)
     if arr.shape[0] <= limit:
         return arr.copy()
     rng = np.random.default_rng(seed)

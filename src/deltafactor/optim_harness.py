@@ -42,7 +42,7 @@ import numpy as np
 
 from . import adapters, tensor_core
 from .adapters import LayerShape, MergeScale
-from .tensor_core import NumericalError, as_tensor
+from .tensor_core import NumericalError, _checked_seed, as_tensor
 
 __all__ = [
     "OPTIMIZERS",
@@ -289,6 +289,7 @@ class _Optimizer:
 
 
 def _seed_seq(seed) -> np.random.SeedSequence:
+    seed = _checked_seed(seed)
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
@@ -516,8 +517,8 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     The twins train as one stacked run, so a diverging one raises
     NumericalError naming it ("twin A" or "twin B").
     """
-    if s <= 0:
-        raise ValueError(f"merge ratio must be positive, got {s}")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"merge ratio must be finite and positive, got {s}")
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     spec = _spec(algorithm)

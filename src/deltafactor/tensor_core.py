@@ -68,6 +68,18 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
+def _checked_seed(seed):
+    """seed, refused with ValueError naming it unless it is a non-negative integer or a SeedSequence.
+
+    An integer is an int or numpy integer, never a bool; numpy's own
+    refusal of a negative one does not name the seed.
+    """
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if isinstance(seed, np.random.SeedSequence) or (integer and seed >= 0):
+        return seed
+    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
     finite = np.isfinite(arr)
     if not finite.all():

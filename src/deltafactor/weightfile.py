@@ -25,8 +25,9 @@ existing target that is not a regular file is refused before anything is
 written. save_weights checks each layer as load_weights will assemble it:
 its roles and shapes under the model's metadata, and its gamma against
 alpha / dim. save_dense takes each tensor as an array or as a function
-that makes it when the writer reaches it, so a command that streams its
-layers holds one layer at a time.
+that returns its row blocks when the writer reaches it, and casts each
+block as it comes, so a command that streams its layers holds one row
+block of float64 values at a time.
 
 Loading reads the 8-byte prefix and the header, and checks the whole
 declared layout before it reads a payload byte: distinct layer names, and
@@ -160,29 +161,54 @@ def _all_finite(f4: np.ndarray) -> bool:
 
 
 def _as_f32(buf: np.ndarray, name, role: str, shape: tuple, value) -> np.ndarray:
-    """value cast into the front of buf, refused unless it is real, of shape and finite there."""
-    value = np.asarray(value)
-    if value.dtype.kind == "c":
-        raise ComplexInputError(
-            f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
-    if value.shape != shape:
-        raise ValueError(f"layer {name!r} tensor {role!r}: array shape {value.shape} != {shape}")
-    f4 = buf[:value.size]
-    # the cast rounds a value of magnitude 2^128 - 2^103 or more to inf and
-    # keeps anything below it finite, so this is the reader's own test
-    with np.errstate(over="ignore"):
-        np.copyto(f4.reshape(shape), value, casting="unsafe")
-    if not _all_finite(f4):
-        raise WeightFileError(
-            f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
+    """value cast into the front of buf, refused unless it is real, of shape and finite there.
+
+    value is an array, or a function that returns consecutive row blocks of
+    the tensor, each (rows, prod(shape[1:])). Each block is cast into buf
+    and checked there as it comes, so no more than one is held.
+    """
+    def real(block):
+        block = np.asarray(block)
+        if block.dtype.kind == "c":
+            raise ComplexInputError(
+                f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
+        return block
+
+    f4 = buf[:math.prod(shape)]
+    if callable(value):
+        blocks, rows = map(real, value()), f4.reshape(shape[0], -1)
+    else:
+        value = real(value)
+        if value.shape != shape:
+            raise ValueError(f"layer {name!r} tensor {role!r}: array shape {value.shape} != {shape}")
+        blocks, rows = (value,), f4.reshape(shape)
+    lo = 0
+    for block in blocks:
+        if block.shape[1:] != rows.shape[1:] or not lo < lo + len(block) <= len(rows):
+            raise ValueError(f"layer {name!r} tensor {role!r}: row block shape {block.shape} "
+                             f"does not fit rows {lo}: of {shape}")
+        hi = lo + len(block)
+        # the cast rounds a value of magnitude 2^128 - 2^103 or more to inf and
+        # keeps anything below it finite, so this is the reader's own test
+        with np.errstate(over="ignore"):
+            np.copyto(rows[lo:hi], block, casting="unsafe")
+        if not _all_finite(rows[lo:hi]):
+            raise WeightFileError(
+                f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
+        lo = hi
+        # dropped before the next block is made
+        del block
+    if lo < len(rows):
+        raise ValueError(f"layer {name!r} tensor {role!r}: row blocks end at row {lo} of {shape}")
     return f4
 
 
 def _write(path, meta: ModelMeta, layout, values) -> None:
     """Write the container of layout, [(name, LayerShape, {role: shape})], and its values.
 
-    values yields one array per tensor of layout, in its order, each made
-    only when the writer reaches it. The bytes go to a temporary file that
+    values yields one value per tensor of layout, in its order, each made
+    only when the writer reaches it: an array, or a function that returns
+    the tensor's row blocks (_as_f32). The bytes go to a temporary file that
     replaces the target once complete; a refusal removes it instead.
     """
     header = _header(meta, layout)
@@ -255,16 +281,18 @@ def save_dense(entries, path, algorithm: str = "delta",
 
     algorithm 'delta' marks weight deltas, 'dense' full weights; the single
     tensor per layer takes the matching role name. A value is an array, or a
-    function of no arguments that returns one when the writer reaches its
-    layer, so that a caller need hold only one layer at a time.
+    function of no arguments that the writer calls when it reaches the
+    layer and that returns the layer's consecutive row blocks, each
+    (rows, in*k*k) as adapters._layer_rows makes them; each block is cast
+    into the writer's float32 buffer as it comes, so a caller need hold no
+    float64 layer.
     """
     if algorithm not in _DENSE_ALGORITHMS:
         raise ValueError(f"dense algorithm must be one of {sorted(_DENSE_ALGORITHMS)}")
     role = _DENSE_ALGORITHMS[algorithm]
     meta = replace(meta or ModelMeta(algorithm, dim=1, alpha=1.0), algorithm=algorithm)
     layout = [(name, shape, {role: shape.delta_shape}) for name, (shape, _) in entries.items()]
-    values = (value() if callable(value) else value for _, value in entries.values())
-    _write(path, meta, layout, values)
+    _write(path, meta, layout, (value for _, value in entries.values()))
 
 
 def _require_key(entry: dict, key: str, kinds, where: str):

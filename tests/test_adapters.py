@@ -175,6 +175,15 @@ class TestSeedContract:
                 expected = np.zeros_like(want[role]) if role == zeroed else want[role]
                 np.testing.assert_array_equal(value, expected, err_msg=role)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-2), True, 1.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        layer = ad.LayerShape("linear", 4, 4)
+        for draw in (lambda: ad.random_adapter("lora", layer, 2, 1.0, seed=seed),
+                     lambda: ad.init_model([("a", layer)], "lora", 2, 1.0, seed=seed)):
+            with pytest.raises(ValueError) as exc:
+                draw()
+            assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
     @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
     def test_role_table(self, algorithm):
         # the class tables state the pinned contract; ROLES are the array
@@ -301,19 +310,23 @@ def whole_formula(adapter, tensors=None):
     return first * rest[0] if rest else first
 
 
-# Layers at and around a row-block boundary of _BlockProduct._delta: 256 rows
-# of 1024 make one row block, as do 910 rows of a 32-channel 3x3 kernel
-# (288 values). The row lengths are multiples of 8: at other lengths
-# OpenBLAS rounds the last (length mod 8) columns of a product by how many
-# rows the call holds, so a row block can differ from the same rows of the
-# whole product in the last bit (at such lengths the whole product's own
-# bytes also change with the BLAS thread count).
+# Layers at and around a row-block boundary of adapters._layer_rows:
+# LINEAR_STEP rows of 1024 make one row block, as do CONV_STEP rows of a
+# 32-channel 3x3 kernel (288 values). The fixed counts (255-700 rows of
+# 1024, 910-2000 of the kernel) span several blocks at any step up to 2^18
+# values, with whole, short and lone last rows. The row lengths are
+# multiples of 8: at other lengths OpenBLAS rounds the last (length mod 8)
+# columns of a product by how many rows the call holds, so a row block can
+# differ from the same rows of the whole product in the last bit (at such
+# lengths the whole product's own bytes also change with the BLAS thread
+# count).
 LINEAR_STEP = ad._ROW_BLOCK // 1024
 CONV_STEP = ad._ROW_BLOCK // (32 * 9)
 BOUNDARY_LAYERS = (
-    [ad.LayerShape("linear", n, 1024)
-     for n in (LINEAR_STEP - 1, LINEAR_STEP, LINEAR_STEP + 1, 2 * LINEAR_STEP + 1, 700)]
-    + [ad.LayerShape("conv2d", n, 32, 3) for n in (CONV_STEP, CONV_STEP + 1, 2 * CONV_STEP + 1, 2000)])
+    [ad.LayerShape("linear", n, 1024) for n in sorted(
+        {LINEAR_STEP - 1, LINEAR_STEP, LINEAR_STEP + 1, 2 * LINEAR_STEP + 1, 255, 256, 257, 513, 700})]
+    + [ad.LayerShape("conv2d", n, 32, 3) for n in sorted(
+        {CONV_STEP, CONV_STEP + 1, 2 * CONV_STEP + 1, 910, 911, 1821, 2000})])
 
 
 def boundary_forms():
@@ -338,6 +351,16 @@ class TestWholeMatrixFormula:
         adapter = ad.random_adapter(algorithm, layer, 4, 1.0, tucker=tucker, seed=layer.out_dim)
         assert np.array_equal(ad.reconstruct(adapter), whole_formula(adapter))
 
+    @pytest.mark.parametrize("algorithm,layer,tucker", boundary_forms())
+    def test_merge_at_row_block_boundaries(self, algorithm, layer, tucker):
+        # every row block is scaled and gets its own rows of w0
+        adapter = ad.random_adapter(algorithm, layer, 4, 2.0, tucker=tucker, seed=layer.out_dim)
+        w0 = np.random.default_rng(layer.out_dim).standard_normal(layer.delta_shape)
+        want = whole_formula(adapter)
+        want *= 0.7 * adapter.scale.gamma
+        want += w0
+        assert np.array_equal(ad.merge(adapter, w0, 0.7), want)
+
     @pytest.mark.parametrize("layer,tucker", [
         (ad.LayerShape("linear", LINEAR_STEP + 1, 1024), False),
         (ad.LayerShape("conv2d", CONV_STEP + 1, 32, 3), False),
@@ -359,14 +382,24 @@ class TestWholeMatrixFormula:
                 want = whole_formula(adapter, {r: t[m] for r, t in stacked.items()})
                 assert np.array_equal(delta[m], want), (role, m)
 
+    @pytest.mark.parametrize("layer", [ad.LayerShape("linear", 1024, 1024),
+                                       ad.LayerShape("conv2d", 512, 64, 3)], ids=["linear", "conv"])
+    def test_lokr_row_blocks_within_one_row_of_c(self, layer):
+        # factor 2 leaves v_p = out / 2 rows per row of c, more than a row
+        # block holds, so the blocks split each group of v_p rows
+        adapter = ad.random_adapter("lokr", layer, 4, 1.0, factor=2, seed=8)
+        assert ad._ROW_BLOCK // layer.unrolled_in < adapter.block_dims[1]
+        assert np.array_equal(ad.reconstruct(adapter), whole_formula(adapter))
+
     def test_odd_row_length_within_rounding(self):
         # 300 is not a multiple of 8: each block's rows are rounded anew
+        # (lokr's Kronecker rows are exact products of the whole right block)
         layer = ad.LayerShape("linear", 1000, 300)
-        adapter = ad.random_adapter("loha", layer, 8, 1.0, seed=5)
-        magnitude = ((np.abs(adapter.up1) @ np.abs(adapter.down1))
-                     * (np.abs(adapter.up2) @ np.abs(adapter.down2)))
-        error = np.abs(ad.reconstruct(adapter) - whole_formula(adapter))
-        assert np.all(error <= 2 * (8 + 1) * 2.0 ** -53 * magnitude)
+        for algorithm in ad.ALGORITHMS:
+            adapter = ad.random_adapter(algorithm, layer, 8, 1.0, seed=5)
+            magnitude = whole_formula(adapter, {role: np.abs(t) for role, t in adapter.tensors().items()})
+            error = np.abs(ad.reconstruct(adapter) - whole_formula(adapter))
+            assert np.all(error <= 2 * (8 + 1) * 2.0 ** -53 * magnitude), algorithm
 
 
 def traced_peak(fn) -> int:

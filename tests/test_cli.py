@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -61,6 +62,15 @@ class TestAdapterFlow:
         assert set(model.entries) == {"blk0.attn", "blk0.conv"}
         for adapter in model.entries.values():
             assert np.all(ad.reconstruct(adapter) == 0.0)
+
+    def test_init_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "model.lwu"
+        code, stdout, stderr = run(capsys, "adapter", "init", "--algo", "lora",
+                                   "--manifest", str(write_manifest(tmp_path)), "--dim", "2",
+                                   "--alpha", "2.0", "--seed", "-3", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
 
     def test_info_reports_layers(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path)
@@ -175,20 +185,22 @@ class TestAdapterFlow:
             digests[out] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == self.PINNED
 
-    def test_commands_hold_one_float64_layer(self, tmp_path, capsys):
-        # at their peak, reconstruct and merge of a loha layer hold its
-        # float64 delta, one row block of it and the float32 buffers the
-        # writer and the base reader cast each layer through, besides the
-        # loaded factors and small objects
+    @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
+    def test_commands_hold_no_float64_layer(self, tmp_path, capsys, algorithm):
+        # at their peak, reconstruct and merge hold the float32 buffers the
+        # writer and the base reader cast each layer through, and one row
+        # block per factor block (loha multiplies two blocks' rows), besides
+        # the loaded factors and small objects: never a float64 layer
         layer = ad.LayerShape("linear", 3072, 768)
-        adapter = ad.random_adapter("loha", layer, 8, 4.0, seed=7)
-        save_weights(ad.AdapterModel(ad.ModelMeta("loha", 8, 4.0), {"mlp": adapter}), tmp_path / "w.lwu")
+        adapter = ad.random_adapter(algorithm, layer, 8, 4.0, seed=7)
+        save_weights(ad.AdapterModel(ad.ModelMeta(algorithm, 8, 4.0), {"mlp": adapter}),
+                     tmp_path / "w.lwu")
         base = np.random.default_rng(8).standard_normal(layer.delta_shape)
         save_dense({"mlp": (layer, base)}, tmp_path / "base.lwu", algorithm="dense")
-        f64, f32 = base.nbytes, base.nbytes // 2
+        f32 = base.nbytes // 2
         del base
         factors = sum(t.nbytes for t in adapter.tensors().values())
-        bound = f64 + 8 * ad._ROW_BLOCK + factors + 2**19
+        bound = 8 * ad._ROW_BLOCK * len(adapter._blocks) + factors + 2**19
         argvs = {"reconstruct": (["adapter", "reconstruct"], f32),
                  "merge": (["adapter", "merge", "--base", str(tmp_path / "base.lwu")], 2 * f32)}
         for name, (argv, buffers) in argvs.items():
@@ -200,7 +212,15 @@ class TestAdapterFlow:
             finally:
                 tracemalloc.stop()
             assert code == 0
-            assert peak <= bound + buffers, name
+            assert peak <= buffers + bound, name
+        # the outputs, row block by row block, are the whole layer's, from
+        # the factors as the file holds them
+        stored = load_weights(tmp_path / "w.lwu").entries["mlp"]
+        delta = stored.scale.gamma * ad.reconstruct(stored)
+        base32 = load_dense(tmp_path / "base.lwu")[1]["mlp"][1]
+        for name, want in (("reconstruct", delta), ("merge", base32 + delta)):
+            got = load_dense(tmp_path / f"{name}.lwu")[1]["mlp"][1]
+            np.testing.assert_array_equal(got, want.astype(np.float32), err_msg=name)
 
     def test_merge_rejects_missing_layer(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 6, 4)
@@ -345,6 +365,28 @@ class TestVerifyCommands:
         assert "finite and non-negative" in stderr
         assert stdout.splitlines()[-1] == "FAIL (tolerance 1e-08)"
         assert "PASS" not in stdout
+
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_merge_ratio_non_finite_scale_is_an_error(self, capsys, scale):
+        code, stdout, stderr = run(capsys, "verify", "merge-ratio", "--algo", "lora",
+                                   "--scale", scale, "--steps", "2")
+        message = f"merge ratio must be finite and positive, got {scale}"
+        assert code == 1
+        assert stdout.splitlines() == [f"lora sgd ratio {scale}: error: {message} FAIL",
+                                       "FAIL (tolerance 1e-08)"]
+        assert stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gradients", "--algo", "lora", "--seed", "-1"],
+        ["verify", "homogeneity", "--algo", "lora", "--trials", "2", "--seed", "-1"],
+        ["verify", "merge-ratio", "--algo", "lora", "--steps", "2", "--seed", "-1"],
+    ], ids=["gradients", "homogeneity", "merge-ratio"])
+    def test_negative_seed_is_named(self, capsys, argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout.splitlines()[0].endswith(
+            ": error: seed must be a non-negative integer, got -1 FAIL")
+        assert stderr == "error: seed must be a non-negative integer, got -1\n"
 
     def test_merge_ratio_one_line_per_case(self, capsys):
         code, stdout, _ = run(capsys, "verify", "merge-ratio", "--algo", "lokr",
@@ -512,6 +554,13 @@ class TestMetricsCommands:
         assert code == 0
         assert 1.0 <= float(stdout) <= 5.0 + 1e-9
 
+    def test_vendi_subsample_negative_seed(self, tmp_path, capsys):
+        feats = write_vectors(tmp_path, "f", np.eye(6).tolist())
+        code, stdout, stderr = run(capsys, "metrics", "vendi", "--features", str(feats),
+                                   "--subsample", "5", "--subsample-seed", "-2")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: seed must be a non-negative integer, got -2\n"
+
     def test_vendi_grouped(self, tmp_path, capsys):
         records = [
             ft.FeatureRecord(id=f"r{i}", class_name="c", prompt_type=tag,
@@ -633,6 +682,17 @@ class TestMetricsCommands:
         code, _, stderr = run(capsys, "metrics", "style", "--a", str(pa), "--b", str(pb))
         assert code == 1
         assert "record count mismatch: 1 vs 2" in stderr
+
+    @pytest.mark.filterwarnings("error")
+    def test_style_overflow_names_the_records_and_layer(self, tmp_path, capsys):
+        maps = (("conv1", np.ones((1, 2, 2))), ("conv2", np.full((1, 2, 2), 1e200)))
+        rec = ft.FeatureRecord(id="a0", class_name="c", maps=maps)
+        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        ft.write_features([rec], pa)
+        ft.write_features([dataclasses.replace(rec, id="b0")], pb)
+        code, stdout, stderr = run(capsys, "metrics", "style", "--a", str(pa), "--b", str(pb))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: records 'a0'/'b0': layer 1: the Gram matrix of a (1, 2, 2) ")
 
     def test_style_requires_map_records(self, tmp_path, capsys):
         pa = write_vectors(tmp_path, "a", [[1.0, 0.0]])

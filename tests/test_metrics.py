@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deltafactor import metrics as mt
 from deltafactor.features import write_category_scores
-from deltafactor.tensor_core import SYM_EIG_MAX_SIZE, ComplexInputError, ShapeError
+from deltafactor.tensor_core import SYM_EIG_MAX_SIZE, ComplexInputError, NumericalError, ShapeError
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]
@@ -299,6 +299,30 @@ class TestGramAndStyle:
         fm = np.random.default_rng(7).standard_normal((5, 3, 4))
         assert mt.gram_matrix(fm).shape == (5, 5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_gram_overflow_is_a_numerical_error(self):
+        # finite maps whose products leave the float64 range: no inf and
+        # no numpy warning
+        for sign in (1.0, -1.0):
+            fm = np.full((2, 3, 3), 1e200)
+            fm[1] *= sign
+            with pytest.raises(NumericalError, match=r"^the Gram matrix of a \(2, 3, 3\) feature map "
+                                                     r"with max \|value\| 1e\+200 overflows float64$"):
+                mt.gram_matrix(fm)
+
+    @pytest.mark.filterwarnings("error")
+    def test_style_overflow_names_the_layer(self):
+        small, zero = np.ones((1, 2, 2)), np.zeros((1, 2, 2))
+        with pytest.raises(NumericalError, match=r"^layer 1: the Gram matrix of a \(1, 2, 2\) "):
+            mt.style_loss([small, small], [small, np.full((1, 2, 2), -1e200)])
+        # Gram matrices of 1e200 are finite; their squared distance is not
+        with pytest.raises(NumericalError, match=r"^layer 1: the style loss overflows float64$"):
+            mt.style_loss([small, np.full((1, 2, 2), 1e100)], [small, zero])
+        # nor is the sum of two finite layer losses near the float64 maximum
+        near_max = np.full((1, 1, 1), 1e77)
+        with pytest.raises(NumericalError, match=r"^layer 1: the style loss overflows float64$"):
+            mt.style_loss([near_max, near_max], [np.zeros((1, 1, 1))] * 2)
+
     def test_identical_maps_zero_loss(self):
         rng = np.random.default_rng(8)
         maps = [rng.standard_normal((4, 3, 3)), rng.standard_normal((8, 2, 2))]
@@ -370,6 +394,13 @@ class TestSubsample:
     def test_rejects_non_integer_limit(self, limit):
         with pytest.raises(ValueError, match="limit"):
             mt.subsample(np.ones((3, 2)), limit)
+
+    @pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # refused whether or not the set needs a draw
+        for limit in (2, 3):
+            with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+                mt.subsample(np.ones((3, 2)), limit, seed=seed)
 
 
 class TestDiversityRatio:

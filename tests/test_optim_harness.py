@@ -411,6 +411,16 @@ class TestVerifyMergeRatio:
     def test_unit_ratio_is_exact(self):
         assert oh.verify_merge_ratio("lora", 1.0, "sgd", steps=5) <= 1e-15
 
+    @pytest.mark.parametrize("s", [np.inf, np.nan])
+    def test_non_finite_ratio_is_refused(self, s):
+        with pytest.raises(ValueError, match=f"^merge ratio must be finite and positive, got {s}$"):
+            oh.verify_merge_ratio("lora", s, "sgd", steps=1)
+
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            oh.verify_merge_ratio("lora", 2.0, "sgd", steps=1, seed=seed)
+
     def test_loha_tucker_sgd(self):
         dev = oh.verify_merge_ratio("loha-tucker", 4.0, "sgd", steps=25)
         assert dev < 1e-8

@@ -170,6 +170,47 @@ class TestDenseFiles:
         with pytest.raises(wf.WeightFileError, match="load_dense"):
             wf.load_weights(dense_path)
 
+    @pytest.mark.parametrize("layer,rows", [(LINEAR, (1, 3)), (CONV, (2, 2)), (CONV, (4,))],
+                             ids=["linear", "conv", "conv-whole"])
+    def test_row_blocks_write_the_array_bytes(self, tmp_path, layer, rows):
+        value = np.random.default_rng(1).standard_normal(layer.delta_shape)
+        unrolled = value.reshape(layer.out_dim, -1)
+        bounds = np.cumsum((0, *rows))
+        blocks = (unrolled[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:]))
+        wf.save_dense({"a": (layer, lambda: blocks)}, tmp_path / "blocks.lwu")
+        wf.save_dense({"a": (layer, value)}, tmp_path / "array.lwu")
+        assert (tmp_path / "blocks.lwu").read_bytes() == (tmp_path / "array.lwu").read_bytes()
+
+    @pytest.mark.parametrize("blocks,message", [
+        ([np.zeros((4, 5))], r"row block shape \(4, 5\) does not fit rows 0: of \(4, 6\)"),
+        ([np.zeros((4, 2, 3))], r"row block shape \(4, 2, 3\) does not fit rows 0: of \(4, 6\)"),
+        ([np.zeros((3, 6)), np.zeros((2, 6))], r"row block shape \(2, 6\) does not fit rows 3: of"),
+        ([np.zeros((2, 6)), np.zeros((0, 6))], r"row block shape \(0, 6\) does not fit rows 2: of"),
+        ([np.zeros((3, 6))], r"row blocks end at row 3 of \(4, 6\)"),
+        ([], r"row blocks end at row 0 of \(4, 6\)"),
+    ], ids=["row-length", "unrolled", "past-the-end", "empty", "short", "none"])
+    def test_row_blocks_must_tile_the_tensor(self, tmp_path, blocks, message):
+        path = tmp_path / "x.lwu"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=f"^layer 'a' tensor 'delta': {message}"):
+            wf.save_dense({"a": (LINEAR, lambda: iter(blocks))}, path)
+        assert path.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["x.lwu"]
+
+    def test_a_non_finite_block_stops_the_blocks(self, tmp_path):
+        # the block is refused as it is cast; no later block is made
+        made = []
+
+        def blocks():
+            for row in range(LINEAR.out_dim):
+                made.append(row)
+                yield np.full((1, 6), np.inf if row == 1 else 1.0)
+        path = tmp_path / "x.lwu"
+        with pytest.raises(wf.WeightFileError, match="'a' tensor 'delta' holds values"):
+            wf.save_dense({"a": (LINEAR, blocks)}, path)
+        assert made == [0, 1]
+        assert not path.exists()
+
     def test_rejects_complex_delta(self, tmp_path):
         path = tmp_path / "x.lwu"
         entries = {"a": (LINEAR, np.full(LINEAR.delta_shape, 1.0 + 1e-30j))}
@@ -823,7 +864,7 @@ class TestWritesReplaceTheTargetWhole:
 
         def complex_delta():
             made.append("b")
-            return np.full(LINEAR.delta_shape, 1j)
+            return [np.full(LINEAR.delta_shape, 1j)]
         entries = {"a": (CONV, np.ones(CONV.delta_shape)), "b": (LINEAR, complex_delta)}
         with pytest.raises(ComplexInputError, match="layer 'b' tensor 'delta' is complex"):
             wf.save_dense(entries, path)
