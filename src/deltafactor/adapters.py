@@ -825,26 +825,80 @@ def _gram_top(a: np.ndarray, r: int) -> tuple[np.ndarray, float, np.ndarray]:
     m <= max |a_ij| < 2m (1 for a zero matrix), so the scaling is exact and
     the Gram matrix stays inside the float range for any finite a. The r
     columns of vectors are the leading eigenvectors, descending, of the
-    Gram matrix of a / m on the shorter side: a's right singular vectors,
-    from (a / m).T @ (a / m), when a is tall or square; its left ones, from
-    (a / m) @ (a / m).T, when a is wide. A zero matrix gives the first r
-    unit vectors. The Gram matrix squares the spectrum and is rounded at
-    eps * sigma_1^2: singular values below sqrt(eps) * sigma_1 are not
-    resolved, and the top-r subspace is found to an angle of about
-    eps * sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2). A failed
-    eigendecomposition raises NumericalError.
+    Gram matrix G of a / m on the shorter side n: a's right singular
+    vectors, G = (a / m).T @ (a / m), when a is tall or square; its left
+    ones, G = (a / m) @ (a / m).T, when a is wide. A zero matrix gives the
+    first r unit vectors.
+
+    On a side n of at least 8 (r + _OVERSAMPLE), _sketch_top solves a
+    matrix of rank below r + _OVERSAMPLE, such as an adapter's own delta,
+    without forming G. Below that side, and for every matrix the sketch
+    refuses, G is formed and np.linalg.eigh solves it whole. Either way
+    the vectors are exact for a Gram matrix within the rounding of forming
+    G, about max(p, q) * eps * trace(G): singular values below
+    sqrt(eps) * sigma_1 are not resolved, and the top-r subspace is found
+    to an angle of about eps * sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2). A
+    failed solve raises NumericalError.
     """
     peak = float(np.max(np.abs(a)))
     if peak == 0.0:
         return a, 1.0, np.eye(min(a.shape), r)
     m = math.ldexp(1.0, math.frexp(peak)[1] - 1)
     scaled = a / m
-    gram = scaled.T @ scaled if a.shape[0] >= a.shape[1] else scaled @ scaled.T
+    # G = thin.T @ thin, however a is laid out
+    thin = scaled if a.shape[0] >= a.shape[1] else scaled.T
     try:
-        _, vectors = np.linalg.eigh(gram)
+        if thin.shape[1] >= 8 * (r + _OVERSAMPLE):
+            vectors = _sketch_top(thin, r)
+            if vectors is not None:
+                return scaled, m, vectors
+        _, vectors = np.linalg.eigh(thin.T @ thin)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
     return scaled, m, vectors[:, ::-1][:, :r]
+
+
+# The sketch holds r + _OVERSAMPLE columns and runs on a Gram side of at
+# least 8 times that. Below it the whole eigh takes under 1 ms (one BLAS
+# thread), which leaves the sketch little to save, while the fixed cost of
+# a refused sketch, about 50 us, is 5-20 % of it.
+_OVERSAMPLE = 8
+
+
+def _sketch_top(thin: np.ndarray, r: int) -> np.ndarray | None:
+    """Top-r eigenvectors of G = thin.T @ thin if G's rank is below k = r + _OVERSAMPLE, else None.
+
+    A randomized range finder (Halko, Martinsson & Tropp 2011) with an
+    a-posteriori test in rounding units, n being G's side:
+    - The sketch Y = thin @ omega, omega an (n, k) Gaussian from a constant
+      seed, costs one pass over thin. If Y's k columns are independent,
+      lambda_min(Y^T Y) > n * eps * trace(Y^T Y), G has rank k or more:
+      None, with nothing more spent.
+    - Else Q, Y's orthonormal basis, and C = Q^T thin split G exactly as
+      C^T C + E^T E with E = thin - Q C, and trace(E^T E) is
+      trace(G) - |C|_F^2. If that exceeds n * eps * trace(G): None.
+    - Else G is within n * eps * trace(G) of C^T C, no more than the
+      rounding of forming G, and C's top-r right singular vectors are
+      returned.
+    Rounding noise in a delta of rank k - 1 can fail the second test: of
+    float32-rounded deltas, those of rank up to k - 2 passed it (sides
+    256-768).
+    """
+    n = thin.shape[1]
+    eps = np.finfo(np.float64).eps
+    sketch = thin @ np.random.default_rng(0).standard_normal((n, r + _OVERSAMPLE))
+    cross = sketch.T @ sketch
+    if np.linalg.eigvalsh(cross)[0] > n * eps * np.trace(cross):
+        return None
+    small = np.linalg.qr(sketch)[0].T @ thin
+    # trace(G) - |C|_F^2 cancels down to trace(E^T E), so both are summed
+    # pairwise, to about log2(count) * eps * trace(G); a dot product's
+    # rounding can reach n * eps * trace(G)
+    flat = thin.ravel("K")
+    total = math.fsum(np.square(flat[lo:lo + _ROW_BLOCK]).sum() for lo in range(0, flat.size, _ROW_BLOCK))
+    if total - np.square(small).sum() > n * eps * total:
+        return None
+    return np.linalg.svd(small, full_matrices=False)[2][:r].T
 
 
 def _fit_block(geometry: LayerShape, dense: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -852,8 +906,10 @@ def _fit_block(geometry: LayerShape, dense: np.ndarray, dim: int) -> tuple[np.nd
 
     The block is fitted unrolled, A = (out, in*k*k) as _Block.dense lays it
     out, and down has orthonormal rows V_r^T, shaped as _Block stores it,
-    with up = A @ V_r (U_r diag(S_r) of the truncated SVD). V_r comes from
-    A^T A when A is tall or square; when A is wide, U_r comes from A A^T
+    with up = A @ V_r (U_r diag(S_r) of the truncated SVD). _gram_top gives
+    the top-dim vectors: from the sketch when A's rank is below dim + 8 on
+    a shorter side of at least 8 (dim + 8), from the full eigh otherwise.
+    They are V_r when A is tall or square; when A is wide they are U_r,
     and V_r is the orthonormal basis of A^T U_r. No step divides by a
     singular value, so dim at or above the rank of A fits exactly.
     """
@@ -872,8 +928,11 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     unrolled form). Factors are up = U_r diag(S_r), down = V_r^T, with the
     top-r singular vectors taken from the eigenvectors of the Gram matrix on
     the shorter side (_fit_block); alpha is set to dim so gamma == 1 and
-    merge() reproduces the fit directly. Accuracy: the residual is the
-    truncated SVD's to rounding while sigma_r is well above
+    merge() reproduces the fit directly. A delta of rank below dim + 8 with
+    a shorter side of at least 8 (dim + 8) is solved by a one-pass sketch
+    whose test is stated in rounding units; any other falls back to the
+    full eigendecomposition of the Gram matrix. Accuracy: the residual is
+    the truncated SVD's to rounding while sigma_r is well above
     sqrt(eps) * sigma_1; singular values below that are not resolved.
     """
     dm = as_tensor(delta, "delta")
@@ -899,9 +958,11 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     Rearranges the delta to R = _nkp_rearrange(delta), so the best
     kron(c, right) pair is R's leading rank-1 term: c is the top
     eigenvector of R R^T (R's rows, u_p*u_q of them, are its shorter side)
-    and right = R^T c. c comes out with unit Frobenius norm and its first
-    nonzero entry positive (e_0 for a zero delta); the right block absorbs
-    the magnitude. With dim below the right block's maximal rank, the
+    and right = R^T c, from svd_fit_lora's solver at r = 1: the sketch
+    solves a delta that is a sum of fewer than 9 Kronecker products with
+    u_p*u_q >= 72, the full eigendecomposition any other. c comes out with
+    unit Frobenius norm and its first nonzero entry positive (e_0 for a
+    zero delta); the right block absorbs the magnitude. With dim below the right block's maximal rank, the
     block is further truncated to up @ down as svd_fit_lora truncates.
     Accuracy: c is R's top left singular vector to an angle of about
     eps * sigma_1^2 / (sigma_1^2 - sigma_2^2), sigma the singular values of R.

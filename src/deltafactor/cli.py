@@ -392,8 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = adapter_sub.add_parser("fit", help="factor dense deltas into an adapter")
     p.add_argument("--algo", required=True, choices=("lora", "lokr"))
     p.add_argument("--delta", required=True, help="dense delta file")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--factor", type=int, default=-1)
+    p.add_argument("--dim", type=int, default=None,
+                   help="lora: the fit's rank (required); lokr: the right block's "
+                        "rank, kept whole when left out")
+    p.add_argument("--factor", type=int, default=-1,
+                   help="lokr split: c's extents are at most this (-1: each extent "
+                        "split as near square as its divisors allow)")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_adapter_fit)
 

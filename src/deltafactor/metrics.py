@@ -201,20 +201,33 @@ def gram_matrix(feature_map) -> np.ndarray:
     A finite map whose Gram matrix leaves the float64 range raises
     NumericalError.
     """
-    fm = as_tensor(feature_map, "feature map")
+    fm = _feature_map(feature_map)
+    try:
+        # the product overflows to inf, or to inf - inf = NaN, only here
+        with np.errstate(over="raise", invalid="raise"):
+            return _gram(fm)
+    except FloatingPointError:
+        raise NumericalError(_gram_overflow(fm)) from None
+
+
+def _feature_map(data) -> np.ndarray:
+    fm = as_tensor(data, "feature map")
     if fm.ndim != 3:
         raise ShapeError(f"feature map must be (C, H, W), got shape {fm.shape}")
     if fm.size == 0:
         raise ShapeError(f"feature map has a zero extent: {fm.shape}")
+    return fm
+
+
+def _gram(fm: np.ndarray) -> np.ndarray:
     c, h, w = fm.shape
     flat = fm.reshape(c, h * w)
-    try:
-        # the product overflows to inf, or to inf - inf = NaN, only here
-        with np.errstate(over="raise", invalid="raise"):
-            return (flat @ flat.T) / (c * h * w)
-    except FloatingPointError:
-        raise NumericalError(f"the Gram matrix of a {fm.shape} feature map with max |value| "
-                             f"{float(np.max(np.abs(fm)))!r} overflows float64") from None
+    return (flat @ flat.T) / (c * h * w)
+
+
+def _gram_overflow(fm: np.ndarray) -> str:
+    return (f"the Gram matrix of a {fm.shape} feature map with max |value| "
+            f"{float(np.max(np.abs(fm)))!r} overflows float64")
 
 
 def style_loss(maps_a, maps_b) -> float:
@@ -229,18 +242,21 @@ def style_loss(maps_a, maps_b) -> float:
     if not la:
         raise ValueError("style loss requires at least one layer")
     total = 0.0
-    # an overflowing loss becomes inf, refused below; gram_matrix raises its own
-    with np.errstate(over="ignore"):
+    # one error state for the whole loss, not one per Gram matrix (each
+    # entry costs about a microsecond): an overflowing Gram matrix holds inf
+    # or NaN, which the running total carries to its finite test
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, (fa, fb) in enumerate(zip(la, lb)):
-            try:
-                ga, gb = gram_matrix(fa), gram_matrix(fb)
-            except NumericalError as exc:
-                raise NumericalError(f"layer {i}: {exc}") from None
+            fa, fb = _feature_map(fa), _feature_map(fb)
+            ga, gb = _gram(fa), _gram(fb)
             if ga.shape != gb.shape:
                 raise ShapeError(f"channel mismatch at layer {i}: {ga.shape} vs {gb.shape}")
             diff = ga - gb
             total += float(np.sum(diff * diff))
             if not math.isfinite(total):
+                for fm, g in ((fa, ga), (fb, gb)):
+                    if not np.isfinite(g).all():
+                        raise NumericalError(f"layer {i}: {_gram_overflow(fm)}")
                 raise NumericalError(f"layer {i}: the style loss overflows float64")
     return total
 

@@ -1006,20 +1006,27 @@ FIT_SHAPES = {"tall": (24, 12), "wide": (12, 30), "square": (16, 16),
               "conv-wide": (6, 4, 3, 3), "conv-tall": (40, 2, 3, 3)}
 
 
+def spectrum_values(n, spectrum):
+    """The n singular values of a named spectrum."""
+    return {
+        "rank3": lambda: np.r_[3.0, 2.0, 1.0, np.zeros(n - 3)],
+        "rank8": lambda: np.r_[np.arange(8.0, 0.0, -1.0), np.zeros(n - 8)],
+        # a floor that the sketch's independence test misses and its trace test sees
+        "rank3+1e-7": lambda: np.r_[3.0, 2.0, 1.0, np.full(n - 3, 1e-7)],
+        "flat": lambda: np.ones(n),  # wholly degenerate: every cut is a tie
+        "decay1e-3": lambda: np.logspace(0, -3, n),
+        "decay1e-12": lambda: np.logspace(0, -12, n),
+    }[spectrum]()
+
+
 def spectrum_matrix(rng, p, q, spectrum):
     """A (p, q) matrix with the named singular values; "gaussian" draws i.i.d. entries."""
     n = min(p, q)
     if spectrum == "gaussian":
         return rng.standard_normal((p, q))
-    values = {
-        "rank3": lambda: np.r_[3.0, 2.0, 1.0, np.zeros(n - 3)],
-        "flat": lambda: np.ones(n),  # wholly degenerate: every cut is a tie
-        "decay1e-3": lambda: np.logspace(0, -3, n),
-        "decay1e-12": lambda: np.logspace(0, -12, n),
-    }[spectrum]()
     u = np.linalg.qr(rng.standard_normal((p, n)))[0]
     v = np.linalg.qr(rng.standard_normal((q, n)))[0]
-    return (u * values) @ v.T
+    return (u * spectrum_values(n, spectrum)) @ v.T
 
 
 def gram_excess(a, s, r):
@@ -1157,6 +1164,103 @@ class TestGramFitLokr:
         fit = ad.nkp_fit_lokr(np.zeros((8, 8)), factor=2)
         np.testing.assert_array_equal(fit.c, [[1.0, 0.0], [0.0, 0.0]])
         np.testing.assert_array_equal(fit.w2, 0.0)
+
+
+class TestSketchFit:
+    """The top-r solver on deltas large enough for its sketch, against the full eigh.
+
+    Exact-rank deltas (rank below r + _OVERSAMPLE) are solved by the sketch
+    with no eigh on the delta's Gram matrix. Every other spectrum falls
+    back to the eigh path and returns its bytes; a full-rank one is refused
+    after the sketch's first pass, before its basis is formed.
+    """
+
+    SHAPES = {"768x768": (768, 768), "3072x768": (3072, 768), "conv320": (320, 320, 3, 3)}
+    EXACT = ("rank3", "rank8")
+    FULL = ("flat", "decay1e-3", "decay1e-12", "gaussian")
+    SPECTRA = [*EXACT, "rank3+1e-7", *FULL]
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the shapes eigh and qr take and whether each sketch solved its matrix."""
+        seen = {"eigh": [], "qr": [], "sketch": []}
+        eigh, qr, sketch = np.linalg.eigh, np.linalg.qr, ad._sketch_top
+
+        def counted_eigh(g):
+            seen["eigh"].append(g.shape)
+            return eigh(g)
+
+        def counted_qr(a):
+            seen["qr"].append(a.shape)
+            return qr(a)
+
+        def counted_sketch(thin, r):
+            out = sketch(thin, r)
+            seen["sketch"].append(out is not None)
+            return out
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(ad, "_sketch_top", counted_sketch)
+        return seen
+
+    @staticmethod
+    def eigh_path(monkeypatch, fit):
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_sketch_top", lambda thin, r: None)
+            return fit()
+
+    def check(self, monkeypatch, spectrum, fit, grid, r, residual):
+        """fit() against the eigh path: solver taken, bytes, and residual within gram_excess."""
+        seen = self.spy(monkeypatch)
+        got = fit()
+        side = min(grid.shape)
+        big = [shape for shape in seen["eigh"] if shape[0] == side]
+        basis = (max(grid.shape), r + ad._OVERSAMPLE)
+        if spectrum in self.EXACT:
+            assert seen["sketch"][0] and not big
+            again = fit()
+            for name, value in got.tensors().items():
+                assert again.tensors()[name].tobytes() == value.tobytes(), name
+        else:
+            assert not seen["sketch"][0] and len(big) == 1
+            assert (basis in seen["qr"]) == (spectrum not in self.FULL)
+        want = self.eigh_path(monkeypatch, fit)
+        if spectrum not in self.EXACT:
+            for name, value in got.tensors().items():
+                assert want.tensors()[name].tobytes() == value.tobytes(), name
+            return
+        excess, _, _ = gram_excess(grid, spectrum_values(side, spectrum), r)
+        a, b = residual(got), residual(want)
+        # the rounding of each fit's rank-r product, as in TestGramFit
+        slack = 8 * EPS * np.linalg.norm(grid)
+        assert abs(a - b) <= slack + excess / (a + b), (a, b)
+
+    @pytest.mark.parametrize("r", [1, 8])
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_lora(self, monkeypatch, shape, spectrum, r):
+        p, q = shape[0], int(np.prod(shape[1:]))
+        a = spectrum_matrix(np.random.default_rng(67), p, q, spectrum)
+
+        def residual(fit):
+            return np.linalg.norm(a - fit.up @ fit.down.reshape(r, -1))
+        self.check(monkeypatch, spectrum, lambda: ad.svd_fit_lora(a.reshape(shape), r), a, r, residual)
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_lokr_split(self, monkeypatch, shape, spectrum):
+        # the spectrum is the rearranged delta's, so that of the split itself
+        u_p, v_p = ad.lokr_factor_dims(shape[0], -1)
+        u_q, v_q = ad.lokr_factor_dims(shape[1], -1)
+        kk = int(np.prod(shape[2:]))
+        grid = spectrum_matrix(np.random.default_rng(68), u_p * u_q, v_p * v_q * kk, spectrum)
+        blocks = grid.reshape(u_p, u_q, v_p, v_q, kk).swapaxes(1, 2)
+        delta = blocks.reshape(shape)
+        np.testing.assert_array_equal(ad._nkp_rearrange(delta, u_p, v_p, u_q, v_q), grid)
+
+        def residual(fit):
+            return np.linalg.norm(delta - ad.reconstruct(fit))
+        self.check(monkeypatch, spectrum, lambda: ad.nkp_fit_lokr(delta, dim=8), grid, 1, residual)
 
 
 class TestInvariantErrors:

@@ -289,6 +289,33 @@ class TestAdapterFlow:
         got = ad.reconstruct(fit.entries["lay"])
         np.testing.assert_allclose(got, delta, atol=1e-5, rtol=1e-4)
 
+    @pytest.mark.parametrize("algorithm", ["lora", "lokr"])
+    def test_fit_of_adapter_deltas_skips_the_full_eigh(self, tmp_path, capsys, monkeypatch, algorithm):
+        # an adapter's own delta, stored as float32 like every .lwu delta, is
+        # solved by the sketch: no eigh on a side the sketch could take (the
+        # least is 8 * (1 + 8)); lokr's right blocks are fitted by eigh
+        layers = {"attn": ad.LayerShape("linear", 768, 768), "conv": ad.LayerShape("conv2d", 320, 320, 3)}
+        deltas = {}
+        for seed, (name, layer) in enumerate(layers.items()):
+            adapter = ad.random_adapter(algorithm, layer, 8, 4.0, seed=seed)
+            deltas[name] = (layer, adapter.scale.gamma * ad.reconstruct(adapter))
+        save_dense(deltas, tmp_path / "delta.lwu", algorithm="delta")
+        sides = []
+        eigh = np.linalg.eigh
+
+        def counted(g):
+            sides.append(g.shape[0])
+            return eigh(g)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert run(capsys, "adapter", "fit", "--algo", algorithm, "--delta", str(tmp_path / "delta.lwu"),
+                   "--dim", "8", "--out", str(tmp_path / "fit.lwu"))[0] == 0
+        assert max(sides, default=0) < 72, sides
+        stored = load_dense(tmp_path / "delta.lwu")[1]
+        for name, fit in load_weights(tmp_path / "fit.lwu").entries.items():
+            delta = stored[name][1]
+            err = np.linalg.norm(fit.scale.gamma * ad.reconstruct(fit) - delta)
+            assert err <= 1e-5 * np.linalg.norm(delta), name
+
     def test_fit_lora_requires_dim(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 4, 4)
         source = tmp_path / "delta.lwu"
@@ -793,6 +820,13 @@ class TestExitCodes:
         code, stdout, _ = run(capsys, "--help")
         assert code == 0
         assert "adapter" in stdout
+
+    def test_fit_help_explains_dim_and_factor(self, capsys):
+        code, stdout, _ = run(capsys, "adapter", "fit", "--help")
+        assert code == 0
+        text = " ".join(stdout.split())
+        assert "--dim DIM lora: the fit's rank (required); lokr: the right block's rank" in text
+        assert "--factor FACTOR lokr split: c's extents are at most this" in text
 
     def test_no_arguments_is_one(self, capsys):
         code, _, _ = run(capsys)

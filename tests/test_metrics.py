@@ -323,6 +323,17 @@ class TestGramAndStyle:
         with pytest.raises(NumericalError, match=r"^layer 1: the style loss overflows float64$"):
             mt.style_loss([near_max, near_max], [np.zeros((1, 1, 1))] * 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_style_checks_each_layer_in_turn(self):
+        # a long double map beyond the float64 range casts to inf and is
+        # refused as a non-finite map, with no numpy warning; an earlier
+        # layer's overflow is reported first
+        ok, big = np.ones((1, 2, 2)), np.full((1, 2, 2), np.longdouble("1e400"))
+        with pytest.raises(ValueError, match=r"^feature map holds a non-finite value at flat index 0"):
+            mt.style_loss([ok, big], [ok, ok])
+        with pytest.raises(NumericalError, match=r"^layer 0: the Gram matrix of a \(1, 2, 2\) "):
+            mt.style_loss([np.full((1, 2, 2), 1e200), big], [ok, ok])
+
     def test_identical_maps_zero_loss(self):
         rng = np.random.default_rng(8)
         maps = [rng.standard_normal((4, 3, 3)), rng.standard_normal((8, 2, 2))]
