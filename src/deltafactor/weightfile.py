@@ -17,13 +17,20 @@ Both writers go through one writer, which writes only what loading
 accepts. It builds the header from the tensors' shapes alone, after the
 metadata gets the reader's own check. It writes into a new temporary file
 beside the target, created with the mode a plain open(path, "wb") would
-give (an existing target's mode is kept), and casts each tensor, as it
-reaches it, into one reused float32 buffer, where it refuses a tensor that
-is not finite. Only a complete file replaces the target (os.replace); any
-refusal removes the temporary file, so the target keeps its bytes. An
-existing target that is not a regular file is refused before anything is
-written. save_weights checks each layer as load_weights will assemble it:
-its roles and shapes under the model's metadata, and its gamma against
+give (an existing target's mode is kept), preallocates the file's whole
+size, header and payload, and casts each tensor, as it reaches it, into
+one reused float32 buffer, where it refuses a tensor that is not finite.
+Only a complete file replaces the target, atomically for any reader
+(os.replace); any refusal removes the temporary file, so the target keeps
+its bytes. A full disk is such a refusal, and it comes from the
+preallocation, before any payload byte is made; where the platform or the
+file system cannot preallocate, the write goes on without it. The writer
+does not fsync: durability across a power loss is left to the file
+system, and a target written just before a crash may lack part of its
+payload (run sync where a file must survive one). An existing target
+that is not a regular file is refused before anything is written.
+save_weights checks each layer as load_weights will assemble it: its
+roles and shapes under the model's metadata, and its gamma against
 alpha / dim. save_dense takes each tensor as an array or as a function
 that returns its row blocks when the writer reaches it, and casts each
 block as it comes, so a command that streams its layers holds one row
@@ -154,6 +161,25 @@ def _create_beside(target: str) -> tuple[str, int]:
             continue
 
 
+def _preallocate(fd: int, size: int) -> None:
+    """Reserve size bytes of fd's blocks before any is written.
+
+    A file with no delayed-allocation blocks is renamed over an existing one
+    without the flush some file systems force then (ext4's auto_da_alloc).
+    Where the platform or the file system cannot preallocate, the write goes
+    on without it; any other failure (no space, over quota, too large) is a
+    refusal that comes before the first payload byte is made.
+    """
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fallocate(fd, 0, size)
+    except OSError as exc:
+        if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
+            raise
+
+
 def _all_finite(f4: np.ndarray) -> bool:
     # max and min carry any NaN or inf through without a mask the size of
     # the tensor, which would be an eighth of a float64 layer
@@ -223,12 +249,14 @@ def _write(path, meta: ModelMeta, layout, values) -> None:
                       "target exists and is not a regular file", os.fsdecode(path))
     slots = [(name, role, tuple(tshape)) for name, _, roles in layout
              for role, tshape in roles.items()]
-    buf = np.empty(max((math.prod(tshape) for *_, tshape in slots), default=0), "<f4")
+    sizes = [math.prod(tshape) for *_, tshape in slots]
+    buf = np.empty(max(sizes, default=0), "<f4")
     tmp, fd = _create_beside(target)
     try:
         with open(fd, "wb") as fh:
             if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
+                os.fchmod(fd, stat.S_IMODE(mode))
+            _preallocate(fd, 8 + len(header) + 4 * sum(sizes))
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)

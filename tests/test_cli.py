@@ -157,7 +157,9 @@ class TestAdapterFlow:
         "fit_lokr": "e256a8a902d2ece6e553346224e04a330a3e2d63f23818f82bc7d14405266397",
     }
 
-    def test_streamed_outputs_match_pinned_digests(self, tmp_path, capsys):
+    @staticmethod
+    def pipeline_digests(tmp_path, capsys, runs=1):
+        """sha256 of each seeded pipeline output after its command ran runs times onto it."""
         layers = [("attn.q", ad.LayerShape("linear", 12, 8)),
                   ("attn.o", ad.LayerShape("linear", 8, 12)),
                   ("conv", ad.LayerShape("conv2d", 6, 4, 3))]
@@ -178,12 +180,20 @@ class TestAdapterFlow:
         for fam in ("lora", "lokr"):
             argvs[f"fit_{fam}"] = ["adapter", "fit", "--algo", fam, "--dim", "2",
                                    "--delta", str(tmp_path / f"delta_{fam}.lwu")]
-        digests = {}
-        for out, argv in argvs.items():
-            path = tmp_path / f"{out}.lwu"
-            assert run(capsys, *argv, "--out", str(path))[0] == 0
-            digests[out] = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digests == self.PINNED
+        for _ in range(runs):
+            for out, argv in argvs.items():
+                assert run(capsys, *argv, "--out", str(tmp_path / f"{out}.lwu"))[0] == 0
+        return {out: hashlib.sha256((tmp_path / f"{out}.lwu").read_bytes()).hexdigest()
+                for out in argvs}
+
+    def test_streamed_outputs_match_pinned_digests(self, tmp_path, capsys):
+        assert self.pipeline_digests(tmp_path, capsys) == self.PINNED
+
+    def test_overwritten_outputs_match_pinned_digests(self, tmp_path, capsys):
+        # the second run replaces each output it wrote first, and every fit
+        # reads a delta that was replaced before it
+        assert self.pipeline_digests(tmp_path, capsys, runs=2) == self.PINNED
+        assert list(tmp_path.glob(".*.tmp")) == []
 
     @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
     def test_commands_hold_no_float64_layer(self, tmp_path, capsys, algorithm):

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import struct
@@ -871,6 +872,49 @@ class TestWritesReplaceTheTargetWhole:
         assert made == ["b"]
         assert path.read_bytes() == b"kept"
         assert os.listdir(tmp_path) == ["d.lwu"]
+
+    ENTRIES = {"a": (CONV, np.ones(CONV.delta_shape)), "b": (LINEAR, np.full(LINEAR.delta_shape, 2.0))}
+
+    @pytest.mark.parametrize("code", [errno.EOPNOTSUPP, errno.EINVAL, None],
+                             ids=["EOPNOTSUPP", "EINVAL", "missing"])
+    def test_write_goes_on_without_preallocation(self, tmp_path, monkeypatch, code):
+        plain, path = tmp_path / "plain.lwu", tmp_path / "d.lwu"
+        wf.save_dense(self.ENTRIES, plain)
+        path.write_bytes(b"kept")
+        asked = []
+
+        def refuse(fd, offset, length):
+            asked.append((offset, length))
+            raise OSError(code, os.strerror(code))
+        if code is None:
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            monkeypatch.setattr(os, "posix_fallocate", refuse)
+        wf.save_dense(self.ENTRIES, path)
+        # the whole file, header and payload, is asked for before it is written
+        assert asked == ([] if code is None else [(0, plain.stat().st_size)])
+        assert path.read_bytes() == plain.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["d.lwu", "plain.lwu"]
+
+    def test_full_disk_is_refused_before_a_payload_byte(self, tmp_path, monkeypatch, capsys):
+        weights, base, out = self.merge_files(tmp_path, 1.0)
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        made = []
+        with pytest.raises(OSError) as refused:
+            wf.save_dense({"a": (LINEAR, lambda: made.append(1))}, out)
+        assert refused.value.errno == errno.ENOSPC
+        assert made == []
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == ["base.lwu", "out.lwu", "w.lwu"]
+        code = cli_dispatch(["adapter", "merge", "--weights", str(weights), "--base", str(base),
+                             "--out", str(out)])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept"
+        assert sorted(os.listdir(tmp_path)) == ["base.lwu", "out.lwu", "w.lwu"]
 
     def test_new_file_has_the_mode_open_gives(self, tmp_path):
         (tmp_path / "plain").open("wb").close()
