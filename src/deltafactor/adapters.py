@@ -48,7 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kron_linear, tensor_core
-from .tensor_core import NumericalError, ShapeError, _checked_seed, _is_count, as_tensor
+from .tensor_core import (NumericalError, ShapeError, _as_real, _checked_seed, _is_count,
+                          _require_finite, as_tensor)
 
 __all__ = [
     "ALGORITHMS",
@@ -684,14 +685,18 @@ def reconstruct(adapter: Adapter) -> np.ndarray:
     return adapter._delta()
 
 
-def _check_base(layer: LayerShape, w0, bias) -> tuple[np.ndarray, np.ndarray]:
-    w0m, bv = as_tensor(w0, "base weight"), as_tensor(bias, "bias")
+def _check_base(layer: LayerShape, w0m: np.ndarray, bias) -> np.ndarray:
+    """bias checked by as_tensor, once it and the coerced base w0m have the layer's shapes.
+
+    The values of w0m are the caller's to check.
+    """
+    bv = as_tensor(bias, "bias")
     if w0m.shape != layer.delta_shape:
         what = "weight" if layer.kind == "linear" else "kernel"
         raise ShapeError(f"base {what} shape {w0m.shape} != {layer.delta_shape}")
     if bv.shape != (layer.out_dim,):
         raise ShapeError(f"bias shape {bv.shape} != ({layer.out_dim},)")
-    return w0m, bv
+    return bv
 
 
 def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
@@ -701,18 +706,34 @@ def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
     the batch runs as the n columns of x.T. lora applies up @ (down @ x),
     loha the face-splitting form (U1 (.)r U2)((V1 (.)r V2) x) of rank r^2,
     lokr the grouped Kronecker product of kron_linear; none builds the dense
-    delta. w0, bias and x are checked here, once.
+    delta. bias and x are checked here, once, and every shape before any
+    product. w0 is checked block by block as the product reads it: each
+    block of about _ROW_BLOCK values is checked while it is still in cache
+    and then multiplied into its rows of y, so w0 is read from memory once.
     """
     shp = adapter.layer
     if shp.kind != "linear":
         raise ShapeError(f"forward_linear needs a linear layer, got {shp.kind}")
-    w0m, bv = _check_base(shp, w0, bias)
+    w0m = _as_real(w0, "base weight")
+    bv = _check_base(shp, w0m, bias)
     xm = as_tensor(x, "input")
     if xm.ndim not in (1, 2) or xm.shape[-1] != shp.in_dim:
         raise ShapeError(f"input shape {xm.shape} != ({shp.in_dim},) or (n, {shp.in_dim})")
     cols = xm.T
-    b = bv if xm.ndim == 1 else bv[:, None]
-    return (w0m @ cols + b + adapter.scale.gamma * adapter._apply(cols)).T
+    y = np.empty((shp.out_dim, *cols.shape[1:]))
+    # a multiple of 16 rows per block keeps the BLAS matrix-vector kernel's
+    # row groups (4 rows in OpenBLAS) where they fall in the whole product,
+    # so one input's sums round as they would over the whole of w0
+    step = max(16, _ROW_BLOCK // shp.in_dim // 16 * 16)
+    for lo, hi in _row_blocks(shp.out_dim, step):
+        block = w0m[lo:hi]
+        if not np.isfinite(block).all():
+            # the whole-array check names the first bad flat index
+            _require_finite(w0m, "base weight")
+        np.matmul(block, cols, out=y[lo:hi])
+    y += bv if xm.ndim == 1 else bv[:, None]
+    y += adapter.scale.gamma * adapter._apply(cols)
+    return y.T
 
 
 def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
@@ -729,7 +750,8 @@ def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
     shp = adapter.layer
     if shp.kind != "conv2d":
         raise ShapeError(f"forward_conv needs a conv2d layer, got {shp.kind}")
-    k0m, bv = _check_base(shp, k0, bias)
+    k0m = as_tensor(k0, "base weight")
+    bv = _check_base(shp, k0m, bias)
     xm = as_tensor(x, "input")
     base = tensor_core.conv2d(k0m, xm)
     return base + bv[:, None, None] + adapter.scale.gamma * adapter._convolve(xm)

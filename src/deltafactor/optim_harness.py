@@ -206,7 +206,9 @@ def _member_mse(pred: np.ndarray, target: np.ndarray):
     if pred.shape[pred.ndim - target.ndim:] != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
-    return diff, np.mean(diff * diff, axis=tuple(range(pred.ndim - target.ndim, pred.ndim)))
+    # np.mean's own sum and division, without its dispatch
+    shared = tuple(range(pred.ndim - target.ndim, pred.ndim))
+    return diff, np.add.reduce(diff * diff, axis=shared) / target.size
 
 
 def _loss_and_grads(model: ToyModel, x: np.ndarray, x_cols: np.ndarray | None,
@@ -277,7 +279,7 @@ class _Optimizer:
                 self.v = self.v + g * g
                 num, den = g, self.v
             den = np.sqrt(den) + eps
-            direction = np.zeros_like(num)
+            direction = np.zeros(num.shape, num.dtype)
             np.divide(num, den, out=direction, where=den != 0)
         p -= self.lr * direction
         if decay is not None:
@@ -435,10 +437,10 @@ def _train(models: list[ToyModel], cfg: OptimizerConfig, rates: list[float], dat
     with np.errstate(over="ignore", invalid="ignore"):
         for step_index in range(1, steps + 1):
             losses, grads = _loss_and_grads(work, x, x_cols, y, deltas, gammas, scratch)
-            if not np.all(np.isfinite(losses)):
+            if not np.isfinite(losses).all():
                 raise failure("loss", step_index, int(np.argmin(np.isfinite(losses))))
             opt.step(buf, np.concatenate([grads[li][role] for li, role, *_ in blocks], axis=None))
-            if not np.all(np.isfinite(buf)):
+            if not np.isfinite(buf).all():
                 bad = int(np.argmin(np.isfinite(buf)))
                 li, role, start, size = next(b for b in reversed(blocks) if b[2] <= bad)
                 raise failure("factor", step_index, (bad - start) // size,

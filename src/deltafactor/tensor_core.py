@@ -54,13 +54,18 @@ def as_tensor(data, name: str = "tensor") -> np.ndarray:
     naming the argument: the public operations are defined on real input,
     and casting would drop the imaginary part.
     """
+    arr = _as_real(data, name)
+    _require_finite(arr, name)
+    return arr
+
+
+def _as_real(data, name: str) -> np.ndarray:
+    """as_tensor without the finite check, for a caller that checks the values as it reads them."""
     arr = np.asarray(data)
     if arr.dtype.kind == "c":
         raise ComplexInputError(f"{name} is complex; this operation takes real input only")
     # asarray, unlike ascontiguousarray, keeps a 0-d scalar 0-d
-    arr = np.asarray(arr, dtype=np.float64, order="C")
-    _require_finite(arr, name)
-    return arr
+    return np.asarray(arr, dtype=np.float64, order="C")
 
 
 def _is_count(value) -> bool:

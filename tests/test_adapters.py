@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -592,6 +595,62 @@ class TestForwardLinear:
             ad.forward_linear(adapter, np.zeros((64, 64)), np.zeros(63), np.zeros(64))
         with pytest.raises(tc.ShapeError, match="input"):
             ad.forward_linear(adapter, np.zeros((64, 64)), np.zeros(64), np.zeros(63))
+
+    # 1024 inputs: LINEAR_STEP rows of w0 a block (64, a multiple of 16), so
+    # 3 * LINEAR_STEP + 1 rows are two whole blocks and a last one that the
+    # lone last row joins
+    @pytest.mark.parametrize("row", [0, LINEAR_STEP + 36, 2 * LINEAR_STEP + 22, 3 * LINEAR_STEP],
+                             ids=["first", "middle", "last", "lone-last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_names_the_first_bad_entry(self, row, bad):
+        layer = ad.LayerShape("linear", 3 * LINEAR_STEP + 1, 1024)
+        adapter = ad.random_adapter("lora", layer, 4, alpha=4.0, seed=0)
+        w0 = np.ones(layer.delta_shape)
+        w0[row, 5] = bad
+        w0[-1, -1] = np.nan
+        index = row * 1024 + 5
+        with pytest.raises(ValueError) as caught:
+            ad.forward_linear(adapter, w0, np.zeros(layer.out_dim), np.ones(1024))
+        assert str(caught.value) == f"base weight holds a non-finite value at flat index {index}: {bad}"
+
+    def test_one_input_is_the_whole_product_bit_for_bit(self):
+        # at one BLAS thread; a pool splits the whole product's rows between
+        # threads where the row blocks need not split them
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", ONE_INPUT_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("algorithm", ["lora", "lokr"])
+    def test_one_input_holds_no_mask_of_the_base(self, algorithm):
+        # w0 is read a row block at a time, so the finite check holds one
+        # block's mask (loha's face-splitting factors, (out, r^2) and
+        # (r^2, in), are its own and are left out)
+        layer = ad.LayerShape("linear", 2048, 2048)
+        adapter = ad.random_adapter(algorithm, layer, 8, alpha=4.0, seed=1)
+        w0, bias, x = np.ones(layer.delta_shape), np.zeros(2048), np.ones(2048)
+        ad.forward_linear(adapter, w0, bias, x)
+        assert traced_peak(lambda: ad.forward_linear(adapter, w0, bias, x)) < 2**20
+
+
+# Runs at one BLAS thread and prints each (algorithm, out, in) whose
+# single-input forward differs from w0 @ x + bias + gamma * delta @ x: a
+# layer of one block, layers of several, and lone last rows (193 = 3 * 64 + 1
+# rows of 1024; 97 = 6 * 16 + 1 rows of 5000, 16 rows a block)
+ONE_INPUT_CHECK = """
+import numpy as np
+from deltafactor import adapters as ad
+for out, inn in [(48, 80), (768, 768), (3072, 768), (193, 1024), (97, 5000)]:
+    rng = np.random.default_rng(out)
+    w0, bias, x = rng.standard_normal((out, inn)), rng.standard_normal(out), rng.standard_normal(inn)
+    for algorithm in ad.ALGORITHMS:
+        adapter = ad.random_adapter(algorithm, ad.LayerShape("linear", out, inn), 4, 2.0, seed=inn)
+        want = w0 @ x + bias + adapter.scale.gamma * adapter._apply(x)
+        if not np.array_equal(ad.forward_linear(adapter, w0, bias, x), want):
+            print(f"{algorithm}-{out}x{inn}")
+"""
 
 
 class TestForwardConv:

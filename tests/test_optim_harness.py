@@ -32,6 +32,17 @@ class TestMseLoss:
         stacked = oh._member_mse(np.array([[1.0, 3.0], [0.0, 1.0]]), np.array([0.0, 1.0]))[1]
         np.testing.assert_array_equal(stacked, [2.5, 0.0])
 
+    @pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
+    def test_is_np_mean_bit_for_bit(self, complex_step):
+        rng = np.random.default_rng(1)
+        pred = rng.standard_normal((3, 37, 5))
+        if complex_step:
+            pred = pred + 1j * oh.COMPLEX_STEP * rng.standard_normal(pred.shape)
+        target = rng.standard_normal((37, 5))
+        diff = pred - target
+        assert np.array_equal(oh._member_mse(pred, target)[1], np.mean(diff * diff, axis=(1, 2)))
+        assert oh._member_mse(pred[0], target)[1] == np.mean(diff[0] * diff[0])
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             oh._member_mse(np.zeros(3), np.zeros(4))
@@ -424,6 +435,21 @@ class TestVerifyMergeRatio:
     def test_loha_tucker_sgd(self):
         dev = oh.verify_merge_ratio("loha-tucker", 4.0, "sgd", steps=25)
         assert dev < 1e-8
+
+    # the deviations of Adam at ratio 4 over 25 steps, bit for bit: the
+    # loss, the finite scans and the optimizer step may be restated only
+    # in ways that round every value as before
+    @pytest.mark.parametrize("name,deviation", [
+        ("lora", "0x0.0p+0"),
+        ("loha", "0x1.c000000000000p-49"),
+        ("lokr", "0x0.0p+0"),
+        ("lokr-factored", "0x1.8000000000000p-50"),
+        ("lora-tucker", "0x1.1000000000000p-49"),
+        ("loha-tucker", "0x1.0000000000000p-50"),
+        ("lokr-tucker", "0x1.2000000000000p-51"),
+    ])
+    def test_deviation_is_pinned(self, name, deviation):
+        assert oh.verify_merge_ratio(name, 4.0, "adam", steps=25).hex() == deviation
 
     def test_lokr_tucker_adam(self):
         dev = oh.verify_merge_ratio("lokr-tucker", 0.25, "adam", steps=25)
