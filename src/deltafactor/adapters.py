@@ -19,7 +19,8 @@ from it. lora and loha share one product of blocks (_BlockProduct) for the
 dense delta, the gradients, the rank bound and the factored linear
 forward; lokr keeps its Kronecker math. The dense delta and the gradients
 also run on factors with a leading member axis (_stacked), which the
-training harness uses to advance several runs at once.
+training harness uses to advance several runs at once; a stack's deltas
+are formed whole, and row blocks take single layers only.
 
 forward_linear applies every delta from its factors, never from the dense
 delta; forward_conv runs lora as a chain of convolutions through its
@@ -166,9 +167,9 @@ class _Block:
     Tucker form moves the kernel axes from down to a core. shapes() states
     the layout; the field names are the role names.
 
-    dense, rows and vjp also take factors with leading member axes, all
-    with the same ones (the training harness's stacked runs): each member
-    then runs its own matmuls, bit for bit as alone.
+    dense, rows (without out) and vjp also take factors with leading
+    member axes, all with the same ones (the training harness's stacked
+    runs): each member then runs its own matmuls, bit for bit as alone.
     """
 
     geometry: LayerShape
@@ -197,10 +198,10 @@ class _Block:
     def rows(self, lo: int, hi: int, out=None, up_core=None) -> np.ndarray:
         """Rows lo:hi of dense() of a factored block, unrolled to (..., hi - lo, -1).
 
-        With out, an array (..., out, in*k*k), they are formed in out's rows
-        lo:hi and are a view of them. The unrolled form takes up[lo:hi] into
-        its matmul; the Tucker form slices the whole up @ core (up_core, or
-        _up_core() made here), so each of its rows is as in dense().
+        With out, a single layer's (out, in*k*k), they are formed in out's
+        rows lo:hi and are a view of them. The unrolled form takes up[lo:hi]
+        into its matmul; the Tucker form slices the whole up @ core (up_core,
+        or _up_core() made here), so each of its rows is as in dense().
         """
         if self.core is None:
             # a linear layer's down is unrolled already
@@ -254,12 +255,12 @@ _ROW_BLOCK = 2**16
 
 
 def _slot(out, lo: int, hi: int, *shape: int):
-    """Rows lo:hi of out, shaped (..., *shape) after its leading axes; None without out.
+    """Rows lo:hi of out, a single layer's (out, in*k*k), shaped shape; None without out.
 
     Splitting axes of a slice of rows is always a view, so what is written
     into the slot lands in out.
     """
-    return None if out is None else out[..., lo:hi, :].reshape(*out.shape[:-2], *shape)
+    return None if out is None else out[lo:hi].reshape(shape)
 
 
 def _row_blocks(n: int, step: int) -> list[tuple[int, int]]:
@@ -282,15 +283,15 @@ def _layer_rows(adapter, lam: float | None = None, w0=None, out=None):
 
     This is the one statement of that sum: reconstruct, merge and the
     adapter commands take their values from it. lam None leaves the delta
-    unscaled and w0 None adds nothing. Each block holds about _ROW_BLOCK
-    values, (..., rows, in*k*k) after any leading member axes (_stacked,
-    which takes neither lam nor w0), and comes from the family's _rows; a
-    layer of at most _ROW_BLOCK values is one block. A block is a new
-    array, or, given out (..., out, in*k*k), a view of out's rows that it
-    was formed in. Nothing here holds a block once it is handed on.
+    unscaled and w0 None adds nothing. The adapter is a single layer's,
+    never a _stacked one. Each block holds about _ROW_BLOCK values,
+    (rows, in*k*k), and comes from the family's _rows; a layer of at most
+    _ROW_BLOCK values is one block. A block is a new array, or, given out
+    (out, in*k*k), a view of out's rows that it was formed in. Nothing here
+    holds a block once it is handed on.
     """
     layer = adapter.layer
-    bounds = adapter._bounds(max(2, _ROW_BLOCK // (math.prod(adapter._lead) * layer.unrolled_in)))
+    bounds = adapter._bounds(max(2, _ROW_BLOCK // layer.unrolled_in))
     rows_of, shared = adapter._rows, adapter._shared()
     scale = None if lam is None else lam * adapter.scale.gamma
     base = None if w0 is None else w0.reshape(layer.out_dim, -1)
@@ -382,14 +383,17 @@ class _Family:
         return _row_blocks(self.layer.out_dim, step)
 
     def _delta(self, lam: float | None = None, w0=None) -> np.ndarray:
-        """_layer_rows(self, lam, w0) formed in one new array of the layer's shape."""
+        """_layer_rows(self, lam, w0) formed in one new array of the layer's shape.
+
+        Stacked factors (_stacked: tiny layers, no lam or w0) form one block.
+        """
         lead, shape = self._lead, self.layer.delta_shape
-        if lam is None and w0 is None and math.prod(lead) * math.prod(shape) <= _ROW_BLOCK:
+        if lead or (lam is None and w0 is None and math.prod(shape) <= _ROW_BLOCK):
             # one block, a new array: the training harness's tiny deltas
             rows = self._rows(0, shape[0])
             return rows if self.layer.kind == "linear" else rows.reshape(*lead, *shape)
-        delta = np.empty((*lead, *shape), np.result_type(*self.tensors().values()))
-        for _ in _layer_rows(self, lam, w0, out=delta.reshape(*lead, shape[0], -1)):
+        delta = np.empty(shape, np.result_type(*self.tensors().values()))
+        for _ in _layer_rows(self, lam, w0, out=delta.reshape(shape[0], -1)):
             pass  # each block is formed in delta's rows
         return delta
 
@@ -785,8 +789,6 @@ def max_rank_bound(adapter: Adapter) -> int:
 def _build_adapter(algorithm, layer, dim, alpha, factor, tucker, seed, zero_init):
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if tucker and layer.kind != "conv2d":
-        raise ValueError("Tucker form is only defined for conv2d layers")
     scale = MergeScale(alpha=alpha, dim=dim)
     rng = np.random.default_rng(_checked_seed(seed))
     std = 1.0 / math.sqrt(dim)

@@ -1,11 +1,11 @@
 """Feature-space evaluation metrics and score-table utilities.
 
 Vector metrics operate on (n, d) arrays of embeddings; rows are normalized
-to unit length first, and zero-norm rows are rejected. Gram/style metrics
-operate on raw (C, H, W) feature maps. Both take real input only; complex
-arrays raise ComplexInputError, and an empty set, a zero width or a zero
-map extent raises ShapeError. Score tables are flat records that
-can be rank-normalized per group and aggregated bottom-up.
+to unit length first, and zero-norm rows are rejected. The style loss
+compares the Gram matrices of raw (C, H, W) feature maps. Both take real
+input only; complex arrays raise ComplexInputError, and an empty set, a
+zero width or a zero map extent raises ShapeError. Score tables are flat
+records that can be rank-normalized per group and aggregated bottom-up.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "text_image_alignment",
     "vendi_score",
     "grouped_vendi",
-    "gram_matrix",
     "style_loss",
     "diversity_ratio",
     "subsample",
@@ -193,21 +192,6 @@ def grouped_vendi(vectors, labels, singletons: str) -> tuple[dict[str, float], f
     if not scores:
         raise ValueError("no groups left to score (all singletons skipped)")
     return scores, float(np.mean(list(scores.values())))
-
-
-def gram_matrix(feature_map) -> np.ndarray:
-    """Channel covariance G = F F^T / (C H W) of a (C, H, W) feature map.
-
-    A finite map whose Gram matrix leaves the float64 range raises
-    NumericalError.
-    """
-    fm = _feature_map(feature_map)
-    try:
-        # the product overflows to inf, or to inf - inf = NaN, only here
-        with np.errstate(over="raise", invalid="raise"):
-            return _gram(fm)
-    except FloatingPointError:
-        raise NumericalError(_gram_overflow(fm)) from None
 
 
 def _feature_map(data) -> np.ndarray:

@@ -311,7 +311,9 @@ def toy_geometry(conv: bool) -> list[tuple[LayerShape, bool]]:
 
 def toy_dataset(conv: bool, seed=0, samples: int | None = None):
     """Fixed standard-normal (x, target) pairs matching the toy geometry."""
-    rng = np.random.default_rng(seed)
+    if samples is not None and not tensor_core._is_count(samples):
+        raise ValueError(f"samples must be positive, got {samples!r}")
+    rng = np.random.default_rng(_checked_seed(seed))
     if conv:
         n = CONV_SAMPLES if samples is None else samples
         spatial = CONV_IMAGE
@@ -521,8 +523,10 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"merge ratio must be finite and positive, got {s}")
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    # the config refuses an unknown optimizer; _train takes the twins' rates
+    # apart and reads no learning_rate of it
+    cfg = OptimizerConfig(optimizer, 0.0, eps=eps, weight_decay=weight_decay)
+    lr, c_exp = BASE_LR[optimizer], C_EXPONENT[optimizer]
     spec = _spec(algorithm)
     ss = _seed_seq(seed).spawn(2)
     model_a = build_toy_model(algorithm, seed=ss[0], ratio=s)
@@ -534,9 +538,6 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
             s ** (1.0 / k)))
         for l in model_a.layers
     ])
-    lr = BASE_LR[optimizer]
-    c_exp = C_EXPONENT[optimizer]
-    cfg = OptimizerConfig(optimizer, lr, eps=eps, weight_decay=weight_decay)
     data = toy_dataset(spec.conv, seed=ss[1])
     trace_a, trace_b = _train([model_a, model_b], cfg, [lr, lr * s ** (c_exp / k)], data, steps,
                               ["twin A", "twin B"])

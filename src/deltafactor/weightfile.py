@@ -13,28 +13,28 @@ ComplexInputError rather than dropping its imaginary part. A value that is
 not finite once cast to float32 (NaN, inf, or of magnitude 2^128 - 2^103 or
 more) raises WeightFileError, as loading would refuse it.
 
-Both writers go through one writer, which writes only what loading
-accepts. It builds the header from the tensors' shapes alone, after the
-metadata gets the reader's own check. It writes into a new temporary file
-beside the target, created with the mode a plain open(path, "wb") would
-give (an existing target's mode is kept), preallocates the file's whole
-size, header and payload, and casts each tensor, as it reaches it, into
-one reused float32 buffer, where it refuses a tensor that is not finite.
-Only a complete file replaces the target, atomically for any reader
-(os.replace); any refusal removes the temporary file, so the target keeps
-its bytes. A full disk is such a refusal, and it comes from the
-preallocation, before any payload byte is made; where the platform or the
-file system cannot preallocate, the write goes on without it. The writer
-does not fsync: durability across a power loss is left to the file
-system, and a target written just before a crash may lack part of its
-payload (run sync where a file must survive one). An existing target
-that is not a regular file is refused before anything is written.
-save_weights checks each layer as load_weights will assemble it: its
+Both writers write only what loading accepts. Each builds the header from
+the tensors' shapes alone, after the metadata gets the reader's own check,
+and save_weights checks every layer as load_weights will assemble it: its
 roles and shapes under the model's metadata, and its gamma against
-alpha / dim. save_dense takes each tensor as an array or as a function
-that returns its row blocks when the writer reaches it, and casts each
-block as it comes, so a command that streams its layers holds one row
-block of float64 values at a time.
+alpha / dim. These refusals, and that of an existing target that is not a
+regular file, come before any file is made. One writer then writes into a
+new temporary file beside the target, created with the mode a plain
+open(path, "wb") would give (an existing target's mode is kept),
+preallocates its whole size, header and payload, and casts each tensor,
+as it reaches it, into one reused float32 buffer, where it refuses a
+tensor that is not finite. Only a complete file replaces the target,
+atomically for any reader (os.replace); a refusal removes the temporary
+file, so the target keeps its bytes. A full disk is such a refusal, and
+it comes from the preallocation, before any payload byte is made; where
+the platform or the file system cannot preallocate, the write goes on
+without it. The writer does not fsync: durability across a power loss is
+left to the file system, and a target written just before a crash may
+lack part of its payload (run sync where a file must survive one).
+save_dense takes each tensor as an array or as a function that returns
+its row blocks when the writer reaches it, and casts each block as it
+comes, so a command that streams its layers holds one row block of
+float64 values at a time.
 
 Loading reads the 8-byte prefix and the header, and checks the whole
 declared layout before it reads a payload byte: distinct layer names, and
@@ -229,15 +229,15 @@ def _as_f32(buf: np.ndarray, name, role: str, shape: tuple, value) -> np.ndarray
     return f4
 
 
-def _write(path, meta: ModelMeta, layout, values) -> None:
-    """Write the container of layout, [(name, LayerShape, {role: shape})], and its values.
+def _write(path, header: bytes, layout, values: list) -> None:
+    """Write the container of header and layout, [(name, LayerShape, {role: shape})], and values.
 
-    values yields one value per tensor of layout, in its order, each made
-    only when the writer reaches it: an array, or a function that returns
-    the tensor's row blocks (_as_f32). The bytes go to a temporary file that
-    replaces the target once complete; a refusal removes it instead.
+    header is _header(meta, layout); values holds one value per tensor of
+    layout, in its order: an array, or a function that returns the tensor's
+    row blocks (_as_f32), called when the writer reaches it. The bytes go to
+    a temporary file that replaces the target once complete; a refusal
+    removes it instead.
     """
-    header = _header(meta, layout)
     # a symlinked target is written through, as open(path, "wb") writes it
     target = os.path.realpath(os.fsdecode(path))
     try:
@@ -260,14 +260,8 @@ def _write(path, meta: ModelMeta, layout, values) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
-            # next() hands each value straight to the cast, so no reference
-            # to it outlives its write while the next one is made
-            values = iter(values)
-            for name, role, tshape in slots:
-                fh.write(_as_f32(buf, name, role, tshape, next(values)))
-            # resumed past its last value, a generator runs what follows it
-            for _ in values:
-                raise ValueError("more values than the layout has tensors")
+            for (name, role, tshape), value in zip(slots, values, strict=True):
+                fh.write(_as_f32(buf, name, role, tshape, value))
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -279,28 +273,25 @@ def save_weights(model: AdapterModel, path) -> None:
     """Serialize an adapter model; tensors are stored as little-endian f32.
 
     Each layer must load back under the model's meta with its own gamma.
+    Every layer is checked, from its shapes and gamma alone, as load_weights
+    will assemble it, before anything is written: nothing is built.
     """
     meta = model.meta
     if meta.algorithm in _DENSE_ALGORITHMS:
         raise ValueError("use save_dense for dense tensor files")
     layout = [(name, ad.layer, {role: t.shape for role, t in ad.tensors().items()})
               for name, ad in model.entries.items()]
-
-    def tensors():
-        # once its tensors are written, each layer is checked as load_weights
-        # will assemble it, from its shapes and gamma: nothing is built
-        gamma = MergeScale(meta.alpha, meta.dim).gamma
-        for (name, shape, shapes), ad in zip(layout, model.entries.values()):
-            yield from ad.tensors().values()
-            try:
-                adapters._check_layout(meta.algorithm, shape, meta.dim, meta.factor, shapes)
-            except ValueError as exc:
-                raise MalformedHeaderError(f"inconsistent adapter tensors: {exc}", 8)
-            if ad.scale.gamma != gamma:
-                raise MalformedHeaderError(f"layer {name!r} has gamma {ad.scale.gamma!r} but would "
-                                           f"load with the model's alpha / dim = {gamma!r}", 8)
-
-    _write(path, meta, layout, tensors())
+    header = _header(meta, layout)
+    gamma = MergeScale(meta.alpha, meta.dim).gamma
+    for (name, shape, shapes), ad in zip(layout, model.entries.values()):
+        try:
+            adapters._check_layout(meta.algorithm, shape, meta.dim, meta.factor, shapes)
+        except ValueError as exc:
+            raise MalformedHeaderError(f"inconsistent adapter tensors: {exc}", 8)
+        if ad.scale.gamma != gamma:
+            raise MalformedHeaderError(f"layer {name!r} has gamma {ad.scale.gamma!r} but would "
+                                       f"load with the model's alpha / dim = {gamma!r}", 8)
+    _write(path, header, layout, [t for ad in model.entries.values() for t in ad.tensors().values()])
 
 
 def save_dense(entries, path, algorithm: str = "delta",
@@ -320,7 +311,7 @@ def save_dense(entries, path, algorithm: str = "delta",
     role = _DENSE_ALGORITHMS[algorithm]
     meta = replace(meta or ModelMeta(algorithm, dim=1, alpha=1.0), algorithm=algorithm)
     layout = [(name, shape, {role: shape.delta_shape}) for name, (shape, _) in entries.items()]
-    _write(path, meta, layout, (value for _, value in entries.values()))
+    _write(path, _header(meta, layout), layout, [value for _, value in entries.values()])
 
 
 def _require_key(entry: dict, key: str, kinds, where: str):

@@ -20,6 +20,12 @@ from deltafactor import optim_harness as oh
 from deltafactor import tensor_core as tc
 from deltafactor import weightfile as wf
 
+EPS = np.finfo(np.float64).eps
+# forward against reference, in units of EPS times each entry's own sum of
+# magnitudes: the longest sum on either side has at most 36 terms, about
+# 18 units each to first order, and the drawn cases read at most 2.2
+ROUNDING_UNITS = 32
+
 
 @pytest.fixture
 def report(capfd):
@@ -91,8 +97,8 @@ def test_a04_grouped_kronecker_forward(report):
         h = rng.standard_normal((int(rng.integers(1, 5)), uq * vq))
         got = kl.grouped_forward(c, b, a, h)
         want = h @ np.kron(c, b @ a).T
-        scale = max(1.0, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+        magnitudes = np.abs(h) @ np.kron(np.abs(c), np.abs(b) @ np.abs(a)).T
+        worst = max(worst, float(np.max(np.abs(got - want) / magnitudes)) / EPS)
     ranks_ok = True
     for _ in range(100):
         ra, rb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -100,9 +106,9 @@ def test_a04_grouped_kronecker_forward(report):
         b1 = rng.standard_normal((4, rb)) @ rng.standard_normal((rb, 7))
         if np.linalg.matrix_rank(np.kron(a1, b1), rtol=1e-10) != ra * rb:
             ranks_ok = False
-    ok = worst < 1e-12 and ranks_ok
+    ok = worst <= ROUNDING_UNITS and ranks_ok
     report("A04 grouped kronecker forward", ok,
-           f"60 configs, max scaled deviation {worst:.2e}, "
+           f"60 configs, max deviation {worst:.2f} units of each entry's magnitudes, "
            f"rank multiplicativity {'held' if ranks_ok else 'broke'}")
 
 
@@ -143,12 +149,11 @@ def test_a06_conv_adapter_equivalence(report):
                     x = rng.standard_normal((4, 7, 7))
                     got = ad.forward_conv(adapter, k0, bias, x)
                     want = tc.conv2d(merged, x) + bias[:, None, None]
-                    scale = max(1.0, float(np.max(np.abs(want))))
-                    worst = max(worst,
-                                float(np.max(np.abs(got - want))) / scale)
-    ok = worst < 1e-10
+                    magnitudes = tc.conv2d(np.abs(merged), np.abs(x)) + np.abs(bias)[:, None, None]
+                    worst = max(worst, float(np.max(np.abs(got - want) / magnitudes)) / EPS)
+    ok = worst <= ROUNDING_UNITS
     report("A06 conv adapter equivalence", ok,
-           f"12 configs, max scaled deviation {worst:.2e}")
+           f"12 configs, max deviation {worst:.2f} units of each entry's magnitudes")
 
 
 def test_a07_conv_parameter_counts(report):

@@ -91,6 +91,25 @@ class TestOptimizerConfig:
             oh.OptimizerConfig("adam", 0.1, **{field: value})
 
 
+class TestToyDataset:
+    @pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "1"])
+    def test_refuses_a_bad_seed(self, conv, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
+            oh.toy_dataset(conv, seed=seed)
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, True])
+    def test_refuses_a_bad_sample_count(self, conv, samples):
+        with pytest.raises(ValueError, match=rf"^samples must be positive, got {samples!r}$"):
+            oh.toy_dataset(conv, seed=0, samples=samples)
+
+    def test_takes_numpy_integers(self):
+        x, y = oh.toy_dataset(False, seed=np.int64(3), samples=np.int64(2))
+        np.testing.assert_array_equal(x, oh.toy_dataset(False, seed=3, samples=2)[0])
+        assert len(x) == len(y) == 2
+
+
 class TestForwardAndGrads:
     def test_perfect_prediction_zeroes_gradients(self):
         model = oh.build_toy_model("lora", seed=3)

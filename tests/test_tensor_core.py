@@ -83,7 +83,6 @@ SCALAR_CALLS = {
     "grouped_vendi-vectors": lambda v: mt.grouped_vendi(v, ["a"], "include"),
     "subsample-vectors": lambda v: mt.subsample(v, 1),
     "diversity_ratio-vectors": lambda v: mt.diversity_ratio(v, _VECTORS, "vendi"),
-    "gram_matrix-feature_map": lambda v: mt.gram_matrix(v),
     "style_loss-feature_map": lambda v: mt.style_loss([v], [np.ones((1, 1, 1))]),
 }
 

@@ -278,6 +278,23 @@ class TestWritersWriteOnlyWhatLoads:
             wf.save_weights(model, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("second,message", [
+        (ad.init_adapter("lora", LINEAR, 3, alpha=3.0), "inconsistent adapter tensors"),
+        (ad.init_adapter("lora", LINEAR, 2, alpha=4.0), "layer 'b' has gamma 2.0 but would load"),
+    ], ids=["layout", "gamma"])
+    def test_layer_refusals_make_no_file(self, tmp_path, monkeypatch, second, message):
+        # the second layer is refused before the first is written: no
+        # temporary file is made, and the target keeps its bytes
+        first = ad.init_adapter("lora", LINEAR, 2, alpha=2.0)
+        model = ad.AdapterModel(meta=ad.ModelMeta("lora", 2, 2.0), entries={"a": first, "b": second})
+        path = tmp_path / "m.lwu"
+        path.write_bytes(b"kept")
+        monkeypatch.setattr(wf, "_create_beside", lambda target: pytest.fail("a file was made"))
+        with pytest.raises(wf.MalformedHeaderError, match=message):
+            wf.save_weights(model, path)
+        assert path.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["m.lwu"]
+
     def test_layers_of_other_dims_at_one_gamma_save(self, tmp_path):
         # lokr fits of whole right blocks differ in dim but share gamma 1
         fits = {"a": ad.nkp_fit_lokr(np.ones((8, 8))), "b": ad.nkp_fit_lokr(np.ones((4, 6)))}
@@ -798,7 +815,7 @@ class TestWriterRefusesNonFinite:
         # hands the writer such a tensor directly
         down = np.zeros((2, 6))
         down[1, 3] = bad
-        entry = SimpleNamespace(layer=LINEAR,
+        entry = SimpleNamespace(layer=LINEAR, scale=ad.MergeScale(2.0, 2),
                                 tensors=lambda: {"up": np.zeros((4, 2)), "down": down})
         model = ad.AdapterModel(meta=ad.ModelMeta(algorithm="lora", dim=2, alpha=2.0),
                                 entries={"blk0.attn": entry})
