@@ -49,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kron_linear, tensor_core
-from .tensor_core import (NumericalError, ShapeError, _as_real, _checked_seed, _is_count,
-                          _require_finite, as_tensor)
+from .tensor_core import (NumericalError, ShapeError, _as_real, _checked_int_seed, _checked_seed,
+                          _is_count, _require_finite, as_tensor)
 
 __all__ = [
     "ALGORITHMS",
@@ -99,7 +99,8 @@ class MergeScale:
 
     @property
     def gamma(self) -> float:
-        return self.alpha / self.dim
+        # in float64 whatever alpha's type, as the .lwu reader forms it
+        return float(self.alpha) / self.dim
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,7 @@ class _Block:
         if self.w2 is not None:
             return self.w2
         if self.core is None and self.geometry.kind == "linear":
+            # same bytes as rows(0, out); the harness's stacked blocks take it at half the time
             return self.up @ self.down
         return self.rows(0, self.geometry.out_dim).reshape(*self.up.shape[:-2], *self.geometry.delta_shape)
 
@@ -389,7 +391,8 @@ class _Family:
         """
         lead, shape = self._lead, self.layer.delta_shape
         if lead or (lam is None and w0 is None and math.prod(shape) <= _ROW_BLOCK):
-            # one block, a new array: the training harness's tiny deltas
+            # one block, a new array: the training harness's tiny deltas, same
+            # bytes as the row-block loop below at half the time of a small reconstruct
             rows = self._rows(0, shape[0])
             return rows if self.layer.kind == "linear" else rows.reshape(*lead, *shape)
         delta = np.empty(shape, np.result_type(*self.tensors().values()))
@@ -689,18 +692,18 @@ def reconstruct(adapter: Adapter) -> np.ndarray:
     return adapter._delta()
 
 
-def _check_base(layer: LayerShape, w0m: np.ndarray, bias) -> np.ndarray:
-    """bias checked by as_tensor, once it and the coerced base w0m have the layer's shapes.
+def _check_base(layer: LayerShape, w0, bias) -> tuple[np.ndarray, np.ndarray]:
+    """w0 as real float64 and bias checked by as_tensor, once both have the layer's shapes.
 
-    The values of w0m are the caller's to check.
+    The product that reads w0 checks its values.
     """
-    bv = as_tensor(bias, "bias")
+    w0m, bv = _as_real(w0, "base weight"), as_tensor(bias, "bias")
     if w0m.shape != layer.delta_shape:
         what = "weight" if layer.kind == "linear" else "kernel"
         raise ShapeError(f"base {what} shape {w0m.shape} != {layer.delta_shape}")
     if bv.shape != (layer.out_dim,):
         raise ShapeError(f"bias shape {bv.shape} != ({layer.out_dim},)")
-    return bv
+    return w0m, bv
 
 
 def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
@@ -718,8 +721,7 @@ def forward_linear(adapter: Adapter, w0, bias, x) -> np.ndarray:
     shp = adapter.layer
     if shp.kind != "linear":
         raise ShapeError(f"forward_linear needs a linear layer, got {shp.kind}")
-    w0m = _as_real(w0, "base weight")
-    bv = _check_base(shp, w0m, bias)
+    w0m, bv = _check_base(shp, w0, bias)
     xm = as_tensor(x, "input")
     if xm.ndim not in (1, 2) or xm.shape[-1] != shp.in_dim:
         raise ShapeError(f"input shape {xm.shape} != ({shp.in_dim},) or (n, {shp.in_dim})")
@@ -749,16 +751,15 @@ def forward_conv(adapter: Adapter, k0, bias, x) -> np.ndarray:
     a chain of convolutions (k x k with `down`, then 1 x 1 with `up`; the
     Tucker form as 1 x 1, core k x k, 1 x 1). LoHa and LoKr build the delta
     kernel from their factors and apply it in one pass, since elementwise
-    and Kronecker structure do not commute with convolution.
+    and Kronecker structure do not commute with convolution. bias and every
+    shape are checked before any product, k0's and x's values once each, by conv2d.
     """
     shp = adapter.layer
     if shp.kind != "conv2d":
         raise ShapeError(f"forward_conv needs a conv2d layer, got {shp.kind}")
-    k0m = as_tensor(k0, "base weight")
-    bv = _check_base(shp, k0m, bias)
-    xm = as_tensor(x, "input")
-    base = tensor_core.conv2d(k0m, xm)
-    return base + bv[:, None, None] + adapter.scale.gamma * adapter._convolve(xm)
+    k0m, bv = _check_base(shp, k0, bias)
+    xm = _as_real(x, "input")
+    return tensor_core.conv2d(k0m, xm) + bv[:, None, None] + adapter.scale.gamma * adapter._convolve(xm)
 
 
 def merge(adapter: Adapter, w0_new, lam: float = 1.0) -> np.ndarray:
@@ -1024,7 +1025,8 @@ def init_model(entries, algorithm: str, dim: int, alpha: float, factor: int = -1
     names = [name for name, _ in named]
     if len(set(names)) != len(names):
         raise ValueError("layer names must be unique")
-    children = np.random.SeedSequence(_checked_seed(seed)).spawn(len(named))
+    # the model seed goes into the .lwu header, which stores an integer
+    children = np.random.SeedSequence(_checked_int_seed(seed)).spawn(len(named))
     built: dict[str, Adapter] = {}
     for (name, layer), child in zip(named, children):
         use_tucker = tucker and layer.kind == "conv2d"

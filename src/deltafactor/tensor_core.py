@@ -74,13 +74,17 @@ def _is_count(value) -> bool:
 
 
 def _checked_seed(seed):
-    """seed, refused with ValueError naming it unless it is a non-negative integer or a SeedSequence.
+    """seed, refused with ValueError naming it unless it is a non-negative integer or a SeedSequence."""
+    return seed if isinstance(seed, np.random.SeedSequence) else _checked_int_seed(seed)
+
+
+def _checked_int_seed(seed):
+    """seed, refused with ValueError naming it unless it is a non-negative integer.
 
     An integer is an int or numpy integer, never a bool; numpy's own
     refusal of a negative one does not name the seed.
     """
-    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if isinstance(seed, np.random.SeedSequence) or (integer and seed >= 0):
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
         return seed
     raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 

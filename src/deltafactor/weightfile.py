@@ -110,11 +110,13 @@ class OffsetOverlapError(WeightFileError):
     pass
 
 
-def _json_int(value) -> int:
-    # numpy integers, which LayerShape and MergeScale accept, are JSON integers
+def _json_number(value) -> int | float:
+    # numpy integers and floats, which LayerShape, MergeScale and ModelMeta accept, are JSON numbers
     if isinstance(value, np.integer):
         return int(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if isinstance(value, np.floating):
+        return float(value)
+    raise MalformedHeaderError(f"metadata value {value!r} is not a JSON number or string", 8)
 
 
 def _header(meta: ModelMeta, layout) -> bytes:
@@ -123,7 +125,7 @@ def _header(meta: ModelMeta, layout) -> bytes:
     The metadata gets the reader's own check, on the JSON it will read.
     """
     meta_fields = dict(asdict(meta), format_version=FORMAT_VERSION)
-    _parse_meta(json.loads(json.dumps(meta_fields, default=_json_int)))
+    _parse_meta(json.loads(json.dumps(meta_fields, default=_json_number)))
     offset = 0
     layer_entries = []
     for name, shape, roles in layout:
@@ -147,7 +149,7 @@ def _header(meta: ModelMeta, layout) -> bytes:
             "tensors": tensor_entries,
         })
     header = dict(meta_fields, layers=layer_entries)
-    return json.dumps(header, sort_keys=True, default=_json_int).encode("utf-8")
+    return json.dumps(header, sort_keys=True, default=_json_number).encode("utf-8")
 
 
 def _create_beside(target: str) -> tuple[str, int]:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -186,6 +187,16 @@ class TestSeedContract:
             with pytest.raises(ValueError) as exc:
                 draw()
             assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    def test_model_seed_must_be_an_integer(self):
+        # the .lwu header stores the model seed, so a SeedSequence is refused
+        # by init_model, while a single adapter's draw takes one
+        layer = ad.LayerShape("linear", 4, 4)
+        seed = np.random.SeedSequence(3)
+        ad.random_adapter("lora", layer, 2, 1.0, seed=seed)
+        with pytest.raises(ValueError) as exc:
+            ad.init_model([("a", layer)], "lora", 2, 1.0, seed=seed)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
 
     @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
     def test_role_table(self, algorithm):
@@ -653,10 +664,13 @@ for out, inn in [(48, 80), (768, 768), (3072, 768), (193, 1024), (97, 5000)]:
 """
 
 
+# (algorithm, tucker) of every conv form
+CONV_FORMS = [("lora", False), ("lora", True), ("loha", False), ("loha", True),
+              ("lokr", False), ("lokr", True)]
+
+
 class TestForwardConv:
-    @pytest.mark.parametrize("algorithm,tucker", [("lora", False), ("lora", True),
-                                                  ("loha", False), ("loha", True),
-                                                  ("lokr", False), ("lokr", True)])
+    @pytest.mark.parametrize("algorithm,tucker", CONV_FORMS)
     def test_factored_chain_matches_dense_kernel(self, algorithm, tucker):
         rng = np.random.default_rng(17)
         adapter = ad.random_adapter(algorithm, CONV_SMALL, 2, alpha=1.0,
@@ -816,6 +830,45 @@ class TestForwardBoundary:
             ad.forward_linear(conv, *conv_args)
         with pytest.raises(tc.ShapeError, match="forward_conv needs a conv2d layer"):
             ad.forward_conv(linear, *linear_args)
+
+
+class TestForwardConvScans:
+    """Each value of k0 and x is scanned for NaN/inf by the conv2d calls that read it, no more."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        seen = []
+        check = tc._require_finite
+
+        def counting(arr, what):
+            seen.append(arr)
+            check(arr, what)
+
+        monkeypatch.setattr(tc, "_require_finite", counting)
+        return seen
+
+    @pytest.mark.parametrize("algorithm,tucker", CONV_FORMS)
+    @pytest.mark.parametrize("batch", [None, 3], ids=["image", "batch"])
+    def test_k0_once_and_x_twice(self, scanned, algorithm, tucker, batch):
+        # x's second scan is the adapter term's own conv2d, the first that reads x
+        rng = np.random.default_rng(61)
+        adapter = ad.random_adapter(algorithm, CONV_SMALL, 2, alpha=1.0, factor=2,
+                                    tucker=tucker, seed=62)
+        k0 = rng.standard_normal(CONV_SMALL.delta_shape)
+        x = rng.standard_normal((6, 7, 7) if batch is None else (batch, 6, 7, 7))
+        ad.forward_conv(adapter, k0, rng.standard_normal(8), x)
+        assert sum(arr is k0 for arr in scanned) == 1
+        assert sum(arr is x for arr in scanned) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which,name", [(0, "kernel"), (2, "image")], ids=["k0", "x"])
+    def test_non_finite_named_by_conv2d(self, which, name, bad):
+        adapter = ad.random_adapter("lora", CONV_SMALL, 2, alpha=1.0, seed=63)
+        args = [np.ones(CONV_SMALL.delta_shape), np.ones(8), np.ones((6, 7, 7))]
+        args[which].flat[[17, 40]] = bad
+        want = f"{name} holds a non-finite value at flat index 17: {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            ad.forward_conv(adapter, *args)
 
 
 class TestMergeCombine:
@@ -1320,6 +1373,19 @@ class TestSketchFit:
         def residual(fit):
             return np.linalg.norm(delta - ad.reconstruct(fit))
         self.check(monkeypatch, spectrum, lambda: ad.nkp_fit_lokr(delta, dim=8), grid, 1, residual)
+
+
+class TestFitSolverFailure:
+    @pytest.mark.parametrize("fit", [lambda d: ad.svd_fit_lora(d, 2), ad.nkp_fit_lokr],
+                             ids=["svd_fit_lora", "nkp_fit_lokr"])
+    def test_eigh_failure_is_a_numerical_error(self, monkeypatch, fit):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        delta = np.random.default_rng(64).standard_normal((6, 4))
+        with pytest.raises(tc.NumericalError,
+                           match="^eigendecomposition did not converge: Eigenvalues did not converge$"):
+            fit(delta)
 
 
 class TestInvariantErrors:

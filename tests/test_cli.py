@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from deltafactor import adapters as ad
 from deltafactor import features as ft
 from deltafactor import optim_harness as oh
-from deltafactor.cli import cli_dispatch
+from deltafactor.cli import cli_dispatch, main
 from deltafactor.tensor_core import SYM_EIG_MAX_SIZE, NumericalError
 from deltafactor.weightfile import load_dense, load_weights, save_dense, save_weights
 
@@ -265,6 +266,21 @@ class TestAdapterFlow:
         assert "layer 'a': adapter geometry" in stderr
         assert "does not match base geometry" in stderr
         assert not (tmp_path / "x.lwu").exists()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_merge_rejects_a_weight_that_is_not_finite(self, tmp_path, capsys, weight):
+        layer = ad.LayerShape("linear", 6, 4)
+        model = ad.AdapterModel(
+            meta=ad.ModelMeta(algorithm="lora", dim=2, alpha=2.0),
+            entries={"a": ad.random_adapter("lora", layer, 2, alpha=2.0)})
+        weights, base, out = tmp_path / "w.lwu", tmp_path / "base.lwu", tmp_path / "x.lwu"
+        save_weights(model, weights)
+        save_dense({"a": (layer, np.zeros(layer.delta_shape))}, base, algorithm="dense")
+        code, _, stderr = run(capsys, "adapter", "merge", "--weights", str(weights), "--base",
+                              str(base), f"--weight={weight}", "--out", str(out))
+        assert code == 1
+        assert stderr == f"error: merge weight must be finite, got {float(weight)}\n"
+        assert not out.exists()
 
     def test_merge_rejects_delta_base(self, tmp_path, capsys):
         layer = ad.LayerShape("linear", 6, 4)
@@ -885,3 +901,20 @@ class TestExitCodes:
         assert code == 1
         assert stderr == f"error: {manifest}: entry 0 has invalid shape [True, 4]\n"
         assert not (tmp_path / "x.lwu").exists()
+
+    def test_module_entry_point_is_the_cli_main(self):
+        # python -m deltafactor runs deltafactor.__main__, which only forwards
+        assert importlib.import_module("deltafactor.__main__").main is main
+
+    def test_main_exits_with_the_dispatch_code(self, tmp_path, monkeypatch, capsys):
+        path = write_vectors(tmp_path, "v", [[1.0, 2.0]])
+        monkeypatch.setattr("sys.argv", ["deltafactor", "metrics", "vendi", "--features", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "1.0\n"
+        missing = str(tmp_path / "none")
+        monkeypatch.setattr("sys.argv", ["deltafactor", "metrics", "vendi", "--features", missing])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2

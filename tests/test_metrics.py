@@ -187,6 +187,14 @@ class TestVendiScore:
         scores, _ = mt.grouped_vendi(x, range(2000), singletons="include")
         assert set(scores.values()) == {1.0}
 
+    def test_eigvalsh_failure_is_a_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError,
+                           match="^eigendecomposition did not converge: Eigenvalues did not converge$"):
+            mt.vendi_score([E1, E2, DIAG])
+
     def test_identical_rows_score_at_least_one(self):
         rng = np.random.default_rng(14)
         for _ in range(300):

@@ -498,6 +498,11 @@ class TestVerifyMergeRatio:
                            match=r"non-finite factor at step 1 in twin B: layer \d, role '\w+'"):
             oh.verify_merge_ratio("lora", 1e150, "sgd", steps=1)
 
+    def test_diverging_loss_is_named(self):
+        # twin A's outputs carry the ratio 1e300, and their squares overflow its first loss
+        with pytest.raises(NumericalError, match=r"^non-finite loss at step 1 in twin A$"):
+            oh.verify_merge_ratio("lora", 1e300, "sgd", steps=1)
+
     def test_nan_deviation_is_not_dropped(self, monkeypatch):
         # max(0.0, nan) is 0.0; the deviation must report the NaN instead
         def fake_train(models, cfg, rates, dataset, steps, names):

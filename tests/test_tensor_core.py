@@ -226,6 +226,11 @@ class TestConv2d:
             with pytest.raises(tc.ShapeError, match="image"):
                 tc.conv2d(np.ones((1, 2, 1, 1)), np.ones(shape))
 
+    def test_rejects_kernel_rank(self):
+        with pytest.raises(tc.ShapeError,
+                           match=r"^kernel stack must have rank 4, got shape \(1, 2, 1\)$"):
+            tc.conv2d(np.ones((1, 2, 1)), np.ones((2, 3, 3)))
+
     def test_channel_mismatch(self):
         with pytest.raises(tc.ShapeError, match="channels"):
             tc.conv2d(np.ones((1, 2, 1, 1)), np.ones((3, 2, 2)))

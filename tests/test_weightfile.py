@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import struct
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -327,6 +328,32 @@ class TestWritersWriteOnlyWhatLoads:
         with pytest.raises(wf.MalformedHeaderError, match="invalid metadata: dim"):
             wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, path, meta=meta)
         assert not path.exists()
+
+    @pytest.mark.parametrize("alpha", [np.float32(2.0), np.float32(0.1), np.float16(3.0)],
+                             ids=["float32-2", "float32-0.1", "float16-3"])
+    def test_numpy_float_alpha_is_a_json_float(self, tmp_path, alpha):
+        # at dim 3 a float32 gamma would differ from the float64 one a reload forms
+        model = ad.init_model([("a", LINEAR), ("b", CONV)], "lora", 3, alpha)
+        wf.save_weights(model, tmp_path / "m.lwu")
+        loaded = wf.load_weights(tmp_path / "m.lwu")
+        assert loaded.meta.alpha == float(alpha)
+        for name, adapter in loaded.entries.items():
+            assert adapter.scale.gamma == model.entries[name].scale.gamma
+        wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, tmp_path / "d.lwu",
+                      meta=ad.ModelMeta("delta", 1, alpha))
+        assert wf.load_dense(tmp_path / "d.lwu")[0].alpha == float(alpha)
+
+    @pytest.mark.parametrize("meta", [ad.ModelMeta("lora", 2, 2.0, seed=np.random.SeedSequence(3)),
+                                      ad.ModelMeta("lora", 2, Fraction(2))],
+                             ids=["seed-sequence", "fraction-alpha"])
+    def test_metadata_json_cannot_hold_makes_no_file(self, tmp_path, monkeypatch, meta):
+        monkeypatch.setattr(wf, "_create_beside", lambda target: pytest.fail("a file was made"))
+        model = ad.AdapterModel(meta=meta, entries=build_model("lora", dim=2).entries)
+        with pytest.raises(wf.MalformedHeaderError, match="is not a JSON number or string"):
+            wf.save_weights(model, tmp_path / "m.lwu")
+        with pytest.raises(wf.MalformedHeaderError, match="is not a JSON number or string"):
+            wf.save_dense({"a": (LINEAR, np.ones(LINEAR.delta_shape))}, tmp_path / "d.lwu", meta=meta)
+        assert os.listdir(tmp_path) == []
 
     def test_reader_refuses_an_integer_alpha_beyond_float_range(self, tmp_path):
         blob = save_blob(build_model(), tmp_path)
@@ -932,6 +959,18 @@ class TestWritesReplaceTheTargetWhole:
         assert "No space left on device" in capsys.readouterr().err
         assert out.read_bytes() == b"kept"
         assert sorted(os.listdir(tmp_path)) == ["base.lwu", "out.lwu", "w.lwu"]
+
+    def test_a_taken_temporary_name_is_passed_over(self, tmp_path, monkeypatch):
+        path, taken = tmp_path / "d.lwu", tmp_path / ".d.lwu.00000000.tmp"
+        taken.write_bytes(b"other")
+        draws = iter([b"\0" * 4, b"\1" * 4])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        wf.save_dense(self.ENTRIES, path)
+        assert next(draws, None) is None
+        monkeypatch.undo()
+        assert taken.read_bytes() == b"other"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, path.name]
+        np.testing.assert_array_equal(wf.load_dense(path)[1]["b"][1], self.ENTRIES["b"][1])
 
     def test_new_file_has_the_mode_open_gives(self, tmp_path):
         (tmp_path / "plain").open("wb").close()
