@@ -105,7 +105,7 @@ class MergeScale:
 
 @dataclass(frozen=True)
 class LayerShape:
-    """Target layer geometry: linear (out, in) or conv2d (out, in, k)."""
+    """Target layer geometry: linear (out, in) or conv2d (out, in, k), and its one maximal rank, max_rank."""
 
     kind: str
     out_dim: int
@@ -146,6 +146,11 @@ class LayerShape:
         if self.kind == "conv2d":
             return self.in_dim * self.kernel * self.kernel
         return self.in_dim
+
+    @property
+    def max_rank(self) -> int:
+        """min(out, in*k*k): rank bounds, fits and the CLI read a delta's rank unrolled, from here."""
+        return min(self.out_dim, self.unrolled_in)
 
     @property
     def delta_shape(self) -> tuple[int, ...]:
@@ -245,7 +250,7 @@ class _Block:
         return uc.reshape(*lead, self.geometry.out_dim, r, -1)
 
     def rank_bound(self) -> int:
-        bound = min(self.geometry.out_dim, self.geometry.unrolled_in)
+        bound = self.geometry.max_rank
         return bound if self.w2 is not None else min(self.up.shape[1], bound)
 
 
@@ -461,8 +466,7 @@ class _BlockProduct(_Family):
         return out
 
     def _rank_bound(self) -> int:
-        ranks = math.prod(block.rank_bound() for block in self._blocks)
-        return min(ranks, self.layer.out_dim, self.layer.unrolled_in)
+        return min(math.prod(block.rank_bound() for block in self._blocks), self.layer.max_rank)
 
 
 @dataclass(frozen=True)
@@ -537,7 +541,7 @@ class LokrAdapter(_Family):
         c_shape, right = _lokr_split(layer, factor)
         if whole is None:
             # a draw's form: whole from the right block's maximal rank on
-            whole = not tucker and _right_is_whole(right, dim)
+            whole = not tucker and dim >= right.max_rank
         return {"c": c_shape, **_Block.shapes(right, dim, tucker, whole)}
 
     @staticmethod
@@ -606,8 +610,7 @@ class LokrAdapter(_Family):
 
     def _rank_bound(self) -> int:
         u_p, _, u_q, _ = self.block_dims
-        return min(min(u_p, u_q) * self._blocks[0].rank_bound(),
-                   self.layer.out_dim, self.layer.unrolled_in)
+        return min(min(u_p, u_q) * self._blocks[0].rank_bound(), self.layer.max_rank)
 
 
 Adapter = LoraAdapter | LohaAdapter | LokrAdapter
@@ -674,12 +677,6 @@ def _lokr_split(layer: LayerShape, factor: int) -> tuple[tuple[int, int], LayerS
     u_p, v_p = lokr_factor_dims(layer.out_dim, factor)
     u_q, v_q = lokr_factor_dims(layer.in_dim, factor)
     return (u_p, u_q), LayerShape(layer.kind, v_p, v_q, layer.kernel)
-
-
-def _right_is_whole(right: LayerShape, dim: int) -> bool:
-    # the right block is left unfactored when dim reaches its own maximal
-    # rank min(v_p, v_q * k^2); smaller dims factor it as up @ down
-    return dim >= min(right.out_dim, right.unrolled_in)
 
 
 def reconstruct(adapter: Adapter) -> np.ndarray:
@@ -962,9 +959,8 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     """
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
-    full = min(layer.out_dim, layer.unrolled_in)
-    if not (_is_count(dim) and dim <= full):
-        raise ValueError(f"dim {dim!r} out of range [1, {full}] for shape {dm.shape}")
+    if not (_is_count(dim) and dim <= layer.max_rank):
+        raise ValueError(f"dim {dim!r} out of range [1, {layer.max_rank}] for shape {dm.shape}")
     up, down = _fit_block(layer, dm, dim)
     return LoraAdapter(layer, MergeScale(alpha=float(dim), dim=dim), up, down)
 
@@ -1005,9 +1001,9 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     right_vec = m * (scaled @ c_vec)
     c = c_vec.reshape(u_p, u_q)
     if dim is None:
-        dim = min(right.out_dim, right.unrolled_in)
+        dim = right.max_rank
     scale = MergeScale(alpha=float(dim), dim=dim)
-    if _right_is_whole(right, dim):
+    if dim >= right.max_rank:
         return LokrAdapter(layer, scale, factor, c, w2=right_vec.reshape(right.delta_shape))
     up, down = _fit_block(right, right_vec, dim)
     return LokrAdapter(layer, scale, factor, c, up=up, down=down)

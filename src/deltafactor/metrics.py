@@ -132,11 +132,12 @@ def vendi_score(a) -> float:
     """Effective diversity: exp of the entropy of the similarity spectrum.
 
     With K the cosine Gram matrix of the normalized set, the score is
-    exp(-sum lambda_i log lambda_i) over eigenvalues of K/n, using
-    0 log 0 = 0. The eigenvalues are clipped at 0 and divided by their sum,
-    so that they form a distribution although K/n has trace 1 only up to
-    rounding. Ranges from 1 (all identical, and exactly 1 for a single
-    vector) to min(n, d) (orthogonal).
+    exp(-sum lambda_i log lambda_i) over eigenvalues of K/n. Eigenvalues
+    at or below min(n, d) * eps * lambda_max are the solver's rounding
+    noise (or 0) and are dropped; the rest are divided by their sum, so that
+    they form a distribution although K/n has trace 1 only up to rounding.
+    Ranges from 1 (all identical: exactly 1, as for a single vector) to
+    min(n, d) (orthogonal).
 
     The nonzero eigenvalues of X X^T / n (n x n) and X^T X / n (d x d) are
     the same, so the solver runs on the smaller side: the n x n Gram when
@@ -160,10 +161,9 @@ def _vendi(na: np.ndarray) -> float:
         values = np.linalg.eigvalsh(kernel / n)[::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
-    values = np.clip(values, 0.0, None)
+    values = values[values > side * np.finfo(np.float64).eps * values[0]]
     values /= values.sum()
-    positive = values[values > 0.0]
-    entropy = -float(np.sum(positive * np.log(positive)))
+    entropy = -float(np.sum(values * np.log(values)))
     return float(np.exp(entropy))
 
 

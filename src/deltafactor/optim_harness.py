@@ -1,15 +1,15 @@
 """Deterministic toy-training harness with hand-coded gradients.
 
 Small frozen-base models (linear or conv2d layers, tanh between them, last
-layer linear) are trained on fixed data with only the adapter factors as
-trainable parameters. Everything is written out explicitly: forward pass,
-backprop to each layer's delta and on, through the adapter family's own
-vector-Jacobian product, to every factor tensor (Tucker cores included),
-and the optimizer step. SGD, Adam (fixed betas) and AdaGrad share that
-one step, _Optimizer.step: AdaGrad's accumulator is Adam's second moment
-without decay or bias correction, and both divide through one guarded
-num / (sqrt(den) + eps). Its three checks back
-the CLI's `verify merge-ratio`, `verify homogeneity` and `verify
+layer linear: _forward applies this by position) are trained on fixed data
+with only the adapter factors as trainable parameters. Everything is
+written out explicitly: forward pass, backprop to each layer's delta and
+on, through the adapter family's own vector-Jacobian product, to every
+factor tensor (Tucker cores included), and the optimizer step. SGD, Adam
+(fixed betas) and AdaGrad share that one step, _Optimizer.step: AdaGrad's
+accumulator is Adam's second moment without decay or bias correction, and
+both divide through one guarded num / (sqrt(den) + eps). Its three checks
+back the CLI's `verify merge-ratio`, `verify homogeneity` and `verify
 gradients`, which loop over the forms in HARNESS_ALGORITHMS.
 
 There is one forward, one loss and one gradient path, all private:
@@ -95,19 +95,23 @@ class HarnessAlgo:
 
     algorithm: str
     tucker: bool
-    conv: bool
     dim: int
     factor: int
 
+    @property
+    def conv(self) -> bool:
+        # a Tucker core carries kernel axes: the Tucker forms, and only they, train conv layers
+        return self.tucker
+
 
 HARNESS_ALGORITHMS = {
-    "lora": HarnessAlgo("lora", tucker=False, conv=False, dim=4, factor=-1),
-    "loha": HarnessAlgo("loha", tucker=False, conv=False, dim=4, factor=-1),
-    "lokr": HarnessAlgo("lokr", tucker=False, conv=False, dim=4, factor=4),
-    "lokr-factored": HarnessAlgo("lokr", tucker=False, conv=False, dim=2, factor=4),
-    "lora-tucker": HarnessAlgo("lora", tucker=True, conv=True, dim=3, factor=-1),
-    "loha-tucker": HarnessAlgo("loha", tucker=True, conv=True, dim=2, factor=-1),
-    "lokr-tucker": HarnessAlgo("lokr", tucker=True, conv=True, dim=2, factor=4),
+    "lora": HarnessAlgo("lora", tucker=False, dim=4, factor=-1),
+    "loha": HarnessAlgo("loha", tucker=False, dim=4, factor=-1),
+    "lokr": HarnessAlgo("lokr", tucker=False, dim=4, factor=4),
+    "lokr-factored": HarnessAlgo("lokr", tucker=False, dim=2, factor=4),
+    "lora-tucker": HarnessAlgo("lora", tucker=True, dim=3, factor=-1),
+    "loha-tucker": HarnessAlgo("loha", tucker=True, dim=2, factor=-1),
+    "lokr-tucker": HarnessAlgo("lokr", tucker=True, dim=2, factor=4),
 }
 
 
@@ -135,7 +139,6 @@ class ToyLayer:
     base_weight: np.ndarray
     base_bias: np.ndarray
     adapter: adapters.Adapter
-    activation: bool
 
 
 @dataclass
@@ -168,14 +171,15 @@ def _forward(model: ToyModel, x: np.ndarray, deltas: list, gammas: list,
              x_cols: np.ndarray | None = None, scratch: list | None = None) -> list[tuple]:
     """Per layer (input, w0 + gamma * delta, im2col columns or None, output).
 
-    deltas[i] and gammas[i] may carry leading member axes; x and the base
-    layers are shared by every member. x_cols, the first layer's im2col
-    columns of x, are built here unless the caller passes them. A training
-    run passes scratch, one dict per layer that it keeps for all its steps,
-    for the conv buffers (tensor_core._buffer).
+    Every layer's output but the last's is tanh-activated. deltas[i] and
+    gammas[i] may carry leading member axes; x and the base layers are
+    shared by every member. x_cols, the first layer's im2col columns of x,
+    are built here unless the caller passes them. A training run passes
+    scratch, one dict per layer that it keeps for all its steps, for the
+    conv buffers (tensor_core._buffer).
     """
     saved = []
-    h, cols = x, x_cols
+    h, cols, last = x, x_cols, len(model.layers) - 1
     for i, (layer, delta, gamma) in enumerate(zip(model.layers, deltas, gammas)):
         w_eff = layer.base_weight + gamma * delta
         if layer.adapter.layer.kind == "linear":
@@ -185,7 +189,7 @@ def _forward(model: ToyModel, x: np.ndarray, deltas: list, gammas: list,
                 cols = tensor_core._im2col(h, layer.adapter.layer.kernel,
                                            scratch[i] if scratch else None)
             z = tensor_core._conv_cols(w_eff, cols) + layer.base_bias[:, None, None]
-        a = np.tanh(z) if layer.activation else z
+        a = np.tanh(z) if i < last else z
         saved.append((h, w_eff, cols, a))
         h, cols = a, None
     return saved
@@ -223,10 +227,11 @@ def _loss_and_grads(model: ToyModel, x: np.ndarray, x_cols: np.ndarray | None,
     diff, losses = _member_mse(saved[-1][-1], target)
     d = (2.0 / target.size) * diff
     grads: list[dict[str, np.ndarray]] = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
+    last = len(model.layers) - 1
+    for i in range(last, -1, -1):
         layer = model.layers[i]
         h_in, w_eff, cols, a = saved[i]
-        if layer.activation:
+        if i < last:
             d = d * (1.0 - a * a)
         if cols is None:
             g_w = d.swapaxes(-1, -2) @ h_in
@@ -290,23 +295,14 @@ class _Optimizer:
 # model building and training
 
 
-def _seed_seq(seed) -> np.random.SeedSequence:
-    seed = _checked_seed(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def toy_geometry(conv: bool) -> list[tuple[LayerShape, bool]]:
-    """Default layer stack: every layer tanh-activated except the last."""
+def toy_geometry(conv: bool) -> list[LayerShape]:
+    """The toy model's layers, first to last: linear, or conv2d for the Tucker forms."""
     if conv:
         dims = CONV_CHANNELS
-        shapes = [LayerShape("conv2d", dims[i + 1], dims[i], CONV_KERNEL)
-                  for i in range(len(dims) - 1)]
-    else:
-        dims = LINEAR_DIMS
-        shapes = [LayerShape("linear", dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-    return [(shape, i < len(shapes) - 1) for i, shape in enumerate(shapes)]
+        return [LayerShape("conv2d", dims[i + 1], dims[i], CONV_KERNEL)
+                for i in range(len(dims) - 1)]
+    dims = LINEAR_DIMS
+    return [LayerShape("linear", dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
 
 def toy_dataset(conv: bool, seed=0, samples: int | None = None):
@@ -335,10 +331,10 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
     """
     spec = _spec(name)
     geometry = toy_geometry(spec.conv)
-    ss = _seed_seq(seed).spawn(len(geometry) + 1)
+    ss = _checked_seed(seed).spawn(len(geometry) + 1)
     base_rng = np.random.default_rng(ss[0])
     layers = []
-    for (shape, act), child in zip(geometry, ss[1:]):
+    for shape, child in zip(geometry, ss[1:]):
         fan_in = shape.unrolled_in
         w0 = base_rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=shape.delta_shape)
         b0 = base_rng.normal(0.0, 0.05, size=(shape.out_dim,))
@@ -350,7 +346,7 @@ def build_toy_model(name: str, seed=0, ratio: float = 1.0) -> ToyModel:
         rms = float(np.sqrt(np.mean(adapters.reconstruct(ad) ** 2)))
         k = len(ad.tensors())
         ad = adapters.scale_factors(ad, (INIT_DELTA_RMS / max(rms, 1e-300)) ** (1.0 / k))
-        layers.append(ToyLayer(w0, b0, ad, act))
+        layers.append(ToyLayer(w0, b0, ad))
     return ToyModel(layers)
 
 
@@ -378,7 +374,6 @@ def _stack(models: list[ToyModel]) -> tuple[ToyModel, np.ndarray, list[tuple]]:
     for model, tensors in zip(models[1:], factors[1:]):
         if len(model.layers) != len(first.layers) or not all(
                 type(a.adapter) is type(b.adapter) and a.adapter.layer == b.adapter.layer
-                and a.activation == b.activation
                 and np.array_equal(a.base_weight, b.base_weight)
                 and np.array_equal(a.base_bias, b.base_bias)
                 and {r: t.shape for r, t in ta.items()} == {r: t.shape for r, t in tb.items()}
@@ -480,10 +475,10 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
         raise ValueError(f"scale must not be 0 or 1 in magnitude, got {c}: "
                          "c^k is then the same for every k of one parity")
     spec = _spec(algorithm)
-    shapes = [shape for shape, _ in toy_geometry(spec.conv)]
+    shapes = toy_geometry(spec.conv)
     tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     worst = 0.0
-    children = _seed_seq(seed).spawn(trials)
+    children = _checked_seed(seed).spawn(trials)
     for i, child in enumerate(children):
         shape = shapes[i % len(shapes)]
         ad = adapters.random_adapter(spec.algorithm, shape, spec.dim, alpha=spec.dim,
@@ -528,7 +523,7 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     cfg = OptimizerConfig(optimizer, 0.0, eps=eps, weight_decay=weight_decay)
     lr, c_exp = BASE_LR[optimizer], C_EXPONENT[optimizer]
     spec = _spec(algorithm)
-    ss = _seed_seq(seed).spawn(2)
+    ss = _checked_seed(seed).spawn(2)
     model_a = build_toy_model(algorithm, seed=ss[0], ratio=s)
     k = len(model_a.layers[0].adapter.tensors())
     model_b = ToyModel([

@@ -73,9 +73,9 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
-def _checked_seed(seed):
-    """seed, refused with ValueError naming it unless it is a non-negative integer or a SeedSequence."""
-    return seed if isinstance(seed, np.random.SeedSequence) else _checked_int_seed(seed)
+def _checked_seed(seed) -> np.random.SeedSequence:
+    """A SeedSequence as is, an integer n >= 0 as SeedSequence(n) (it draws as n does), else ValueError."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(_checked_int_seed(seed))
 
 
 def _checked_int_seed(seed):

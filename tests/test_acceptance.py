@@ -6,6 +6,7 @@ any pytest invocation. A failing criterion prints its line and then fails
 the assert with the same text.
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -23,10 +24,11 @@ from deltafactor import weightfile as wf
 EPS = np.finfo(np.float64).eps
 # forward against reference, in units of EPS times each entry's own sum of
 # magnitudes: the longest sum on either side has at most 36 terms, about
-# 18 units each to first order, and the drawn cases read at most 2.2. A09's
-# means run over at most 29 rows and read at most 0.5 units; its Vendi
-# scores, against their own size, read at most 13 (identical rows leave
-# eigenvalues of a few EPS, whose entropy terms carry a log of about 36)
+# 18 units each to first order, and the drawn cases read at most 2.2. A02's
+# deltas at c = 3 read at most 3.7 (loha-tucker: 6 rounded factors and two
+# sums per side). A09's means run over at most 29 rows and read at most 0.5
+# units; its Vendi scores, against their own size, read at most 0.67
+# (identical rows score exactly 1: their rounding eigenvalues are dropped)
 ROUNDING_UNITS = 32
 
 
@@ -57,15 +59,29 @@ def test_a01_merge_ratio_equivalence(report):
 
 
 def test_a02_scale_homogeneity(report):
-    cases = {"lora": 2, "lokr-factored": 3, "loha": 4}
-    worst = 0.0
-    for algo, k in cases.items():
+    for algo, k in {"lora": 2, "lokr-factored": 3, "loha": 4}.items():
         model = oh.build_toy_model(algo, seed=1)
         assert len(model.layers[0].adapter.tensors()) == k
-        worst = max(worst, oh.homogeneity_check(algo, trials=100, seed=2))
-    ok = worst < 1e-12
+    # scaling by 2 is exact in binary floating point, so every form reads 0
+    exact = max(oh.homogeneity_check(algo, c=2.0, trials=100, seed=2) for algo in oh.HARNESS_ALGORITHMS)
+    # at c = 3 each scaled factor rounds: the same draws, each entry in units
+    # of EPS times its own sum of magnitudes
+    worst = 0.0
+    for algo, spec in oh.HARNESS_ALGORITHMS.items():
+        shapes = oh.toy_geometry(spec.conv)
+        for i, seed in enumerate(np.random.SeedSequence(2).spawn(100)):
+            adapter = ad.random_adapter(spec.algorithm, shapes[i % len(shapes)], spec.dim,
+                                        alpha=spec.dim, factor=spec.factor, tucker=spec.tucker, seed=seed)
+            ck = 3.0 ** len(adapter.tensors())
+            got = ad.reconstruct(ad.scale_factors(adapter, 3.0))
+            want = ck * ad.reconstruct(adapter)
+            magnitudes = ck * ad.reconstruct(
+                dataclasses.replace(adapter, **{role: np.abs(t) for role, t in adapter.tensors().items()}))
+            worst = max(worst, float(np.max(np.abs(got - want) / magnitudes)) / EPS)
+    ok = exact == 0.0 and worst <= ROUNDING_UNITS
     report("A02 scale homogeneity", ok,
-           f"degrees 2/3/4, max relative deviation {worst:.2e}")
+           f"7 forms, degrees 2-6: c = 2 max relative deviation {exact!r} (0 required), "
+           f"c = 3 max {worst:.2f} units of each entry's magnitudes")
 
 
 def test_a03_hadamard_rank_advantage(report):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -154,7 +155,7 @@ def harness_forms():
         pytest.param(name, shape, id=f"{name}-{shape.kind}{i}")
         for name, spec in sorted(oh.HARNESS_ALGORITHMS.items())
         for conv in (False, True) if conv or not spec.tucker
-        for i, (shape, _) in enumerate(oh.toy_geometry(conv))
+        for i, shape in enumerate(oh.toy_geometry(conv))
     ]
 
 
@@ -1141,6 +1142,16 @@ def spectrum_matrix(rng, p, q, spectrum):
     return (u * spectrum_values(n, spectrum)) @ v.T
 
 
+# TestSketchFit's lora cases at r = 1 and r = 8 take the same input one
+# after the other, and its largest is 18 MiB: one is kept
+@functools.lru_cache(maxsize=1)
+def sketch_input(seed, p, q, spectrum):
+    """spectrum_matrix(default_rng(seed), p, q, spectrum), read-only, as the fits must leave it."""
+    a = spectrum_matrix(np.random.default_rng(seed), p, q, spectrum)
+    a.flags.writeable = False
+    return a
+
+
 def gram_excess(a, s, r):
     """Bound on |fit residual|^2 - |SVD residual|^2 from the rounded Gram matrix.
 
@@ -1352,7 +1363,7 @@ class TestSketchFit:
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
     def test_lora(self, monkeypatch, shape, spectrum, r):
         p, q = shape[0], int(np.prod(shape[1:]))
-        a = spectrum_matrix(np.random.default_rng(67), p, q, spectrum)
+        a = sketch_input(67, p, q, spectrum)
 
         def residual(fit):
             return np.linalg.norm(a - fit.up @ fit.down.reshape(r, -1))
@@ -1365,7 +1376,7 @@ class TestSketchFit:
         u_p, v_p = ad.lokr_factor_dims(shape[0], -1)
         u_q, v_q = ad.lokr_factor_dims(shape[1], -1)
         kk = int(np.prod(shape[2:]))
-        grid = spectrum_matrix(np.random.default_rng(68), u_p * u_q, v_p * v_q * kk, spectrum)
+        grid = sketch_input(68, u_p * u_q, v_p * v_q * kk, spectrum)
         blocks = grid.reshape(u_p, u_q, v_p, v_q, kk).swapaxes(1, 2)
         delta = blocks.reshape(shape)
         np.testing.assert_array_equal(ad._nkp_rearrange(delta, u_p, v_p, u_q, v_q), grid)

@@ -201,6 +201,15 @@ class TestVendiScore:
             row = rng.standard_normal(int(rng.integers(1, 64)))
             assert mt.vendi_score(np.tile(row, (int(rng.integers(2, 40)), 1))) >= 1.0
 
+    def test_identical_rows_score_exactly_one(self):
+        # as a single vector does: the rank-1 kernel's rounding eigenvalues are dropped
+        assert mt.vendi_score(np.tile([1.0, 2.0, 3.0], (4, 1))) == 1.0
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            row = rng.standard_normal(int(rng.integers(1, 64)))
+            scales = rng.uniform(0.5, 2.0, (int(rng.integers(2, 40)), 1))
+            assert mt.vendi_score(scales * row) == 1.0
+
 
 def vendi_from_gram(x) -> float:
     """Reference Vendi score from eigvalsh of the n x n cosine kernel."""

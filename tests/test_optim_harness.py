@@ -63,7 +63,7 @@ class TestHomogeneityDegree:
     ])
     def test_factor_counts(self, name, k):
         spec = oh.HARNESS_ALGORITHMS[name]
-        shape = oh.toy_geometry(spec.conv)[0][0]
+        shape = oh.toy_geometry(spec.conv)[0]
         adapter = adapters.random_adapter(spec.algorithm, shape, spec.dim,
                                           alpha=float(spec.dim),
                                           factor=spec.factor,
@@ -128,8 +128,7 @@ class TestForwardAndGrads:
         adapter = adapters.LoraAdapter(layer_shape,
                                        adapters.MergeScale(alpha=1.0, dim=1),
                                        up=[[1.0], [0.0]], down=[[0.0, 1.0]])
-        layer = oh.ToyLayer(np.zeros((2, 2)), np.zeros(2), adapter,
-                            activation=False)
+        layer = oh.ToyLayer(np.zeros((2, 2)), np.zeros(2), adapter)
         model = oh.ToyModel([layer])
         x = np.array([[1.0, 2.0]])
         target = np.zeros((1, 2))
@@ -302,7 +301,7 @@ class TestTrain:
             return p
 
         for step in range(steps):
-            current = oh.ToyModel([oh.ToyLayer(l.base_weight, l.base_bias, a, l.activation)
+            current = oh.ToyModel([oh.ToyLayer(l.base_weight, l.base_bias, a)
                                    for l, a in zip(model.layers, work)])
             loss, grads = loss_and_grads(current, *data)
             work = [dataclasses.replace(a, **{role: stepped(li, role, p, grads[li][role])
