@@ -63,7 +63,7 @@ __all__ = [
 
 OPTIMIZERS = ("sgd", "adam", "adagrad")
 
-# learning-rate exponent in the equivalence: ratio s demands lr * s^(c/k)
+# learning-rate exponent in the equivalence: ratio s demands lr * r^c, r = s^(1/k)
 C_EXPONENT = {"sgd": 2, "adam": 1, "adagrad": 1}
 
 BASE_LR = {"sgd": 0.01, "adam": 0.02, "adagrad": 0.02}
@@ -509,9 +509,10 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     """Max deviation between ratio-s training and its rescaled-ratio-1 twin.
 
     Run A trains with merge ratio s. Run B starts from the same factors
-    scaled by s^(1/k) with ratio 1 and learning rate scaled by s^(c/k),
-    where c is 2 for SGD and 1 for Adam/AdaGrad (with eps = 0). Returns the
-    max over steps and layers of |s * delta_A - delta_B|, elementwise.
+    scaled by r = s^(1/k) (k factor tensors) with ratio 1 and learning rate
+    scaled by r^c, where c is 2 for SGD and 1 for Adam/AdaGrad (with eps =
+    0); at s = 2^(+-k), r is a power of two and the deviation is exactly 0.0.
+    Returns the max over steps and layers of |s * delta_A - delta_B|, elementwise.
     Nonzero eps or weight_decay breaks the law; they serve as controls.
     The twins train as one stacked run, so a diverging one raises
     NumericalError naming it ("twin A" or "twin B").
@@ -525,16 +526,15 @@ def verify_merge_ratio(algorithm: str, s: float, optimizer: str = "sgd",
     spec = _spec(algorithm)
     ss = _checked_seed(seed).spawn(2)
     model_a = build_toy_model(algorithm, seed=ss[0], ratio=s)
-    k = len(model_a.layers[0].adapter.tensors())
+    r = s ** (1.0 / len(model_a.layers[0].adapter.tensors()))
     model_b = ToyModel([
         replace(l, adapter=adapters.scale_factors(
             replace(l.adapter, scale=MergeScale(alpha=float(l.adapter.scale.dim),
-                                                dim=l.adapter.scale.dim)),
-            s ** (1.0 / k)))
+                                                dim=l.adapter.scale.dim)), r))
         for l in model_a.layers
     ])
     data = toy_dataset(spec.conv, seed=ss[1])
-    trace_a, trace_b = _train([model_a, model_b], cfg, [lr, lr * s ** (c_exp / k)], data, steps,
+    trace_a, trace_b = _train([model_a, model_b], cfg, [lr, lr * r ** c_exp], data, steps,
                               ["twin A", "twin B"])
     # each layer's deltas over all steps at once; np.max, unlike max(),
     # carries a NaN deviation through

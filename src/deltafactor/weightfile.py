@@ -14,27 +14,27 @@ not finite once cast to float32 (NaN, inf, or of magnitude 2^128 - 2^103 or
 more) raises WeightFileError, as loading would refuse it.
 
 Both writers write only what loading accepts. Each builds the header from
-the tensors' shapes alone, after the metadata gets the reader's own check,
-and save_weights checks every layer as load_weights will assemble it: its
-roles and shapes under the model's metadata, and its gamma against
-alpha / dim. These refusals, and that of an existing target that is not a
-regular file, come before any file is made. One writer then writes into a
-new temporary file beside the target, created with the mode a plain
-open(path, "wb") would give (an existing target's mode is kept),
-preallocates its whole size, header and payload, and casts each tensor,
-as it reaches it, into one reused float32 buffer, where it refuses a
-tensor that is not finite. Only a complete file replaces the target,
-atomically for any reader (os.replace); a refusal removes the temporary
-file, so the target keeps its bytes. A full disk is such a refusal, and
-it comes from the preallocation, before any payload byte is made; where
-the platform or the file system cannot preallocate, the write goes on
-without it. The writer does not fsync: durability across a power loss is
-left to the file system, and a target written just before a crash may
-lack part of its payload (run sync where a file must survive one).
-save_dense takes each tensor as an array or as a function that returns
-its row blocks when the writer reaches it, and casts each block as it
-comes, so a command that streams its layers holds one row block of
-float64 values at a time.
+the tensors' shapes alone, after the metadata gets the reader's own check:
+save_weights takes the shapes from its own arrays and checks every layer as
+load_weights will assemble it (its roles and shapes under the model's
+metadata, and its gamma against alpha / dim), and save_dense refuses an
+array of the wrong shape. These refusals, and that of an existing target
+that is not a regular file, come before any file is made. One writer then
+writes into a new temporary file beside the target, created with the mode
+a plain open(path, "wb") would give (an existing target's mode is kept),
+preallocates its whole size, header and payload, and writes each tensor
+one row block at a time, a whole array being one block: each block is
+cast to float32, refused there if it is not finite, and written before the
+next is made. Only a complete file replaces the target, atomically for any
+reader (os.replace); a refusal removes the temporary file, so the target
+keeps its bytes. A full disk is such a refusal, and it comes from the
+preallocation, before any payload byte is made; where the platform or the
+file system cannot preallocate, the write goes on without it. The writer
+does not fsync: durability across a power loss is left to the file
+system, and a target written just before a crash may lack part of its
+payload (run sync where a file must survive one). save_dense also takes a
+tensor as a function that returns its row blocks, so a command that
+streams its layers holds one row block at a time and no layer.
 
 Loading reads the 8-byte prefix and the header, and checks the whole
 declared layout before it reads a payload byte: distinct layer names, and
@@ -188,57 +188,48 @@ def _all_finite(f4: np.ndarray) -> bool:
     return bool(np.isfinite(f4.max()) and np.isfinite(f4.min()))
 
 
-def _as_f32(buf: np.ndarray, name, role: str, shape: tuple, value) -> np.ndarray:
-    """value cast into the front of buf, refused unless it is real, of shape and finite there.
+def _write_f32(fh, name, role: str, shape: tuple, value) -> None:
+    """Write one tensor to fh as little-endian float32, one row block at a time.
 
-    value is an array, or a function that returns consecutive row blocks of
-    the tensor, each (rows, prod(shape[1:])). Each block is cast into buf
-    and checked there as it comes, so no more than one is held.
+    value is an array of shape, its one block, or a function that returns
+    the tensor's consecutive row blocks, each (rows, prod(shape[1:])). Each
+    block must be real and fit the next rows; it is cast, checked finite and
+    written before the next is made.
     """
-    def real(block):
+    rows, width = shape[0], math.prod(shape[1:])
+    blocks = value() if callable(value) else (np.reshape(value, (rows, width)),)
+    lo = 0
+    for block in blocks:
         block = np.asarray(block)
         if block.dtype.kind == "c":
             raise ComplexInputError(
                 f"layer {name!r} tensor {role!r} is complex; .lwu files store real values only")
-        return block
-
-    f4 = buf[:math.prod(shape)]
-    if callable(value):
-        blocks, rows = map(real, value()), f4.reshape(shape[0], -1)
-    else:
-        value = real(value)
-        if value.shape != shape:
-            raise ValueError(f"layer {name!r} tensor {role!r}: array shape {value.shape} != {shape}")
-        blocks, rows = (value,), f4.reshape(shape)
-    lo = 0
-    for block in blocks:
-        if block.shape[1:] != rows.shape[1:] or not lo < lo + len(block) <= len(rows):
+        if block.shape[1:] != (width,) or not lo < lo + len(block) <= rows:
             raise ValueError(f"layer {name!r} tensor {role!r}: row block shape {block.shape} "
                              f"does not fit rows {lo}: of {shape}")
-        hi = lo + len(block)
+        lo += len(block)
         # the cast rounds a value of magnitude 2^128 - 2^103 or more to inf and
         # keeps anything below it finite, so this is the reader's own test
         with np.errstate(over="ignore"):
-            np.copyto(rows[lo:hi], block, casting="unsafe")
-        if not _all_finite(rows[lo:hi]):
+            f4 = block.astype("<f4", order="C", copy=False)
+        if not _all_finite(f4):
             raise WeightFileError(
                 f"layer {name!r} tensor {role!r} holds values that are not finite as float32")
-        lo = hi
+        fh.write(f4)
         # dropped before the next block is made
-        del block
-    if lo < len(rows):
+        del block, f4
+    if lo < rows:
         raise ValueError(f"layer {name!r} tensor {role!r}: row blocks end at row {lo} of {shape}")
-    return f4
 
 
 def _write(path, header: bytes, layout, values: list) -> None:
     """Write the container of header and layout, [(name, LayerShape, {role: shape})], and values.
 
     header is _header(meta, layout); values holds one value per tensor of
-    layout, in its order: an array, or a function that returns the tensor's
-    row blocks (_as_f32), called when the writer reaches it. The bytes go to
-    a temporary file that replaces the target once complete; a refusal
-    removes it instead.
+    layout, in its order: an array of its shape, or a function that returns
+    the tensor's row blocks, called when the writer reaches it (_write_f32).
+    The bytes go to a temporary file that replaces the target once
+    complete; a refusal removes it instead.
     """
     # a symlinked target is written through, as open(path, "wb") writes it
     target = os.path.realpath(os.fsdecode(path))
@@ -251,19 +242,17 @@ def _write(path, header: bytes, layout, values: list) -> None:
                       "target exists and is not a regular file", os.fsdecode(path))
     slots = [(name, role, tuple(tshape)) for name, _, roles in layout
              for role, tshape in roles.items()]
-    sizes = [math.prod(tshape) for *_, tshape in slots]
-    buf = np.empty(max(sizes, default=0), "<f4")
     tmp, fd = _create_beside(target)
     try:
         with open(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            _preallocate(fd, 8 + len(header) + 4 * sum(sizes))
+            _preallocate(fd, 8 + len(header) + 4 * sum(math.prod(tshape) for *_, tshape in slots))
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
             for (name, role, tshape), value in zip(slots, values, strict=True):
-                fh.write(_as_f32(buf, name, role, tshape, value))
+                _write_f32(fh, name, role, tshape, value)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -301,19 +290,23 @@ def save_dense(entries, path, algorithm: str = "delta",
     """Serialize named dense tensors ({name: (LayerShape, value)}).
 
     algorithm 'delta' marks weight deltas, 'dense' full weights; the single
-    tensor per layer takes the matching role name. A value is an array, or a
-    function of no arguments that the writer calls when it reaches the
-    layer and that returns the layer's consecutive row blocks, each
-    (rows, in*k*k) as adapters._layer_rows makes them; each block is cast
-    into the writer's float32 buffer as it comes, so a caller need hold no
-    float64 layer.
+    tensor per layer takes the matching role name. A value is an array of
+    the layer's delta_shape, or a function of no arguments that the writer
+    calls when it reaches the layer and that returns the layer's
+    consecutive row blocks, each (rows, in*k*k) as adapters._layer_rows
+    makes them, so a caller need hold no float64 layer.
     """
     if algorithm not in _DENSE_ALGORITHMS:
         raise ValueError(f"dense algorithm must be one of {sorted(_DENSE_ALGORITHMS)}")
     role = _DENSE_ALGORITHMS[algorithm]
     meta = replace(meta or ModelMeta(algorithm, dim=1, alpha=1.0), algorithm=algorithm)
     layout = [(name, shape, {role: shape.delta_shape}) for name, (shape, _) in entries.items()]
-    _write(path, _header(meta, layout), layout, [value for _, value in entries.values()])
+    header = _header(meta, layout)
+    for name, (shape, value) in entries.items():
+        if not callable(value) and np.shape(value) != shape.delta_shape:
+            raise ValueError(f"layer {name!r} tensor {role!r}: array shape {np.shape(value)} "
+                             f"!= {shape.delta_shape}")
+    _write(path, header, layout, [value for _, value in entries.values()])
 
 
 def _require_key(entry: dict, key: str, kinds, where: str):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,16 +416,6 @@ class TestWholeMatrixFormula:
             assert np.all(error <= 2 * (8 + 1) * 2.0 ** -53 * magnitude), algorithm
 
 
-def traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc traces while fn runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 LINEAR_MLP = ad.LayerShape("linear", 3072, 768)
 CONV_320 = ad.LayerShape("conv2d", 320, 320, 3)
 
@@ -448,7 +437,7 @@ class TestPeakMemory:
         ("lokr", CONV_320, 8, False),
         ("lokr", CONV_320, 8, True),
     ], ids=lambda v: getattr(v, "kind", v))
-    def test_one_layer_and_one_row_block(self, algorithm, layer, dim, tucker):
+    def test_one_layer_and_one_row_block(self, traced_peak, algorithm, layer, dim, tucker):
         adapter = ad.random_adapter(algorithm, layer, dim, 1.0, tucker=tucker, seed=6)
         w0 = np.ones(layer.delta_shape)
         bound = w0.nbytes + 8 * ad._ROW_BLOCK + self.SLACK
@@ -636,7 +625,7 @@ class TestForwardLinear:
         assert proc.stdout.split() == []
 
     @pytest.mark.parametrize("algorithm", ["lora", "lokr"])
-    def test_one_input_holds_no_mask_of_the_base(self, algorithm):
+    def test_one_input_holds_no_mask_of_the_base(self, traced_peak, algorithm):
         # w0 is read a row block at a time, so the finite check holds one
         # block's mask (loha's face-splitting factors, (out, r^2) and
         # (r^2, in), are its own and are left out)

@@ -4,7 +4,6 @@ import hashlib
 import importlib
 import io
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,11 +196,12 @@ class TestAdapterFlow:
         assert list(tmp_path.glob(".*.tmp")) == []
 
     @pytest.mark.parametrize("algorithm", ad.ALGORITHMS)
-    def test_commands_hold_no_float64_layer(self, tmp_path, capsys, algorithm):
-        # at their peak, reconstruct and merge hold the float32 buffers the
-        # writer and the base reader cast each layer through, and one row
-        # block per factor block (loha multiplies two blocks' rows), besides
-        # the loaded factors and small objects: never a float64 layer
+    def test_commands_hold_no_float64_layer(self, tmp_path, capsys, traced_peak, algorithm):
+        # at their peak, reconstruct and merge hold one float64 row block per
+        # factor block (loha multiplies two blocks' rows) and the writer's
+        # float32 cast of one block, besides the loaded factors and small
+        # objects; merge also holds the float32 layer the base reader reads
+        # into. Neither holds a float64 layer, nor a float32 one of its own
         layer = ad.LayerShape("linear", 3072, 768)
         adapter = ad.random_adapter(algorithm, layer, 8, 4.0, seed=7)
         save_weights(ad.AdapterModel(ad.ModelMeta(algorithm, 8, 4.0), {"mlp": adapter}),
@@ -211,18 +211,15 @@ class TestAdapterFlow:
         f32 = base.nbytes // 2
         del base
         factors = sum(t.nbytes for t in adapter.tensors().values())
-        bound = 8 * ad._ROW_BLOCK * len(adapter._blocks) + factors + 2**19
-        argvs = {"reconstruct": (["adapter", "reconstruct"], f32),
-                 "merge": (["adapter", "merge", "--base", str(tmp_path / "base.lwu")], 2 * f32)}
+        bound = (8 * len(adapter._blocks) + 4) * ad._ROW_BLOCK + factors + 2**19
+        argvs = {"reconstruct": (["adapter", "reconstruct"], 0),
+                 "merge": (["adapter", "merge", "--base", str(tmp_path / "base.lwu")], f32)}
         for name, (argv, buffers) in argvs.items():
-            tracemalloc.start()
-            try:
-                code = run(capsys, *argv, "--weights", str(tmp_path / "w.lwu"),
-                           "--out", str(tmp_path / f"{name}.lwu"))[0]
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
+            codes = []
+            peak = traced_peak(lambda: codes.append(
+                run(capsys, *argv, "--weights", str(tmp_path / "w.lwu"),
+                    "--out", str(tmp_path / f"{name}.lwu"))[0]))
+            assert codes == [0]
             assert peak <= buffers + bound, name
         # the outputs, row block by row block, are the whole layer's, from
         # the factors as the file holds them

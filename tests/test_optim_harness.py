@@ -469,6 +469,16 @@ class TestVerifyMergeRatio:
     def test_deviation_is_pinned(self, name, deviation):
         assert oh.verify_merge_ratio(name, 4.0, "adam", steps=25).hex() == deviation
 
+    # at s = 2^(+-k) the twin's factors scale by r = 2^(+-1) and its learning
+    # rate by r^c, both exactly: every value of the twin is a power of two
+    # times its partner's, so the law holds to the last bit
+    @pytest.mark.parametrize("sign", [1, -1], ids=["2^k", "2^-k"])
+    @pytest.mark.parametrize("optimizer", oh.OPTIMIZERS)
+    @pytest.mark.parametrize("name", oh.HARNESS_ALGORITHMS)
+    def test_dyadic_ratio_is_exact(self, name, optimizer, sign):
+        k = len(oh.build_toy_model(name, seed=0).layers[0].adapter.tensors())
+        assert oh.verify_merge_ratio(name, 2.0 ** (sign * k), optimizer, steps=25) == 0.0
+
     def test_lokr_tucker_adam(self):
         dev = oh.verify_merge_ratio("lokr-tucker", 0.25, "adam", steps=25)
         assert dev < 1e-8

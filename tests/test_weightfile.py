@@ -296,6 +296,23 @@ class TestWritersWriteOnlyWhatLoads:
         assert path.read_bytes() == b"kept"
         assert os.listdir(tmp_path) == ["m.lwu"]
 
+    @pytest.mark.parametrize("shape", [(3, 3), (24,), (6, 4), (4, 3, 2)],
+                             ids=["size", "flat", "transposed", "unrolled"])
+    def test_save_dense_refuses_a_wrong_shaped_array_before_any_file(self, tmp_path, monkeypatch,
+                                                                     shape):
+        # the second layer is refused before the first is written, even when
+        # its array holds as many values as the layer: no temporary file is
+        # made, and the target keeps its bytes
+        entries = {"a": (LINEAR, np.ones(LINEAR.delta_shape)), "b": (LINEAR, np.ones(shape))}
+        path = tmp_path / "d.lwu"
+        path.write_bytes(b"kept")
+        monkeypatch.setattr(wf, "_create_beside", lambda target: pytest.fail("a file was made"))
+        with pytest.raises(ValueError, match=rf"^layer 'b' tensor 'delta': array shape "
+                                             rf"\({', '.join(map(str, shape))},?\) != \(4, 6\)$"):
+            wf.save_dense(entries, path)
+        assert path.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["d.lwu"]
+
     def test_layers_of_other_dims_at_one_gamma_save(self, tmp_path):
         # lokr fits of whole right blocks differ in dim but share gamma 1
         fits = {"a": ad.nkp_fit_lokr(np.ones((8, 8))), "b": ad.nkp_fit_lokr(np.ones((4, 6)))}
