@@ -840,46 +840,6 @@ def _fit_geometry(dm: np.ndarray) -> LayerShape:
     raise ShapeError(f"delta must have rank 2 or 4, got shape {dm.shape}")
 
 
-def _gram_top(a: np.ndarray, r: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """The top-r singular vectors of a matrix on its shorter side, from its Gram matrix.
-
-    Returns (a / m, m, vectors). m is the power of two with
-    m <= max |a_ij| < 2m (1 for a zero matrix), so the scaling is exact and
-    the Gram matrix stays inside the float range for any finite a. The r
-    columns of vectors are the leading eigenvectors, descending, of the
-    Gram matrix G of a / m on the shorter side n: a's right singular
-    vectors, G = (a / m).T @ (a / m), when a is tall or square; its left
-    ones, G = (a / m) @ (a / m).T, when a is wide. A zero matrix gives the
-    first r unit vectors.
-
-    On a side n of at least 8 (r + _OVERSAMPLE), _sketch_top solves a
-    matrix of rank below r + _OVERSAMPLE, such as an adapter's own delta,
-    without forming G. Below that side, and for every matrix the sketch
-    refuses, G is formed and np.linalg.eigh solves it whole. Either way
-    the vectors are exact for a Gram matrix within the rounding of forming
-    G, about max(p, q) * eps * trace(G): singular values below
-    sqrt(eps) * sigma_1 are not resolved, and the top-r subspace is found
-    to an angle of about eps * sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2). A
-    failed solve raises NumericalError.
-    """
-    peak = float(np.max(np.abs(a)))
-    if peak == 0.0:
-        return a, 1.0, np.eye(min(a.shape), r)
-    m = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    scaled = a / m
-    # G = thin.T @ thin, however a is laid out
-    thin = scaled if a.shape[0] >= a.shape[1] else scaled.T
-    try:
-        if thin.shape[1] >= 8 * (r + _OVERSAMPLE):
-            vectors = _sketch_top(thin, r)
-            if vectors is not None:
-                return scaled, m, vectors
-        _, vectors = np.linalg.eigh(thin.T @ thin)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
-    return scaled, m, vectors[:, ::-1][:, :r]
-
-
 # The sketch holds r + _OVERSAMPLE columns and runs on a Gram side of at
 # least 8 times that. Below it the whole eigh takes under 1 ms (one BLAS
 # thread), which leaves the sketch little to save, while the fixed cost of
@@ -902,9 +862,8 @@ def _sketch_top(thin: np.ndarray, r: int) -> np.ndarray | None:
     - Else G is within n * eps * trace(G) of C^T C, no more than the
       rounding of forming G, and C's top-r right singular vectors are
       returned.
-    Rounding noise in a delta of rank k - 1 can fail the second test: of
-    float32-rounded deltas, those of rank up to k - 2 passed it (sides
-    256-768).
+    How far below rank k rounded deltas pass the second test is measured
+    in _fit_block's docstring.
     """
     n = thin.shape[1]
     eps = np.finfo(np.float64).eps
@@ -924,19 +883,50 @@ def _sketch_top(thin: np.ndarray, r: int) -> np.ndarray | None:
 
 
 def _fit_block(geometry: LayerShape, dense: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-dim (up, down) of a block on `geometry`, from the Gram matrix on its shorter side.
+    """Best rank-dim (up, down) of a block on `geometry`: the one rank-r solve of the fits.
 
     The block is fitted unrolled, A = (out, in*k*k) as _Block.dense lays it
-    out, and down has orthonormal rows V_r^T, shaped as _Block stores it,
-    with up = A @ V_r (U_r diag(S_r) of the truncated SVD). _gram_top gives
-    the top-dim vectors: from the sketch when A's rank is below dim + 8 on
-    a shorter side of at least 8 (dim + 8), from the full eigh otherwise.
-    They are V_r when A is tall or square; when A is wide they are U_r,
-    and V_r is the orthonormal basis of A^T U_r. No step divides by a
+    out. down has orthonormal rows V_r^T, shaped as _Block stores it, and
+    up = A @ V_r (U_r diag(S_r) of the truncated SVD). No step divides by a
     singular value, so dim at or above the rank of A fits exactly.
+
+    The solve runs on A / m, m the power of two with m <= max |a_ij| < 2m
+    (1 for a zero A): the scaling is exact, and the Gram matrix G on A's
+    shorter side n stays inside the float range for any finite A. The top
+    dim eigenvectors of G, descending, are V_r when A is tall or square
+    (G = A^T A / m^2); when A is wide they are U_r (G = A A^T / m^2), and
+    V_r is the orthonormal basis of A^T U_r. A zero A takes the first dim
+    unit vectors.
+    - On n >= 8 (dim + _OVERSAMPLE), _sketch_top comes first and solves A
+      of rank below dim + 8, such as an adapter's own delta, without
+      forming G. Rounding noise can still refuse rank dim + 7. Measured on
+      float32-rounded products of Gaussian factors (768x768, 3072x768,
+      320x2880; dim 1, 2, 4, 8; 5 seeds each): all 60 deltas of rank
+      dim + 6 took the sketch (its trace test at most 0.72 of its
+      threshold); of rank dim + 7, 4 of 60 were refused (at worst 1.46
+      times the threshold, 3072x768 at dim 8) and fell back to eigh.
+    - Otherwise, and for every A the sketch refuses, G is formed and
+      np.linalg.eigh solves it whole. A failed solve raises NumericalError.
+    Either way the vectors are exact for a Gram matrix within the rounding
+    of forming G, about max(p, q) * eps * trace(G): singular values below
+    sqrt(eps) * sigma_1 are not resolved, and the top-dim subspace is found
+    to an angle of about eps * sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2).
     """
-    scaled, m, vectors = _gram_top(dense.reshape(geometry.out_dim, -1), dim)
-    if scaled.shape[0] < scaled.shape[1]:
+    a = dense.reshape(geometry.out_dim, -1)
+    peak = float(np.max(np.abs(a)))
+    m = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    scaled = a / m
+    # G = thin.T @ thin, however A is laid out
+    thin = scaled if a.shape[0] >= a.shape[1] else scaled.T
+    vectors = None if peak else np.eye(thin.shape[1], dim)
+    try:
+        if vectors is None and thin.shape[1] >= 8 * (dim + _OVERSAMPLE):
+            vectors = _sketch_top(thin, dim)
+        if vectors is None:
+            vectors = np.linalg.eigh(thin.T @ thin)[1][:, ::-1][:, :dim]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from None
+    if thin is not scaled:
         vectors = np.linalg.qr(scaled.T @ vectors)[0]
     up = m * (scaled @ vectors)
     down = np.ascontiguousarray(vectors.T).reshape(dim, *geometry.delta_shape[1:])
@@ -947,15 +937,9 @@ def svd_fit_lora(delta, dim: int) -> LoraAdapter:
     """Best rank-dim fit of a dense delta: the truncated SVD's, without a full SVD.
 
     Accepts a (p, q) matrix or an (out, in, k, k) kernel stack (fitted on its
-    unrolled form). Factors are up = U_r diag(S_r), down = V_r^T, with the
-    top-r singular vectors taken from the eigenvectors of the Gram matrix on
-    the shorter side (_fit_block); alpha is set to dim so gamma == 1 and
-    merge() reproduces the fit directly. A delta of rank below dim + 8 with
-    a shorter side of at least 8 (dim + 8) is solved by a one-pass sketch
-    whose test is stated in rounding units; any other falls back to the
-    full eigendecomposition of the Gram matrix. Accuracy: the residual is
-    the truncated SVD's to rounding while sigma_r is well above
-    sqrt(eps) * sigma_1; singular values below that are not resolved.
+    unrolled form). Factors are up = U_r diag(S_r), down = V_r^T, from
+    _fit_block, whose docstring states the solver and its accuracy; alpha
+    is set to dim so gamma == 1 and merge() reproduces the fit directly.
     """
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
@@ -977,29 +961,29 @@ def nkp_fit_lokr(delta, factor: int = -1, dim: int | None = None) -> LokrAdapter
     """Nearest Kronecker-product fit of a dense delta.
 
     Rearranges the delta to R = _nkp_rearrange(delta), so the best
-    kron(c, right) pair is R's leading rank-1 term: c is the top
-    eigenvector of R R^T (R's rows, u_p*u_q of them, are its shorter side)
-    and right = R^T c, from svd_fit_lora's solver at r = 1: the sketch
-    solves a delta that is a sum of fewer than 9 Kronecker products with
-    u_p*u_q >= 72, the full eigendecomposition any other. c comes out with
-    unit Frobenius norm and its first nonzero entry positive (e_0 for a
-    zero delta); the right block absorbs the magnitude. With dim below the right block's maximal rank, the
-    block is further truncated to up @ down as svd_fit_lora truncates.
-    Accuracy: c is R's top left singular vector to an angle of about
-    eps * sigma_1^2 / (sigma_1^2 - sigma_2^2), sigma the singular values of R.
+    kron(c, right) pair is R's leading rank-1 term, the rank-1 fit of R^T
+    by _fit_block (whose docstring states the solver and its accuracy):
+    c is its down, the top left singular vector of R, and the right block
+    its up, R^T c. R^T is tall or square, so the sketch solves a delta that
+    is a sum of fewer than 9 Kronecker products with u_p*u_q >= 72. c comes
+    out with unit Frobenius norm and its first nonzero entry positive (e_0
+    for a zero delta); the right block absorbs the magnitude. With dim
+    below the right block's maximal rank, the block is further truncated to
+    up @ down as svd_fit_lora truncates. A dim that is neither None nor a
+    positive integer is refused before any solve.
     """
+    if dim is not None and not _is_count(dim):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     dm = as_tensor(delta, "delta")
     layer = _fit_geometry(dm)
     (u_p, u_q), right = _lokr_split(layer, factor)
-    # R^T is tall or square, so its Gram matrix is R R^T
     grid = _nkp_rearrange(dm, u_p, right.out_dim, u_q, right.in_dim)
-    scaled, m, vectors = _gram_top(grid.T, 1)
-    c_vec = vectors[:, 0]
-    nonzero = np.flatnonzero(c_vec)
-    if nonzero.size and c_vec[nonzero[0]] < 0:
-        c_vec = -c_vec
-    right_vec = m * (scaled @ c_vec)
-    c = c_vec.reshape(u_p, u_q)
+    right_vec, c = _fit_block(LayerShape("linear", *grid.T.shape), grid.T, 1)
+    nonzero = np.flatnonzero(c)
+    if nonzero.size and c[0, nonzero[0]] < 0:
+        # negation is exact, so the pair keeps its product
+        right_vec, c = -right_vec, -c
+    c = c.reshape(u_p, u_q)
     if dim is None:
         dim = right.max_rank
     scale = MergeScale(alpha=float(dim), dim=dim)

@@ -467,10 +467,13 @@ def homogeneity_check(algorithm: str, c: float = 2.0, trials: int = 100, seed=0)
     c of 0, 1 or -1, whose c^k is the same for every k of one parity; and,
     naming c and k, when c^k or the largest entry of the scaled delta leaves
     the normal float range, where c^k overflows or underflows and the check
-    would measure nothing. A deviation that is not a number raises too.
+    would measure nothing. A non-finite c is refused before any adapter is
+    drawn, in scale_factors' words. A deviation that is not a number raises too.
     """
     if not tensor_core._is_count(trials):
         raise ValueError(f"trials must be positive, got {trials!r}")
+    if not math.isfinite(c):
+        raise ValueError(f"scale must be finite, got {c}")
     if c == 0.0 or abs(c) == 1.0:
         raise ValueError(f"scale must not be 0 or 1 in magnitude, got {c}: "
                          "c^k is then the same for every k of one parity")

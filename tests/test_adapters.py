@@ -1102,6 +1102,16 @@ class TestNkpFitLokr:
         assert fit.up is not None and fit.up.shape == (16, 2)
         assert np.linalg.norm(ad.reconstruct(fit) - np.kron(c, w2)) < 1e-9
 
+    @pytest.mark.parametrize("dim", [0, -3, True, 2.5], ids=["zero", "negative", "bool", "float"])
+    def test_rejects_bad_dim_before_any_solve(self, monkeypatch, dim):
+        def solve(*args):
+            raise AssertionError("the split was solved before dim was checked")
+        monkeypatch.setattr(np.linalg, "eigh", solve)
+        monkeypatch.setattr(ad, "_sketch_top", solve)
+        delta = np.random.default_rng(42).standard_normal((16, 12))
+        with pytest.raises(ValueError, match=f"^dim must be a positive integer, got {re.escape(repr(dim))}$"):
+            ad.nkp_fit_lokr(delta, factor=4, dim=dim)
+
 
 EPS = np.finfo(np.float64).eps
 FIT_SHAPES = {"tall": (24, 12), "wide": (12, 30), "square": (16, 16),

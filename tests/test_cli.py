@@ -529,6 +529,15 @@ class TestVerifyCommands:
         assert stderr.startswith(f"error: scale c = {float(scale)!r} with k = {k} factors "
                                  "leaves the normal float range")
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_homogeneity_non_finite_scale_is_an_error(self, capsys, scale):
+        # one argument, so that argparse reads "-inf" as a value, not an option
+        code, stdout, stderr = run(capsys, "verify", "homogeneity", "--algo", "lora",
+                                   f"--factor-scale={scale}", "--trials", "2")
+        assert code == 1
+        assert stdout.splitlines()[0] == f"lora: error: scale must be finite, got {float(scale)} FAIL"
+        assert stderr == f"error: scale must be finite, got {float(scale)}\n"
+
     def test_homogeneity_sweep_goes_on_past_a_refused_case(self, capsys):
         # loha-tucker has k = 6 factors, and 1e75^6 leaves the float range;
         # the forms after it still get their verdicts

@@ -417,6 +417,12 @@ class TestHomogeneityCheck:
         with pytest.raises(ValueError, match=message):
             oh.homogeneity_check(name, c=c, trials=2)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_scale(self, c):
+        # named as scale_factors names it, not as a scale outside the float range
+        with pytest.raises(ValueError, match=f"^scale must be finite, got {c}$"):
+            oh.homogeneity_check("lora", c=c, trials=2)
+
     def test_scale_near_the_normal_range_is_checked(self):
         # c^2 = 9e-308 is normal: the check runs and measures rounding
         assert 0.0 < oh.homogeneity_check("lora", c=3e-154, trials=4, seed=0) < 1e-12
