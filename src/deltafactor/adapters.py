@@ -1,9 +1,10 @@
 """Factored weight-update adapters for linear and conv2d layers.
 
 All three families compose one factor block B. A block is stored whole, or
-at rank r as up @ down; on conv layers the product takes down unrolled to
-(r, in*k*k), or, in the Tucker form, a small (r, r, k, k) core carries the
-kernel axes between channel factors on both sides. The families are:
+at rank r as up @ down, down unrolled to (r, in*k*k) on conv layers. The
+Tucker form stores down as an (r, r, k, k) core and an (r, in) factor,
+folded into the unrolled down (_Block) everywhere but lora's conv chain.
+The families are:
 
 * lora = B: delta = up @ down, rank bounded by the inner extent r.
 * loha = B1 * B2: delta = (up1 @ down1) * (up2 @ down2), an elementwise
@@ -169,9 +170,13 @@ def _expect(cond: bool, message: str, *args) -> None:
 class _Block:
     """One factor block B on `geometry`, stored whole or at rank r.
 
-    Whole: w2. Rank r: up @ down, with down unrolled on conv layers; the
-    Tucker form moves the kernel axes from down to a core. shapes() states
-    the layout; the field names are the role names.
+    Whole: w2. Rank r: up @ D, D = unrolled_down() of shape (r, in*k*k),
+    stored as down (kernel axes split off on conv layers) or, in the Tucker
+    form, folded: down (r, in) and a core (r, r, k, k) that carries the
+    kernel axes, D[s, (i, ab)] = sum_t core[s, t, ab] * down[t, i]. dense,
+    rows and vjp run on D alone, vjp taking core's and down's gradients
+    through the fold's adjoint; only LoraAdapter._convolve applies a core
+    itself. shapes() states the stored layout; the field names are the roles.
 
     dense, rows (without out) and vjp also take factors with leading
     member axes, all with the same ones (the training harness's stacked
@@ -194,60 +199,49 @@ class _Block:
             return {"up": (geometry.out_dim, r), "down": (r, geometry.in_dim), "core": (r, r, k, k)}
         return {"up": (geometry.out_dim, r), "down": (r, *geometry.delta_shape[1:])}
 
+    def unrolled_down(self) -> np.ndarray:
+        """D, the (..., r, in*k*k) factor that up multiplies: down's view, or the Tucker fold."""
+        if self.core is None:
+            # a linear layer's down is unrolled already, a conv layer's unrolls to a view
+            return self.down if self.geometry.kind == "linear" else self.down.reshape(*self.down.shape[:-3], -1)
+        lead, r = self.up.shape[:-2], self.up.shape[-1]
+        # one batched matmul: for each s, D[s] as (in, k*k) is down^T @ core[s]
+        d3 = self.down.swapaxes(-1, -2)[..., None, :, :] @ self.core.reshape(*lead, r, r, -1)
+        return d3.reshape(*lead, r, -1)
+
     def dense(self) -> np.ndarray:
         if self.w2 is not None:
             return self.w2
-        if self.core is None and self.geometry.kind == "linear":
-            # same bytes as rows(0, out); the harness's stacked blocks take it at half the time
-            return self.up @ self.down
-        return self.rows(0, self.geometry.out_dim).reshape(*self.up.shape[:-2], *self.geometry.delta_shape)
+        delta = self.up @ self.unrolled_down()
+        if self.geometry.kind == "linear":
+            return delta
+        return delta.reshape(*self.up.shape[:-2], *self.geometry.delta_shape)
 
-    def rows(self, lo: int, hi: int, out=None, up_core=None) -> np.ndarray:
-        """Rows lo:hi of dense() of a factored block, unrolled to (..., hi - lo, -1).
+    def rows(self, lo: int, hi: int, out=None, down=None) -> np.ndarray:
+        """Rows lo:hi of dense() as (..., hi - lo, in*k*k), from down = unrolled_down() (made here if None).
 
         With out, a single layer's (out, in*k*k), they are formed in out's
-        rows lo:hi and are a view of them. The unrolled form takes up[lo:hi]
-        into its matmul; the Tucker form slices the whole up @ core (up_core,
-        or _up_core() made here), so each of its rows is as in dense().
+        rows lo:hi and are a view of them.
         """
-        if self.core is None:
-            # a linear layer's down is unrolled already
-            down = self.down if self.geometry.kind == "linear" else \
-                self.down.reshape(*self.up.shape[:-2], self.up.shape[-1], -1)
-            return np.matmul(self.up[..., lo:hi, :], down, out=_slot(out, lo, hi, hi - lo, -1))
-        # B[o, i, ab] = sum_t down[t, i] (up @ core)[o, t, ab]: one matmul per mode
-        down_t = self.down.swapaxes(-1, -2)[..., None, :, :]
-        up_core = self._up_core() if up_core is None else up_core
-        rows = np.matmul(down_t, up_core[..., lo:hi, :, :],
-                         out=_slot(out, lo, hi, hi - lo, self.geometry.in_dim, -1))
-        return rows.reshape(*self.up.shape[:-2], hi - lo, -1)
+        down = self.unrolled_down() if down is None else down
+        return np.matmul(self.up[..., lo:hi, :], down, out=_slot(out, lo, hi, hi - lo, -1))
 
     def vjp(self, g: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the stored tensors given g = dL/dB."""
         if self.w2 is not None:
             return {"w2": g}
         lead, r = self.up.shape[:-2], self.up.shape[-1]
-        out_c, up_t = self.geometry.out_dim, self.up.swapaxes(-1, -2)
-        if self.core is not None:
-            # B[o,i,ab] = sum_{s,t} core[s,t,ab] * up[o,s] * down[t,i]; with
-            # gd[o,t,ab] = sum_i down[t,i] g[o,i,ab] and uc = up @ core as in dense
-            g3 = g.reshape(*lead, out_c, self.geometry.in_dim, -1)
-            gd = np.matmul(self.down[..., None, :, :], g3).reshape(*lead, out_c, -1)
-            uc = self._up_core().swapaxes(-3, -2).reshape(*lead, r, -1)
-            return {
-                "up": gd @ self.core.reshape(*lead, r, -1).swapaxes(-1, -2),
-                "down": uc @ g3.swapaxes(-1, -2).reshape(*lead, -1, g3.shape[-2]),
-                "core": (up_t @ gd).reshape(self.core.shape),
-            }
-        g2 = g.reshape(*lead, out_c, -1)
-        d2 = self.down.reshape(*lead, r, -1)
-        return {"up": g2 @ d2.swapaxes(-1, -2), "down": (up_t @ g2).reshape(self.down.shape)}
-
-    def _up_core(self) -> np.ndarray:
-        # (up @ core)[o, t, ab] = sum_s up[o, s] * core[s, t, ab], shaped (out, r, k*k)
-        lead, r = self.up.shape[:-2], self.up.shape[-1]
-        uc = self.up @ self.core.reshape(*lead, r, -1)
-        return uc.reshape(*lead, self.geometry.out_dim, r, -1)
+        g2 = g.reshape(*lead, self.geometry.out_dim, -1)
+        g_up, g_down = g2 @ self.unrolled_down().swapaxes(-1, -2), self.up.swapaxes(-1, -2) @ g2
+        if self.core is None:
+            return {"up": g_up, "down": g_down.reshape(self.down.shape)}
+        # the fold's adjoint, gD[s, i, ab] being D's gradient: dcore[s, t, ab] =
+        # sum_i down[t, i] gD[s, i, ab], ddown[t, i] = sum_{s, ab} core[s, t, ab] gD[s, i, ab]
+        g3 = g_down.reshape(*lead, r, self.geometry.in_dim, -1)
+        core_t = self.core.reshape(*lead, r, r, -1).swapaxes(-3, -2).reshape(*lead, r, -1)
+        g_in = g3.swapaxes(-3, -2).reshape(*lead, self.geometry.in_dim, -1)
+        return {"up": g_up, "down": core_t @ g_in.swapaxes(-1, -2),
+                "core": (self.down[..., None, :, :] @ g3).reshape(self.core.shape)}
 
     def rank_bound(self) -> int:
         bound = self.geometry.max_rank
@@ -431,8 +425,8 @@ class _BlockProduct(_Family):
                             getattr(self, "core" + s)) for s in self.SUFFIXES)
 
     def _shared(self) -> tuple:
-        # each Tucker block's whole up @ core, which all row blocks slice
-        return tuple(block._up_core() if block.core is not None else None for block in self._blocks)
+        # each block's unrolled_down() (a Tucker block's fold, see _Block), which all row blocks read
+        return tuple(block.unrolled_down() for block in self._blocks)
 
     def _rows(self, lo: int, hi: int, out=None, shared=None) -> np.ndarray:
         # the other blocks' rows multiply into the last one's; shared: _shared()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import CategoryScore, ScoreRecord, _check_label
-from .tensor_core import _is_count, _require_finite
+from .tensor_core import _as_real, _is_count, _require_finite
 
 __all__ = [
     "FeatureFileError",
@@ -61,7 +61,8 @@ class FeatureRecord:
     """One embedded sample: labels plus a vector or a stack of feature maps.
 
     `maps` holds (layer_name, array) pairs with (C, H, W) arrays; `vector`
-    holds a single 1-D embedding. Exactly one of the two is present.
+    holds a single 1-D embedding. Exactly one of the two is present. Complex
+    data raises ComplexInputError naming the record and, for a map, its layer.
     """
 
     id: str
@@ -79,10 +80,11 @@ class FeatureRecord:
         if (self.vector is None) == (self.maps is None):
             raise ValueError(f"record {self.id!r} needs exactly one of vector/maps")
         if self.vector is not None:
-            vec = np.asarray(self.vector, dtype=np.float64)
+            where = f"record {self.id!r}: vector"
+            vec = _as_real(self.vector, where)
             if vec.ndim != 1 or vec.size == 0:
-                raise ValueError(f"record {self.id!r}: vector must be 1-D and non-empty")
-            _require_finite(vec, f"record {self.id!r}: vector")
+                raise ValueError(f"{where} must be 1-D and non-empty")
+            _require_finite(vec, where)
             object.__setattr__(self, "vector", vec)
         else:
             pairs = []
@@ -93,11 +95,11 @@ class FeatureRecord:
                 if layer in seen:
                     raise ValueError(f"record {self.id!r}: duplicate layer {layer!r}")
                 seen.add(layer)
-                arr = np.asarray(arr, dtype=np.float64)
+                where = f"record {self.id!r}: map {layer!r}"
+                arr = _as_real(arr, where)
                 if arr.ndim != 3 or arr.size == 0:
-                    raise ValueError(
-                        f"record {self.id!r}: map {layer!r} must be (C, H, W)")
-                _require_finite(arr, f"record {self.id!r}: map {layer!r}")
+                    raise ValueError(f"{where} must be (C, H, W)")
+                _require_finite(arr, where)
                 pairs.append((layer, arr))
             if not pairs:
                 raise ValueError(f"record {self.id!r}: maps may not be empty")

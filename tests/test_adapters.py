@@ -279,9 +279,9 @@ class TestReconstruct:
         assert np.all(np.abs(ad.reconstruct(adapter) - want) <= 16 * 2.0 ** -53 * magnitude)
 
     # B[o, i, a, b] = sum_{s,t} core[s, t, a, b] up[o, s] down[t, i] as core's
-    # mode 0 taken against up, then mode 1 against down (the n-mode products
-    # the Tucker delta was built from). Equal bit for bit while the matmul
-    # runs as a GEMM, that is with in >= 2 and k >= 2.
+    # mode 1 taken against down, then mode 0 against up (the n-mode products
+    # the Tucker delta was built from, in the order of the fold). Equal bit
+    # for bit while the matmul runs as a GEMM, that is with in >= 2 and k >= 2.
     @pytest.mark.parametrize("algorithm,layer,dim,factor", [
         ("lora", CONV_SMALL, 3, -1),
         ("lora", ad.LayerShape("conv2d", 320, 320, 3), 8, -1),
@@ -297,7 +297,7 @@ class TestReconstruct:
         adapter = ad.random_adapter(algorithm, layer, dim, alpha=1.0, factor=factor,
                                     tucker=True, seed=10)
         for block in adapter._blocks:
-            want = nmode(nmode(block.core, block.up.T, 0), block.down, 1)
+            want = nmode(nmode(block.core, block.down, 1), block.up.T, 0)
             assert np.array_equal(block.dense(), want)
 
 
@@ -307,8 +307,8 @@ def block_formula(geometry, up=None, down=None, core=None, w2=None):
         return w2
     r = up.shape[1]
     if core is not None:
-        uc = (up @ core.reshape(r, -1)).reshape(geometry.out_dim, r, -1)
-        return np.matmul(down.T, uc).reshape(geometry.delta_shape)
+        fold = np.moveaxis(np.tensordot(core, down, axes=([1], [0])), -1, 1).reshape(r, -1)
+        return (up @ fold).reshape(geometry.delta_shape)
     return (up @ down.reshape(r, -1)).reshape(geometry.delta_shape)
 
 

@@ -4,13 +4,18 @@ Each example draws a family, a linear or conv2d layer (extents 1-39,
 kernels 1-3), the Tucker form, a rank, a lokr factor and a seed, and sets
 adapters._ROW_BLOCK to 2-63 values, so that layers this small still span
 several row blocks with whole, short and lone last rows. It then checks
-reconstruct, merge, both forwards, max_rank_bound, the .lwu round trip and
-the exact-rank fits against whole-matrix oracles that share none of the
-row-block code (whole_formula, dense_forward, np.kron, np.linalg.svd).
+reconstruct, merge, both forwards, max_rank_bound, the .lwu round trip, the
+exact-rank fits and the gradients (_vjp) against whole-matrix oracles that
+share none of the row-block code (whole_formula, dense_forward, np.kron,
+np.linalg.svd, and whole_formula's complex-step derivative).
 
 Each entry may differ from its oracle by ROUNDING_UNITS units of eps times
 its own sum of magnitudes: the oracle taken with |.| on every operand. The
 fits are held to TestGramFit's bound instead.
+
+The sweep's extents never give a Gram side large enough for _sketch_top, so
+a second test draws exact-rank fits on sides of 72-100, where a spy asserts
+that the sketch accepted each, and holds them to the same bounds.
 """
 
 import functools
@@ -23,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltafactor import adapters as ad
+from deltafactor import optim_harness as oh
 from deltafactor import weightfile as wf
 from test_adapters import dense_forward, gram_excess, whole_formula
 
@@ -173,6 +179,31 @@ def check_lokr_fit(layer, factor, fit_extra, rng):
     assert residual <= split + np.linalg.norm(inner - got) + 8 * EPS * np.linalg.norm(delta)
 
 
+def check_vjp(adapter, rng):
+    """_vjp against the complex-step derivative of whole_formula, by the adjoint identity.
+
+    For a random g and a direction d over every role, sum g * dDelta[d] (the
+    imaginary part of whole_formula at theta + i h d, over h) must equal
+    sum over roles of <_vjp(g)[role], d[role]>. Both sum the same products;
+    the magnitude sum takes each with |.| on every operand.
+    """
+    tensors = adapter.tensors()
+    g = rng.standard_normal(adapter.layer.delta_shape)
+    direction = {role: rng.standard_normal(t.shape) for role, t in tensors.items()}
+
+    def derivative(theta, d):
+        shifted = {role: theta[role] + (1j * oh.COMPLEX_STEP) * d[role] for role in theta}
+        return whole_formula(adapter, shifted).imag / oh.COMPLEX_STEP
+
+    want = np.sum(g * derivative(tensors, direction))
+    magnitude = np.sum(np.abs(g) * derivative({role: np.abs(t) for role, t in tensors.items()},
+                                              {role: np.abs(d) for role, d in direction.items()}))
+    grads = adapter._vjp(g)
+    assert grads.keys() == tensors.keys()
+    got = sum(np.sum(grads[role] * direction[role]) for role in tensors)
+    within(got, want, magnitude, "_vjp")
+
+
 @settings(max_examples=120, deadline=None)
 @given(sweep_cases())
 def test_every_path_against_its_dense_oracle(case):
@@ -189,3 +220,48 @@ def test_every_path_against_its_dense_oracle(case):
         check_round_trip(case["algorithm"], adapter, case["lam"], want, magnitude, folder)
         check_lora_fit(adapter, case["fit_extra"])
         check_lokr_fit(layer, case["factor"], case["fit_extra"], rng)
+        check_vjp(adapter, rng)
+
+
+@st.composite
+def sketch_cases(draw):
+    # lora: a layer whose Gram side n, its max_rank, is 72-100, and a fit
+    # dim with 8 * (dim + 8) <= n, the largest _fit_block tries the sketch at;
+    # lokr: channel extents whose split has u_p * u_q >= 72 (9 * 8 at least)
+    if draw(st.booleans()):
+        layer = ad.LayerShape("linear", draw(st.integers(72, 100)), draw(st.integers(72, 100)))
+    else:
+        layer = ad.LayerShape("conv2d", draw(st.integers(72, 100)), draw(st.integers(8, 11)), 3)
+    top = layer.max_rank // 8 - ad._OVERSAMPLE
+    rank = draw(st.integers(1, top))
+    kind = draw(st.sampled_from(["linear", "conv2d"]))
+    lokr_layer = ad.LayerShape(kind, draw(st.sampled_from([81, 90, 99, 100])),
+                               draw(st.sampled_from([72, 80, 81, 90, 96, 99, 100])),
+                               draw(st.integers(1, 3)) if kind == "conv2d" else 1)
+    return {"layer": layer, "rank": rank, "fit_extra": draw(st.integers(0, top - rank)),
+            "lokr_layer": lokr_layer, "lokr_extra": draw(st.integers(0, 2)),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sketch_cases())
+def test_exact_rank_fits_take_the_sketch(case):
+    """Exact-rank fits on Gram sides of 72-100: _sketch_top accepts each, and the fit holds."""
+    accepted = []
+    sketch_top = ad._sketch_top
+
+    def spy(thin, r):
+        vectors = sketch_top(thin, r)
+        accepted.append(vectors is not None)
+        return vectors
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "_sketch_top", spy)
+        adapter = ad.random_adapter("lora", case["layer"], case["rank"], 1.0, seed=case["seed"])
+        check_lora_fit(adapter, case["fit_extra"])
+        assert accepted == [True], "svd_fit_lora"
+        accepted.clear()
+        rng = np.random.default_rng(case["seed"])
+        check_lokr_fit(case["lokr_layer"], -1, case["lokr_extra"], rng)
+        # the split only: the right block's side is below 72
+        assert accepted == [True], "nkp_fit_lokr"

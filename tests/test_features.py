@@ -6,6 +6,7 @@ import pytest
 from deltafactor import features as ft
 from deltafactor.cli import cli_dispatch
 from deltafactor.metrics import CategoryScore, ScoreRecord
+from deltafactor.tensor_core import ComplexInputError
 
 
 def vector_record(rec_id="r0", **overrides):
@@ -43,6 +44,15 @@ class TestFeatureRecord:
             ft.FeatureRecord(id="r", class_name="c",
                              maps=(("l", np.ones((1, 1, 1))),
                                    ("l", np.ones((1, 1, 1)))))
+
+    def test_complex_vector_is_refused(self):
+        with pytest.raises(ComplexInputError, match=r"^record 'a': vector is complex"):
+            ft.FeatureRecord(id="a", class_name="b", vector=np.array([1 + 2j, 3]))
+
+    def test_complex_map_is_refused(self):
+        maps = (("l1", np.ones((1, 1, 1))), ("l2", np.full((1, 2, 2), 1j)))
+        with pytest.raises(ComplexInputError, match=r"^record 'a': map 'l2' is complex"):
+            ft.FeatureRecord(id="a", class_name="b", maps=maps)
 
     def test_optional_labels_reject_empty_strings(self):
         with pytest.raises(ValueError, match="subclass"):

@@ -468,9 +468,9 @@ class TestVerifyMergeRatio:
         ("loha", "0x1.c000000000000p-49"),
         ("lokr", "0x0.0p+0"),
         ("lokr-factored", "0x1.8000000000000p-50"),
-        ("lora-tucker", "0x1.1000000000000p-49"),
+        ("lora-tucker", "0x1.4800000000000p-50"),
         ("loha-tucker", "0x1.0000000000000p-50"),
-        ("lokr-tucker", "0x1.2000000000000p-51"),
+        ("lokr-tucker", "0x1.4000000000000p-51"),
     ])
     def test_deviation_is_pinned(self, name, deviation):
         assert oh.verify_merge_ratio(name, 4.0, "adam", steps=25).hex() == deviation
